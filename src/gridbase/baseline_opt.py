@@ -14,6 +14,7 @@ reported as lambda_pos = max(mu, 0), lambda_neg = max(-mu, 0).
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -32,7 +33,7 @@ class SolverConfig:
     kkt_tol: float = 1e-6
     feas_tol: float = 1e-8
     act_tol: float = 1e-6
-    multistart_count: int = 8
+    multistart_count: int = 8   # maximum number of SLSQP starts
     rng_seed: int = 0
     max_iterations: int = 300
 
@@ -201,6 +202,7 @@ def _polish(xv, wv, n, c_p, flow_floor, sx, sh, sj, act_init,
     return xv, None, mu, False
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _newton_on_active(xv, wv, n, c_p, flow_floor, sx, sh, sj, act,
                       lam_act, mu, max_iter=40):
     """Newton iteration on the equality-constrained KKT system for a fixed
@@ -237,6 +239,8 @@ def _newton_on_active(xv, wv, n, c_p, flow_floor, sx, sh, sj, act,
         K[:mdim, mdim:] = A.T
         K[mdim:, :mdim] = A
         rhs = np.concatenate([-gj, -resid_h])
+        if not (np.isfinite(K).all() and np.isfinite(rhs).all()):
+            return xv, lam[:na], lam[na], False  # dependent rows diverged
         step = None
         for eps in (0.0, 1e-10, 1e-8, 1e-6):
             Kr = K.copy()
@@ -397,6 +401,11 @@ def solve_baseline(w: hm.ExogenousVector, cfg: SolverConfig | None = None,
                    x_init: hm.DecisionVector | None = None) -> KktPoint:
     """Solve the hourly baseline problem and return a verified KKT point.
 
+    Starts run in order (x_init if given, the center start, then random
+    starts from default_rng(cfg.rng_seed)), at most cfg.multistart_count
+    of them; the first that certifies to kkt_tol/feas_tol is returned, so
+    rng_seed only matters once the earlier starts fail.
+
     Deterministic given (w, cfg, x_init). Raises InfeasibleHourError when
     no start reaches a feasible point, NoConvergenceError (carrying the
     best residual report) when tolerances cannot be met.
@@ -467,19 +476,18 @@ def solve_baseline(w: hm.ExogenousVector, cfg: SolverConfig | None = None,
         _, _, _, jac = _eval(z)
         return (jac[eq_row] * sx / sh[eq_row])[None, :]
 
-    starts = [_center_start(wv, n, par)]
-    rng = np.random.default_rng(cfg.rng_seed)
-    for _ in range(cfg.multistart_count - 1):
-        starts.append(_random_start(rng, wv, n, par))
-    if x_init is not None:
-        starts.insert(0, x_init.to_vector().astype(float))
-
     bounds = [(12.0 / sx[0], 37.0 / sx[0]), (0.0, par.m_design / sx[1])]
     bounds += [(floor / sx[2 + i], par.m_design / sx[2 + i]) for i in range(n)]
     bounds += [(0.0, par.Q_b_rated / sx[2 + n]), (0.0, par.Q_e_rated / sx[3 + n])]
 
-    candidates = []
-    for start in starts:
+    rng = np.random.default_rng(cfg.rng_seed)
+    starts = itertools.chain(
+        [] if x_init is None else [x_init.to_vector().astype(float)],
+        [_center_start(wv, n, par)],
+        (_random_start(rng, wv, n, par) for _ in itertools.count()))
+    feasible = False
+    best_report = None
+    for start in itertools.islice(starts, cfg.multistart_count):
         z0 = np.clip(start / sx, [b[0] for b in bounds], [b[1] for b in bounds])
         try:
             with warnings.catch_warnings():
@@ -498,30 +506,24 @@ def solve_baseline(w: hm.ExogenousVector, cfg: SolverConfig | None = None,
                 )
         except (ValueError, FloatingPointError):
             continue
-        z = res.x
-        xv = z * sx
+        xv = res.x * sx
         h = hm.constraints_flat(xv, wv, n, c_p, floor) / sh
-        feas = max(h[ineq_rows].max(), abs(h[eq_row]))
-        if feas < 1e-5:
-            candidates.append((float(f_obj(z)), xv))
-    if not candidates:
-        raise InfeasibleHourError(
-            "no start reached a feasible point; the hour appears infeasible")
-
-    candidates.sort(key=lambda c: c[0])
-    best_report = None
-    for _, xv in candidates[:3]:
+        if max(h[ineq_rows].max(), abs(h[eq_row])) >= 1e-5:
+            continue
+        feasible = True
         kkt = _finalize(xv, wv, w, n, par, cfg, sx, sh, sj)
         if kkt is None:
             continue
-        ok = (kkt.stationarity_residual <= cfg.kkt_tol
-              and kkt.complementarity_residual <= cfg.kkt_tol
-              and kkt.feasibility_violation <= cfg.feas_tol)
-        if ok:
+        if (kkt.stationarity_residual <= cfg.kkt_tol
+                and kkt.complementarity_residual <= cfg.kkt_tol
+                and kkt.feasibility_violation <= cfg.feas_tol):
             return kkt
         if best_report is None or (kkt.stationarity_residual
                                    < best_report.stationarity_residual):
             best_report = kkt
+    if not feasible:
+        raise InfeasibleHourError(
+            "no start reached a feasible point; the hour appears infeasible")
     raise NoConvergenceError(
         "baseline solve did not meet KKT tolerances", report=best_report)
 

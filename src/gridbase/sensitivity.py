@@ -217,11 +217,6 @@ def _shift_rank_ok(xv, wv, lam, n, par, sx, act_tol) -> bool:
     return abs(null[0] @ gauge_z) > 1.0 - 1e-8
 
 
-def _j_scale_of(par) -> float:
-    from .baseline_opt import _j_scale
-    return _j_scale(par)
-
-
 def _shift_map(xv, wv, lam, n, par, mask_idx, sx, act_tol):
     """Solve the linearized KKT-map system G dx = d for every masked
     coordinate, in the weighted limit that enforces the constraint rows
