@@ -271,10 +271,6 @@ class DecisionVector:
                               q_h=float(vec[-2]), q_c=float(vec[-1]))
 
 
-def decision_dim(n_zones: int) -> int:
-    return n_zones + 4
-
-
 def constraint_count(n_zones: int) -> int:
     return 14 + 4 * n_zones
 
@@ -326,13 +322,6 @@ def chiller_power(q_e: float, params: HvacParameters) -> float:
     """
     if q_e == 0.0:
         return 0.0
-    c = params.c_g
-    rated = params.Q_e_rated
-    return c[0] * rated + c[1] * q_e + c[2] * q_e * q_e / rated + params.P_pump
-
-
-def chiller_power_smooth(q_e: float, params: HvacParameters) -> float:
-    """Expanded chiller curve without the off switch (the solver's view)."""
     c = params.c_g
     rated = params.Q_e_rated
     return c[0] * rated + c[1] * q_e + c[2] * q_e * q_e / rated + params.P_pump

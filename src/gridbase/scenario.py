@@ -13,7 +13,6 @@ import concurrent.futures
 import csv
 import json
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -221,14 +220,15 @@ def run_day(profile: DayProfile, mask, alpha: float,
             max_workers: int | None = None) -> list:
     """Solve and analyze every hour; output order matches input order.
 
-    Per-hour sampling seeds are seed XOR hour_index, so results do not
+    Hours run in turn unless `max_workers` > 1 asks for threads, which
+    do not help: the work holds the interpreter lock. Per-hour sampling seeds are seed XOR hour_index, so results do not
     depend on worker count or scheduling. Hours that fail record the
     error in their warnings; if every hour fails, the last error is
     re-raised with a day-level summary.
     """
     cfg = cfg or SolverConfig()
     params = params or hm.HvacParameters()
-    workers = max_workers or min(len(profile.hours), os.cpu_count() or 1)
+    workers = max_workers or 1
 
     def one(hour: ProfileHour) -> HourResult:
         return _run_hour(hour, mask, alpha, cfg, params, n_samples,

@@ -21,20 +21,22 @@ counterpart.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import hvac_model as hm
 from . import kernels, numkit
-from .baseline_opt import KktPoint, SolverConfig, _x_scale
+from .baseline_opt import KktPoint, SolverConfig, _h_scale, _j_scale, _x_scale
 from .errors import EvaluationDomainError, RankDeficientError
 
 # relative threshold (vs. chiller rating) below which a chiller that is
 # off at the anchor is kept off at the shifted point, avoiding the
 # standby-power discontinuity corrupting K for infinitesimal shifts
 _CHILLER_SNAP_REL = 1e-6
+
+_BELOW_FLOOR = "shifted zone flow fell below the flow floor; reduce alpha"
+_NOT_FINITE = "objective is not finite at the shifted point; reduce alpha"
 
 
 @dataclass(frozen=True)
@@ -120,14 +122,15 @@ class BoundResult:
 # ---------------------------------------------------------------------------
 
 def kkt_map(xv, wv, lam, n, c_p, flow_floor) -> np.ndarray:
-    """H(x, w; lambda): stationarity rows then complementarity rows."""
-    d = hm.derivatives_flat(xv, wv, n, c_p)
-    h = hm.constraints_flat(xv, wv, n, c_p, flow_floor)
-    return np.concatenate([d.grad_x_j + lam @ d.jac_x_h, lam * h])
+    """H(x, w; lambda): stationarity rows then complementarity rows, from
+    `first_order_flat`, coded apart from the blocks G is built from."""
+    _, grad, h, jac = hm.first_order_flat(xv, wv, n, c_p, flow_floor)
+    return np.concatenate([grad + lam @ jac, lam * h])
 
 
-def _assemble_jacobians(xv, wv, lam, n, c_p, mask_idx):
-    d = hm.derivatives_flat(xv, wv, n, c_p)
+def _assemble_jacobians(d: hm.ModelDerivatives, lam, mask_idx):
+    """G and the masked columns of grad_w H; their first m = N + 4 rows
+    are the Lagrangian Hessians hess_xx L and hess_xw L."""
     hess_l = d.hess_xx_j + np.tensordot(lam, d.hess_xx_h, axes=1)
     G = np.vstack([hess_l, lam[:, None] * d.jac_x_h])
     hess_lw = d.hess_xw_j + np.tensordot(lam, d.hess_xw_h, axes=1)
@@ -157,7 +160,8 @@ def build_operator(anchor: KktPoint, w0: hm.ExogenousVector,
         raise ValueError("anchor KKT residuals exceed tolerance; "
                          "re-solve the baseline before building an operator")
 
-    G, W_jac = _assemble_jacobians(xv, wv, lam, n, par.c_p, spec.indices)
+    d = hm.derivatives_flat(xv, wv, n, par.c_p)
+    G, W_jac = _assemble_jacobians(d, lam, spec.indices)
 
     if verify:
         err = verify_operator_fd(anchor, w0, spec, n_probes=4, seed=0,
@@ -168,23 +172,31 @@ def build_operator(anchor: KktPoint, w0: hm.ExogenousVector,
                 f"differences (max relative error {err:.3e})")
 
     # column scaling makes the rank decision unit-free without changing
-    # the least-squares minimizer (it only reparametrizes x)
+    # the least-squares minimizer (it only reparametrizes x); A holds the
+    # active constraint rows, S the stationarity block
     sx = _x_scale(par, n)
-    rank_ok = _shift_rank_ok(xv, wv, lam, n, par, sx, cfg.act_tol)
+    sh = _h_scale(wv, n, par)
+    sj = _j_scale(par)
+    h = hm.constraints_flat(xv, wv, n, par.c_p, par.flow_floor)
+    act = np.where(np.abs(h / sh) <= cfg.act_tol)[0]
+    A = (d.jac_x_h[act] / sh[act, None]) * sx[None, :]
+    S = (sx[:, None] * G[:sx.size] * sx[None, :]) / sj
+    rank_ok = _shift_rank_ok(A, S, xv, n, par, sx)
     if not rank_ok:
         raise RankDeficientError(
             "the linearized KKT map is rank deficient at the anchor "
             "beyond its built-in cost-flat direction; the primal shift "
             "is not unique and sensitivity analysis does not apply")
 
-    shift_matrix = _shift_map(xv, wv, lam, n, par, spec.indices, sx,
-                              cfg.act_tol)
+    B = -(d.jac_w_h[np.ix_(act, list(spec.indices))]) / sh[act, None]
+    Ds = -(sx[:, None] * W_jac[:sx.size]) / sj
+    shift_matrix = _shift_map(A, B, S, Ds, sx)
     return SensitivityOperator(
         anchor=anchor, w0=w0, spec=spec, G=G, W_jac=W_jac,
         rank_ok=rank_ok, shift_matrix=shift_matrix, _x_scale_vec=sx)
 
 
-def _shift_rank_ok(xv, wv, lam, n, par, sx, act_tol) -> bool:
+def _shift_rank_ok(A, S, xv, n, par, sx) -> bool:
     """The shift is unique iff the stacked active-constraint and
     stationarity blocks have full column rank — except along the one
     cost-flat direction built into the heat split: moving AHU-coil heat
@@ -193,17 +205,7 @@ def _shift_rank_ok(xv, wv, lam, n, par, sx, act_tol) -> bool:
     heating hours the optimizer sits on a line of optima. K is
     invariant along that gauge and the shift solve picks its
     minimum-norm representative, so the gauge alone is harmless."""
-    from .baseline_opt import _h_scale, _j_scale
-    d = hm.derivatives_flat(xv, wv, n, par.c_p)
-    h = hm.constraints_flat(xv, wv, n, par.c_p, par.flow_floor)
-    sh = _h_scale(wv, n, par)
-    act = np.where(np.abs(h / sh) <= act_tol)[0]
-    hess_l = d.hess_xx_j + np.tensordot(lam, d.hess_xx_h, axes=1)
-    M = np.vstack([
-        (d.jac_x_h[act] / sh[act, None]) * sx[None, :],
-        (sx[:, None] * hess_l * sx[None, :]) / _j_scale(par),
-    ])
-    _, sv, Vt = np.linalg.svd(M)
+    _, sv, Vt = np.linalg.svd(np.vstack([A, S]))
     null = Vt[sv <= numkit.RANK_RTOL * sv[0]] if sv.size else Vt
     if null.shape[0] == 0:
         return True
@@ -217,7 +219,7 @@ def _shift_rank_ok(xv, wv, lam, n, par, sx, act_tol) -> bool:
     return abs(null[0] @ gauge_z) > 1.0 - 1e-8
 
 
-def _shift_map(xv, wv, lam, n, par, mask_idx, sx, act_tol):
+def _shift_map(A, B, S, Ds, sx):
     """Solve the linearized KKT-map system G dx = d for every masked
     coordinate, in the weighted limit that enforces the constraint rows
     exactly.
@@ -232,20 +234,11 @@ def _shift_map(xv, wv, lam, n, par, mask_idx, sx, act_tol):
     enforced too — they only influence second order, and including them
     keeps the system determined at degenerate corners where the
     multipliers are not unique. The stationarity block then fixes any
-    remaining tangent freedom in the least-squares sense.
+    remaining tangent freedom in the least-squares sense. A and B (S and
+    Ds) are the scaled active-row (stationarity) blocks of G and -grad_w H.
     """
-    from .baseline_opt import _h_scale, _j_scale
-    d = hm.derivatives_flat(xv, wv, n, par.c_p)
-    h = hm.constraints_flat(xv, wv, n, par.c_p, par.flow_floor)
-    sh = _h_scale(wv, n, par)
-    sj = _j_scale(par)
-    idx = list(mask_idx)
-    m = n + 4
-
-    act = np.where(np.abs(h / sh) <= act_tol)[0]
-    if act.size:
-        A = (d.jac_x_h[act] / sh[act, None]) * sx[None, :]
-        B = -(d.jac_w_h[np.ix_(act, idx)]) / sh[act, None]
+    m = sx.size
+    if A.shape[0]:
         U, s, Vt = np.linalg.svd(A, full_matrices=True)
         cutoff = numkit.RANK_RTOL * (s[0] if s.size else 0.0)
         rank = int((s > cutoff).sum())
@@ -254,13 +247,9 @@ def _shift_map(xv, wv, lam, n, par, mask_idx, sx, act_tol):
         Zc = Vt[:rank].T @ (inv_s[:rank, None] * (U.T @ B)[:rank])
         Z = Vt[rank:].T                      # tangent basis of the manifold
     else:
-        Zc = np.zeros((m, len(idx)))
+        Zc = np.zeros((m, Ds.shape[1]))
         Z = np.eye(m)
 
-    hess_l = d.hess_xx_j + np.tensordot(lam, d.hess_xx_h, axes=1)
-    S = (sx[:, None] * hess_l * sx[None, :]) / sj
-    hess_lw = d.hess_xw_j + np.tensordot(lam, d.hess_xw_h, axes=1)
-    Ds = -(sx[:, None] * hess_lw[:, idx]) / sj
     if Z.shape[1]:
         SZ = S @ Z
         sv = np.linalg.svd(SZ, compute_uv=False)
@@ -281,7 +270,8 @@ def verify_operator_fd(anchor: KktPoint, w0: hm.ExogenousVector,
     wv = w0.to_vector()
     lam = np.asarray(anchor.lam, dtype=float)
     if G is None or W_jac is None:
-        G, W_jac = _assemble_jacobians(xv, wv, lam, n, par.c_p, spec.indices)
+        G, W_jac = _assemble_jacobians(hm.derivatives_flat(xv, wv, n, par.c_p),
+                                       lam, spec.indices)
 
     sx = _x_scale(par, n)
     rng = np.random.default_rng(seed)
@@ -318,19 +308,11 @@ def verify_operator_fd(anchor: KktPoint, w0: hm.ExogenousVector,
 # shift map and cost change
 # ---------------------------------------------------------------------------
 
-def predict_shift(op: SensitivityOperator, dw) -> hm.DecisionVector:
-    """Primal shift dx = G+ (-grad_w H dw); linear in dw, zero at dw = 0."""
-    dx = _shift_vector(op, dw)
-    return hm.DecisionVector.from_vector(dx)
-
-
 def _shift_vector(op: SensitivityOperator, dw) -> np.ndarray:
     dw = np.asarray(dw, dtype=float)
     if dw.size != len(op.spec.indices):
         raise ValueError(
             f"dw must have {len(op.spec.indices)} masked entries")
-    if not op.rank_ok:
-        raise RankDeficientError("operator was built rank deficient")
     return op.shift_matrix @ dw
 
 
@@ -347,8 +329,7 @@ def _shifted_decision(op: SensitivityOperator, dx: np.ndarray) -> np.ndarray:
     else:
         xv[iB] = max(xv[iB], 0.0)
     if np.any(xv[2:2 + n] < par.flow_floor):
-        raise EvaluationDomainError(
-            "shifted zone flow fell below the flow floor; reduce alpha")
+        raise EvaluationDomainError(_BELOW_FLOOR)
     return xv
 
 
@@ -361,8 +342,7 @@ def delta_cost(op: SensitivityOperator, w0: hm.ExogenousVector, dw) -> float:
     n = w0.zones.count
     j1 = hm.objective_flat(xv, wv, n, w0.params.c_p)
     if not np.isfinite(j1):
-        raise EvaluationDomainError(
-            "objective is not finite at the shifted point; reduce alpha")
+        raise EvaluationDomainError(_NOT_FINITE)
     return float(j1 - op.anchor.j0)
 
 
@@ -387,17 +367,29 @@ def quadratic_model(op: SensitivityOperator, w0: hm.ExogenousVector,
                     k_func=None) -> QuadraticModel:
     """Central-difference gradient and Hessian of K at dw = 0.
 
-    Steps are fd_scale * max(1, |w0_i|) per masked coordinate. `k_func`
-    replaces K (test seam for functions with known derivatives).
+    Steps are fd_scale * max(1, |w0_i|) per masked coordinate. One
+    kernel call evaluates K on the whole stencil with the bits and the
+    domain errors of `delta_cost`. `k_func` replaces K row by row (test
+    seam for functions with known derivatives).
     """
     spec = spec or op.spec
     idx = list(spec.indices)
     w_masked = w0.to_vector()[idx]
     steps = numkit.default_fd_steps(w_masked, scale=fd_scale)
-    K = k_func if k_func is not None else (lambda d: delta_cost(op, w0, d))
-    origin = np.zeros(len(idx))
-    g = numkit.fd_gradient(K, origin, steps)
-    H = numkit.fd_hessian(K, origin, steps)
+    dW = numkit.fd_stencil(np.zeros(len(idx)), steps)
+    if k_func is not None:
+        kvals = np.array([k_func(d) for d in dW], dtype=float)
+    else:
+        # one matvec per row, the product delta_cost forms; a gemm over
+        # all rows is not bound to round each row the same way
+        dX = np.array([op.shift_matrix @ d for d in dW])
+        kvals, ok = _k_batch(op, w0, dW, dX, "C")
+        bad = ~np.isfinite(kvals)
+        if bad.any():
+            first = int(np.argmax(bad))
+            raise EvaluationDomainError(
+                _NOT_FINITE if ok[first] else _BELOW_FLOOR)
+    g, H = numkit.fd_derivatives(kvals, steps)
     return QuadraticModel(g=g, H_K=H, fd_step_used=float(fd_scale))
 
 
@@ -435,11 +427,12 @@ def sample_bound(op: SensitivityOperator, w0: hm.ExogenousVector,
     p = len(idx)
     d = spec.masked_delta
 
+    # row r flips coordinate j < n_sign when bit n_sign-1-j of r is set,
+    # the order of itertools.product((1.0, -1.0), repeat=n_sign)
     n_sign = min(p, 12)
-    vertices = np.empty((2 ** n_sign, p))
-    vertices[:, :] = d[None, :]
-    for row, signs in enumerate(itertools.product((1.0, -1.0), repeat=n_sign)):
-        vertices[row, :n_sign] = np.asarray(signs) * d[:n_sign]
+    flips = (np.arange(2 ** n_sign)[:, None]
+             >> np.arange(n_sign - 1, -1, -1)) & 1
+    vertices = np.where(np.pad(flips, ((0, 0), (0, p - n_sign))), -d, d)
 
     rng = np.random.default_rng(seed)
     n_draws = max(0, n_samples - vertices.shape[0])
@@ -450,7 +443,8 @@ def sample_bound(op: SensitivityOperator, w0: hm.ExogenousVector,
         kvals = np.array([k_func(dw) for dw in dW])
         skipped = 0
     else:
-        kvals, skipped = _k_batch(op, w0, dW)
+        kvals, ok = _k_batch(op, w0, dW, dW @ op.shift_matrix.T, "F")
+        skipped = int(np.count_nonzero(~ok))
     total = dW.shape[0]
     if skipped > 0.1 * total:
         raise EvaluationDomainError(
@@ -465,17 +459,26 @@ def sample_bound(op: SensitivityOperator, w0: hm.ExogenousVector,
 
 
 def _k_batch(op: SensitivityOperator, w0: hm.ExogenousVector,
-             dW: np.ndarray):
-    """Evaluate K over many dw rows through the batch kernels."""
+             dW: np.ndarray, dX: np.ndarray, order: str):
+    """K on each row of dW, whose primal shift is that row of dX, and the
+    mask of rows inside the model domain (K is NaN on the others).
+
+    `order` is the memory layout of X and W. The numpy kernel reads
+    columns, so "F" is fastest; "C" gives each row the bits of
+    `objective_flat`, which with 8 or more zones sums pairwise where the
+    columns of an "F" array are summed one after another.
+    """
     n = w0.zones.count
     par = w0.params
     xv0 = op.anchor.x0.to_vector()
     wv0 = w0.to_vector()
     idx = list(op.spec.indices)
 
-    X = xv0[None, :] + dW @ op.shift_matrix.T
-    W = np.tile(wv0, (dW.shape[0], 1))
-    W[:, idx] += dW
+    X = np.empty(dX.shape, order=order)
+    np.add(xv0, dX, out=X)
+    W = np.empty((dW.shape[0], wv0.size), order=order)
+    W[:] = wv0
+    W[:, idx] = wv0[idx] + dW
 
     iA, iB = 2 + n, 3 + n
     X[:, iA] = np.maximum(X[:, iA], 0.0)
@@ -486,11 +489,12 @@ def _k_batch(op: SensitivityOperator, w0: hm.ExogenousVector,
         X[:, iB] = np.maximum(X[:, iB], 0.0)
 
     ok = (X[:, 2:2 + n] >= par.flow_floor).all(axis=1)
+    if not ok.all():
+        X, W = X[ok], W[ok]
     kvals = np.full(dW.shape[0], np.nan)
     if ok.any():
-        j = kernels.objective_batch(X[ok], W[ok], n, par.c_p)
-        kvals[ok] = j - op.anchor.j0
-    return kvals, int((~ok).sum())
+        kvals[ok] = kernels.objective_batch(X, W, n, par.c_p) - op.anchor.j0
+    return kvals, ok
 
 
 # ---------------------------------------------------------------------------

@@ -64,12 +64,13 @@ def test_chiller_standby_limit(params):
     expected = 0.03303 * (1.47e8 / 3600.0) + 1.8e6 / 3600.0
     tiny = hm.chiller_power(1e-9, params)
     assert abs(tiny - expected) < 1e-6
-    assert hm.chiller_power_smooth(0.0, params) == pytest.approx(expected)
 
 
 def test_chiller_matches_smooth_curve_when_on(params):
-    for q in (1.0, 0.3 * params.Q_e_rated, params.Q_e_rated):
-        assert hm.chiller_power(q, params) == hm.chiller_power_smooth(q, params)
+    c, rated = params.c_g, params.Q_e_rated
+    for q in (1.0, 0.3 * rated, rated):
+        smooth = c[0] * rated + c[1] * q + c[2] * q * q / rated + params.P_pump
+        assert hm.chiller_power(q, params) == smooth
 
 
 def test_rated_duties_in_watts(params):
@@ -147,7 +148,6 @@ def test_registry_mutation_roundtrip(hot_hour):
 # ---------------------------------------------------------------------------
 
 def test_decision_dimensions():
-    assert hm.decision_dim(5) == 9
     assert hm.constraint_count(5) == 34
     assert len(hm.constraint_labels(5)) == 34
 

@@ -6,50 +6,6 @@ from hypothesis import strategies as st
 from gridbase import numkit
 
 
-def test_least_squares_exact_square_system():
-    rng = np.random.default_rng(0)
-    G = rng.standard_normal((4, 4)) + 4 * np.eye(4)
-    x_true = rng.standard_normal(4)
-    sol = numkit.least_squares_apply(G, G @ x_true)
-    assert sol.rank_ok
-    np.testing.assert_allclose(sol.solution, x_true, rtol=1e-12)
-
-
-def test_least_squares_overdetermined_normal_residual():
-    rng = np.random.default_rng(1)
-    G = rng.standard_normal((10, 3))
-    d = rng.standard_normal(10)
-    sol = numkit.least_squares_apply(G, d)
-    # the normal equations hold at the least-squares minimizer
-    assert sol.normal_residual <= 1e-10 * max(1.0, np.linalg.norm(G.T @ d))
-
-
-def test_least_squares_matrix_rhs_matches_columnwise():
-    rng = np.random.default_rng(2)
-    G = rng.standard_normal((8, 4))
-    D = rng.standard_normal((8, 3))
-    sol = numkit.least_squares_apply(G, D)
-    for j in range(3):
-        col = numkit.least_squares_apply(G, D[:, j]).solution
-        np.testing.assert_allclose(sol.solution[:, j], col, rtol=1e-13)
-
-
-def test_least_squares_detects_rank_deficiency():
-    G = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
-    sol = numkit.least_squares_apply(G, np.array([1.0, 2.0, 3.0]))
-    assert not sol.rank_ok
-
-
-def test_least_squares_rejects_wide_matrix():
-    with pytest.raises(ValueError):
-        numkit.least_squares_apply(np.ones((2, 3)), np.ones(2))
-
-
-def test_least_squares_rejects_mismatched_rhs():
-    with pytest.raises(ValueError):
-        numkit.least_squares_apply(np.ones((3, 2)), np.ones(4))
-
-
 def test_check_matrix_rejects_nonfinite():
     with pytest.raises(ValueError):
         numkit.check_matrix(np.array([[1.0, np.nan], [0.0, 1.0]]))

@@ -168,6 +168,17 @@ def test_run_day_thread_count_invariant(day_profiles, moderate_results):
         assert a.k_plus == b.k_plus == c.k_plus
 
 
+def test_run_day_is_serial_by_default(day_profiles, moderate_results,
+                                      monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("run_day started a thread pool")
+
+    monkeypatch.setattr(sc.concurrent.futures, "ThreadPoolExecutor", no_pool)
+    serial = sc.run_day(day_profiles["moderate"], ("T_oa",), 0.01,
+                        n_samples=256, seed=FIXTURE_SEED)
+    assert [r.j0 for r in serial] == [r.j0 for r in moderate_results]
+
+
 def test_run_day_hot_day_has_no_heating(day_profiles):
     results = sc.run_day(day_profiles["hot"], ("T_oa",), 0.01,
                          n_samples=64, seed=0)

@@ -1,15 +1,20 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from gridbase import hvac_model as hm
+from gridbase import numkit
+from gridbase import scenario as sc
 from gridbase import sensitivity as sn
 from gridbase.baseline_opt import solve_baseline
-from gridbase.errors import EvaluationDomainError, RankDeficientError
+from gridbase.errors import EvaluationDomainError
 
 FAN_MASK = ("c_f_1", "c_f_2", "c_f_3", "c_f_4")
+WIDE_MASK = ("T_oa", "Q_zone_1", "Q_zone_2", "Q_zone_3", "Q_zone_4",
+             "Q_zone_5") + FAN_MASK + ("alpha_el", "alpha_ng")
 
 
 def _operator(solve_cached, w, mask=("T_oa",), alpha=0.01):
@@ -84,6 +89,33 @@ def test_fd_verification_tight(moderate_hour, hot_hour, cold_hour,
         assert err <= 1e-6
 
 
+def test_fd_verification_catches_a_wrong_entry(moderate_hour, solve_cached,
+                                               monkeypatch):
+    """Scaling the largest probed entry of G, or of grad_w H, by 1 + 1e-3
+    lifts the self-check above its 1e-6 gate, so build_operator raises."""
+    anchor = solve_cached(moderate_hour)
+    spec = sn.uncertainty_spec(moderate_hour, ("T_oa",) + FAN_MASK, 0.01)
+    op = sn.build_operator(anchor, moderate_hour, spec)
+    sw = np.maximum(1.0, np.abs(moderate_hour.to_vector()[list(spec.indices)]))
+
+    def scaled(M, col_scale):
+        M = M.copy()
+        M[np.unravel_index(np.argmax(np.abs(M * col_scale)), M.shape)] *= 1 + 1e-3
+        return M
+
+    for G, W_jac in ((scaled(op.G, op._x_scale_vec), op.W_jac),
+                     (op.G, scaled(op.W_jac, sw))):
+        err = sn.verify_operator_fd(anchor, moderate_hour, spec, n_probes=4,
+                                    seed=0, G=G, W_jac=W_jac)
+        assert err > 1e-6
+        monkeypatch.setattr(sn, "_assemble_jacobians",
+                            lambda *args, G=G, W_jac=W_jac: (G, W_jac))
+        with pytest.raises(ValueError, match="finite differences"):
+            sn.build_operator(anchor, moderate_hour, spec)
+    assert sn.verify_operator_fd(anchor, moderate_hour, spec, n_probes=4,
+                                 seed=0, G=op.G, W_jac=op.W_jac) <= 1e-6
+
+
 def test_build_rejects_sloppy_anchor(moderate_hour, solve_cached):
     kkt = solve_cached(moderate_hour)
     bad = dataclasses.replace(kkt, stationarity_residual=1.0)
@@ -112,20 +144,13 @@ def test_shift_rejects_wrong_size(moderate_hour, solve_cached):
         sn._shift_vector(op, np.zeros(3))
 
 
-def test_shift_guard_on_rank_deficient_operator(moderate_hour, solve_cached):
-    op, _ = _operator(solve_cached, moderate_hour)
-    broken = dataclasses.replace(op, rank_ok=False)
-    with pytest.raises(RankDeficientError):
-        sn.predict_shift(broken, np.array([0.1]))
-
-
 def test_predicted_shift_matches_resolve_direction(moderate_hour,
                                                    solve_cached, params):
     """The predicted primal shift points along the true re-solved
     displacement for a small outdoor-temperature bump."""
     op, _ = _operator(solve_cached, moderate_hour)
     dt = 0.1
-    dx_pred = sn.predict_shift(op, np.array([dt])).to_vector()
+    dx_pred = op.shift_matrix @ np.array([dt])
     w1 = hm.make_exogenous(moderate_hour.t_oa + dt,
                            moderate_hour.zones.q_zone,
                            moderate_hour.zones.t_sp,
@@ -215,9 +240,75 @@ def test_domain_error_when_shift_leaves_model(moderate_hour, solve_cached):
         sn.delta_cost(op, moderate_hour, np.array([dq]))
 
 
+def test_k_batch_is_nan_exactly_below_the_floor(moderate_hour, solve_cached):
+    """Rows pushed below the flow floor give NaN; every other row gets the
+    bits of delta_cost, in either memory layout."""
+    op, spec = _operator(solve_cached, moderate_hour, mask=("Q_zone_1",))
+    col = op.shift_matrix[2:7, 0]
+    j = int(np.argmax(np.abs(col)))
+    dq = -2.0 * op.anchor.x0.m_sa[j] / col[j]
+    dW = np.array([[0.0], [0.1 * dq], [dq], [-0.1 * dq], [1.5 * dq], [5.0]])
+    below = np.array([False, False, True, False, True, False])
+    dX = np.array([op.shift_matrix @ d for d in dW])
+    for order in ("C", "F"):
+        kvals, ok = sn._k_batch(op, moderate_hour, dW, dX, order)
+        np.testing.assert_array_equal(ok, ~below)
+        np.testing.assert_array_equal(np.isnan(kvals), below)
+        for d, k in zip(dW[~below], kvals[~below]):
+            assert k == sn.delta_cost(op, moderate_hour, d)
+    for d in dW[below]:
+        with pytest.raises(EvaluationDomainError):
+            sn.delta_cost(op, moderate_hour, d)
+
+
 # ---------------------------------------------------------------------------
 # quadratic model
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("mask", [("T_oa",), ("T_oa", "Q_zone_1"), WIDE_MASK])
+@pytest.mark.parametrize("day_type", sc.DAY_TYPES)
+def test_quadratic_model_matches_scalar_stencil(day_type, mask, params,
+                                                solve_cached):
+    """The batched stencil gives g and H_K bit for bit equal to the
+    central differences of delta_cost taken one point at a time, on
+    hours of the three synthetic days."""
+    for hour in sc.synth_profile(day_type, 42).hours[::3]:
+        w = hm.ExogenousVector(t_oa=hour.t_oa, zones=hour.zones,
+                               params=params)
+        op, spec = _operator(solve_cached, w, mask=mask, alpha=0.05)
+        qm = sn.quadratic_model(op, w, spec)
+        steps = numkit.default_fd_steps(w.to_vector()[list(spec.indices)])
+        origin = np.zeros(len(mask))
+
+        def K(d):
+            return sn.delta_cost(op, w, d)
+
+        assert np.array_equal(qm.g, numkit.fd_gradient(K, origin, steps))
+        assert np.array_equal(qm.H_K, numkit.fd_hessian(K, origin, steps))
+
+
+def test_quadratic_model_domain_error_matches_scalar_path(moderate_hour,
+                                                          solve_cached):
+    """A step that keeps the gradient rows inside the flow floor but not
+    the 2h rows of the Hessian raises what delta_cost raises."""
+    op, spec = _operator(solve_cached, moderate_hour, mask=("Q_zone_1",))
+    col = op.shift_matrix[2:7, 0]
+    room = (op.anchor.x0.m_sa - moderate_hour.params.flow_floor) / np.abs(col)
+    h = 0.75 * room.min()
+    fd_scale = h / abs(moderate_hour.zones.q_zone[0])
+    steps = numkit.default_fd_steps(moderate_hour.zones.q_zone[:1],
+                                    scale=fd_scale)
+
+    def K(d):
+        return sn.delta_cost(op, moderate_hour, d)
+
+    numkit.fd_gradient(K, np.zeros(1), steps)
+    with pytest.raises(EvaluationDomainError) as scalar:
+        numkit.fd_hessian(K, np.zeros(1), steps)
+    with pytest.raises(EvaluationDomainError) as batched:
+        sn.quadratic_model(op, moderate_hour, spec, fd_scale=fd_scale)
+    assert str(batched.value) == str(scalar.value)
+
 
 def test_quadratic_model_recovers_known_quadratic(moderate_hour,
                                                   solve_cached):
@@ -324,6 +415,27 @@ def test_sample_bound_finds_vertex_max(moderate_hour, solve_cached):
     np.testing.assert_allclose(np.abs(res.argmax_dw), d, rtol=1e-12)
     assert res.samples == 500
     assert res.method == "monte_carlo"
+
+
+@pytest.mark.parametrize("p", [1, 3, 12, 13])
+def test_vertex_rows_follow_itertools_order(p, moderate_hour, solve_cached):
+    """The first 2^min(p, 12) sampled rows are the sign vertices in the
+    order of itertools.product((1.0, -1.0), ...); coordinates past the
+    twelfth stay at +delta."""
+    op, _ = _operator(solve_cached, moderate_hour)
+    spec = sn.uncertainty_spec(moderate_hour, (WIDE_MASK + ("T_sp_1",))[:p],
+                               0.05)
+    d = spec.masked_delta
+    n_sign = min(p, 12)
+    expected = np.empty((2 ** n_sign, p))
+    expected[:] = d
+    for row, signs in enumerate(itertools.product((1.0, -1.0),
+                                                  repeat=n_sign)):
+        expected[row, :n_sign] = np.asarray(signs) * d[:n_sign]
+    rows = []
+    sn.sample_bound(op, moderate_hour, spec, 2 ** n_sign, seed=0,
+                    k_func=lambda dw: rows.append(dw.copy()) or 0.0)
+    assert np.array_equal(np.array(rows), expected)
 
 
 def test_sample_bound_deterministic_in_seed(moderate_hour, solve_cached):
