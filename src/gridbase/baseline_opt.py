@@ -165,7 +165,7 @@ def _polish(xv, wv, n, c_p, flow_floor, sx, sh, sj, act_init,
     if h0.max() <= feas_keep and (
             not act or np.abs(h0[act]).max() <= 1e-12):
         lam_nn, mu_nn = _nnls_multipliers(
-            xv, wv, n, c_p, sx, sh, sj, act, eq_row)
+            xv, wv, n, c_p, flow_floor, sx, sh, sj, act, eq_row)
         if lam_nn is not None:
             lam_full, mu_orig = _assemble(lam_nn, mu_nn)
             return xv, lam_full, mu_orig, True
@@ -181,7 +181,7 @@ def _polish(xv, wv, n, c_p, flow_floor, sx, sh, sj, act_init,
             # Newton multipliers are sign-indefinite; try a nonnegative
             # recovery on the same rows before dropping any of them
             lam_nn, mu_nn = _nnls_multipliers(
-                xv, wv, n, c_p, sx, sh, sj, act, eq_row)
+                xv, wv, n, c_p, flow_floor, sx, sh, sj, act, eq_row)
             if lam_nn is not None:
                 lam_act, mu = lam_nn, mu_nn
             else:
@@ -267,7 +267,7 @@ def _newton_on_active(xv, wv, n, c_p, flow_floor, sx, sh, sj, act,
     return xv, lam[:na], lam[na], err < 1e-9
 
 
-def _nnls_multipliers(xv, wv, n, c_p, sx, sh, sj, act, eq_row,
+def _nnls_multipliers(xv, wv, n, c_p, flow_floor, sx, sh, sj, act, eq_row,
                       tol=1e-11):
     """Nonnegative multipliers for a fixed active set at a fixed point.
 
@@ -275,10 +275,10 @@ def _nnls_multipliers(xv, wv, n, c_p, sx, sh, sj, act, eq_row,
     lam >= 0, with the balance-equality multiplier free in sign. Returns
     (lam_act, mu) in scaled units, or (None, 0.0) when no nonnegative
     combination reaches stationarity."""
-    d = hm.derivatives_flat(xv, wv, n, c_p)
-    gj = d.grad_x_j * sx / sj
-    A = (d.jac_x_h[list(act)] * sx[None, :]) / sh[list(act), None]
-    a_eq = (d.jac_x_h[eq_row] * sx) / sh[eq_row]
+    _, grad, _, jac = hm.first_order_flat(xv, wv, n, c_p, flow_floor)
+    gj = grad * sx / sj
+    A = (jac[list(act)] * sx[None, :]) / sh[list(act), None]
+    a_eq = (jac[eq_row] * sx) / sh[eq_row]
     M = np.column_stack([A.T, a_eq, -a_eq])
     z, resid = scipy_nnls(M, -gj)
     if resid > tol * max(1.0, np.abs(gj).max()):
@@ -315,7 +315,7 @@ def _snap_active_bounds(xv, wv, n, active, sh):
 def verify_kkt(x: hm.DecisionVector, lam, w: hm.ExogenousVector,
                cfg: SolverConfig | None = None) -> KktResiduals:
     """Recompute the four KKT residual groups from the analytic model
-    derivatives, independently of any solver state."""
+    gradient and constraint Jacobian, independently of any solver state."""
     cfg = cfg or SolverConfig()
     n = w.zones.count
     par = w.params
@@ -327,14 +327,13 @@ def verify_kkt(x: hm.DecisionVector, lam, w: hm.ExogenousVector,
     if xv.size != n + 4:
         raise ValueError(f"expected {n + 4} decision entries, got {xv.size}")
     wv = w.to_vector()
-    d = hm.derivatives_flat(xv, wv, n, par.c_p)
-    h = hm.constraints_flat(xv, wv, n, par.c_p, par.flow_floor)
+    _, grad, h, jac = hm.first_order_flat(xv, wv, n, par.c_p, par.flow_floor)
     sx = _x_scale(par, n)
     sh = _h_scale(wv, n, par)
     j0 = hm.objective_flat(xv, wv, n, par.c_p)
 
-    grad_l = d.grad_x_j + lam @ d.jac_x_h
-    stat = np.abs(grad_l * sx).max() / max(1.0, np.abs(d.grad_x_j * sx).max())
+    grad_l = grad + lam @ jac
+    stat = np.abs(grad_l * sx).max() / max(1.0, np.abs(grad * sx).max())
     comp = np.abs(lam * h).max() / max(1.0, abs(j0))
     feas = max(0.0, (h / sh).max())
     dual = max(0.0, -lam.min()) if lam.size else 0.0

@@ -36,6 +36,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import kernels
 from .errors import DegenerateFlowError, InvalidCurveError
 
 J_PER_HR = 1.0 / 3600.0  # watts per (joule/hour)
@@ -158,7 +159,9 @@ _PARAM_REGISTRY = (
 
 @dataclass(frozen=True)
 class ExogenousVector:
-    """Labeled flat view of the exogenous inputs and model parameters."""
+    """Labeled flat view of the exogenous inputs and model parameters.
+
+    An over-ventilated hour is infeasible, not invalid, so it is accepted."""
 
     t_oa: float
     zones: ZoneInputs
@@ -167,10 +170,6 @@ class ExogenousVector:
     def __post_init__(self):
         if self.zones.count != self.params.zone_count:
             raise ValueError("zone input length does not match zone_count")
-        if self.zones.m_oa_min.sum() > self.params.m_design:
-            # not an error at construction: the hour is merely infeasible,
-            # which the solver reports; constraints still evaluate.
-            pass
 
     @property
     def dim(self) -> int:
@@ -406,7 +405,7 @@ def objective(x: DecisionVector, w: ExogenousVector) -> float:
 
 
 # ---------------------------------------------------------------------------
-# flat-array core (shared with the solver and the sampling fast path)
+# flat-array core (shared with the solver and the sensitivity engine)
 # ---------------------------------------------------------------------------
 
 def _unpack_x(xv: np.ndarray, n: int):
@@ -418,39 +417,16 @@ def _w_param_slices(n: int):
     return 1 + 3 * n
 
 
-def objective_flat(xv: np.ndarray, wv: np.ndarray, n: int, c_p: float,
-                   smooth_chiller: bool = False) -> float:
-    """Objective from flat arrays; `smooth_chiller` keeps the standby term
-    at q_c = 0 (the solver's smooth surrogate)."""
-    T, o, mvec, a, b = _unpack_x(xv, n)
-    q_zone = wv[1:1 + n]
-    t_sp = wv[1 + n:1 + 2 * n]
-    P = _w_param_slices(n)
-    (dP, eta_tot, rho, m_des, cf1, cf2, cf3, cf4, qbr, eta_th,
-     cb1, cb2, cb3, qer, p_pump, cg1, cg2, cg3, ael, ang) = wv[P:P + 20]
-
-    m = mvec.sum()
-    u = m / m_des
-    f_pl = cf1 + u * (cf2 + u * (cf3 + u * cf4))
-    p_fan = dP / (eta_tot * rho) * m_des * f_pl
-
-    q_b = q_zone.sum() + c_p * (mvec * t_sp).sum() - c_p * m * T + a
-    r = q_b / qbr
-    eta_eff = cb1 + r * (cb2 + r * cb3)
-    p_boiler = q_b / (eta_th * eta_eff)
-
-    if b == 0.0 and not smooth_chiller:
-        p_chiller = 0.0
-    else:
-        p_chiller = cg1 * qer + cg2 * b + cg3 * b * b / qer + p_pump
-    return ael * (p_fan + p_chiller) + ang * p_boiler
+def objective_flat(xv: np.ndarray, wv: np.ndarray, n: int,
+                   c_p: float) -> float:
+    """Reported objective from flat arrays: the one-row case of
+    `kernels.objective_batch` (zero chiller power at q_c = 0)."""
+    return kernels.objective_batch(xv[None, :], wv[None, :], n, c_p)[0]
 
 
-def constraints_flat(xv: np.ndarray, wv: np.ndarray, n: int,
-                     c_p: float, flow_floor: float) -> np.ndarray:
-    """Ordered inequality vector h(x, w), h <= 0 feasible. Always returns
-    values, even at infeasible points (the solver needs them)."""
-    T, o, mvec, a, b = _unpack_x(xv, n)
+def _constraint_rows(T, o, mvec, a, b, m, s_t, q_b, wv, n, c_p, flow_floor):
+    """h(x, w) from the unpacked decision and the intermediates the
+    objective shares: total flow m, S = sum m_i T_sp_i and boiler duty q_b."""
     t_oa = wv[0]
     q_zone = wv[1:1 + n]
     t_sp = wv[1 + n:1 + 2 * n]
@@ -460,9 +436,6 @@ def constraints_flat(xv: np.ndarray, wv: np.ndarray, n: int,
     qbr = wv[P + 8]
     qer = wv[P + 13]
 
-    m = mvec.sum()
-    s_t = (mvec * t_sp).sum()
-    q_b = q_zone.sum() + c_p * s_t - c_p * m * T + a
     # Q_ahu = c_p (m T - S + o S / m - o T_oa)
     q_ahu = c_p * (m * T - s_t + o * s_t / m - o * t_oa)
 
@@ -484,9 +457,22 @@ def constraints_flat(xv: np.ndarray, wv: np.ndarray, n: int,
     h[k + 3] = b - qer
     h[k + 4] = -q_b
     h[k + 5] = q_b - qbr
-    h[k + 6] = a - b - q_ahu
-    h[k + 7] = -(a - b - q_ahu)
+    bal = a - b - q_ahu
+    h[k + 6] = bal
+    h[k + 7] = -bal
     return h
+
+
+def constraints_flat(xv: np.ndarray, wv: np.ndarray, n: int,
+                     c_p: float, flow_floor: float) -> np.ndarray:
+    """Ordered inequality vector h(x, w), h <= 0 feasible. Always returns
+    values, even at infeasible points (the solver needs them)."""
+    T, o, mvec, a, b = _unpack_x(xv, n)
+    m = mvec.sum()
+    s_t = (mvec * wv[1 + n:1 + 2 * n]).sum()
+    q_b = wv[1:1 + n].sum() + c_p * s_t - c_p * m * T + a
+    return _constraint_rows(T, o, mvec, a, b, m, s_t, q_b, wv, n, c_p,
+                            flow_floor)
 
 
 def constraints(x: DecisionVector, w: ExogenousVector) -> np.ndarray:
@@ -751,17 +737,13 @@ def derivatives_flat(xv: np.ndarray, wv: np.ndarray, n: int,
     )
 
 
-def derivatives(x: DecisionVector, w: ExogenousVector) -> ModelDerivatives:
-    return derivatives_flat(x.to_vector(), w.to_vector(),
-                            w.zones.count, w.params.c_p)
-
-
 def first_order_flat(xv: np.ndarray, wv: np.ndarray, n: int, c_p: float,
                      flow_floor: float):
     """Cheap solver path: (J_smooth, grad_x J, h, jac_x h) only.
 
-    Values agree with `objective_flat(smooth_chiller=True)`,
-    `constraints_flat` and the matching `derivatives_flat` blocks.
+    J_smooth keeps the chiller standby term at q_c = 0, where the reported
+    `objective_flat` drops it. h equals `constraints_flat`, and the
+    gradient and Jacobian equal the `derivatives_flat` blocks.
     """
     T, o, mvec, a, b = _unpack_x(xv, n)
     t_oa = wv[0]
@@ -805,30 +787,11 @@ def first_order_flat(xv: np.ndarray, wv: np.ndarray, n: int, c_p: float,
     grad[iM] += ael * fan1
     grad[iB] += ael * pc1
 
-    q_ahu = c_p * (m * T - s_t + o * s_t / m - o * t_oa)
-    ncon = constraint_count(n)
-    h = np.empty(ncon)
-    h[0] = 12.0 - T
-    h[1] = T - 37.0
-    h[2] = v_min.sum() - o
-    h[3] = o - m_des
-    h[4] = o - m
-    h[5] = m - m_des
-    h[6:6 + n] = flow_floor - mvec
-    h[6 + n:6 + 2 * n] = m * v_min - mvec * o
-    h[6 + 2 * n:6 + 3 * n] = c_p * mvec * (T - t_sp) - q_zone
-    h[6 + 3 * n:6 + 4 * n] = q_zone - c_p * mvec * (37.0 - t_sp)
-    k0 = 6 + 4 * n
-    h[k0] = -a
-    h[k0 + 1] = a - qbr
-    h[k0 + 2] = -b
-    h[k0 + 3] = b - qer
-    h[k0 + 4] = -q_b
-    h[k0 + 5] = q_b - qbr
-    bal = a - b - q_ahu
-    h[k0 + 6] = bal
-    h[k0 + 7] = -bal
+    h = _constraint_rows(T, o, mvec, a, b, m, s_t, q_b, wv, n, c_p,
+                         flow_floor)
 
+    ncon = constraint_count(n)
+    k0 = 6 + 4 * n
     jac = np.zeros((ncon, mdim))
     jac[0, 0] = -1.0
     jac[1, 0] = 1.0

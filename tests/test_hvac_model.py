@@ -212,7 +212,7 @@ def test_objective_smooth_differs_only_by_standby(hot_hour):
                           m_sa=np.full(5, 0.4), q_h=5000.0, q_c=0.0)
     xv, wv = x.to_vector(), hot_hour.to_vector()
     j_hard = hm.objective_flat(xv, wv, 5, par.c_p)
-    j_smooth = hm.objective_flat(xv, wv, 5, par.c_p, smooth_chiller=True)
+    j_smooth = hm.first_order_flat(xv, wv, 5, par.c_p, par.flow_floor)[0]
     standby = par.alpha_el * (par.c_g[0] * par.Q_e_rated + par.P_pump)
     assert j_smooth - j_hard == pytest.approx(standby, rel=1e-12)
 
@@ -251,13 +251,11 @@ def test_first_derivatives_match_fd(hot_hour):
     for xv in _random_interior_points(hot_hour, 5, seed=0):
         d = hm.derivatives_flat(xv, wv, 5, c_p)
         g_fd = numkit.fd_gradient(
-            lambda z: hm.objective_flat(z, wv, 5, c_p, smooth_chiller=True),
-            xv)
+            lambda z: hm.first_order_flat(z, wv, 5, c_p, floor)[0], xv)
         scale = np.abs(d.grad_x_j).max()
         assert np.abs(g_fd - d.grad_x_j).max() < 1e-6 * scale
         gw_fd = numkit.fd_gradient(
-            lambda z: hm.objective_flat(xv, z, 5, c_p, smooth_chiller=True),
-            wv)
+            lambda z: hm.first_order_flat(xv, z, 5, c_p, floor)[0], wv)
         scale = np.abs(d.grad_w_j).max()
         assert np.abs(gw_fd - d.grad_w_j).max() < 1e-5 * scale
 
@@ -270,6 +268,34 @@ def test_first_derivatives_match_fd(hot_hour):
             fd = (hp - hmn) / (2 * e[k])
             err = np.abs(fd - d.jac_x_h[:, k]).max()
             assert err < 1e-5 * max(1.0, np.abs(d.jac_x_h[:, k]).max())
+
+
+def test_first_order_flat_matches_constraints_and_derivatives():
+    # the solver, verify_kkt and the NNLS multipliers take h, grad_x J and
+    # jac_x h from first_order_flat; they must be the bits of the full paths
+    base = hm.HvacParameters()
+    rng = np.random.default_rng(11)
+    for n in (1, 3, 5, 8, 13):
+        par = hm.HvacParameters(zone_count=n, m_design=base.m_design * n / 5)
+        for k in range(12):
+            w = hm.make_exogenous(
+                rng.uniform(-5.0, 38.0), rng.uniform(-6000.0, 4000.0, n),
+                rng.uniform(20.0, 26.0, n), rng.uniform(0.02, 0.1, n), par)
+            xv = np.concatenate([
+                [rng.uniform(12.0, 30.0), rng.uniform(0.2, 1.5)],
+                rng.uniform(0.1, 0.6, n),
+                [rng.uniform(0.0, 5000.0),
+                 0.0 if k % 3 == 0 else rng.uniform(100.0, 30000.0)]])
+            wv = w.to_vector()
+            j, grad, h, jac = hm.first_order_flat(xv, wv, n, par.c_p,
+                                                  par.flow_floor)
+            d = hm.derivatives_flat(xv, wv, n, par.c_p)
+            assert np.array_equal(
+                h, hm.constraints_flat(xv, wv, n, par.c_p, par.flow_floor))
+            assert np.array_equal(grad, d.grad_x_j)
+            assert np.array_equal(jac, d.jac_x_h)
+            if xv[-1] > 0.0:
+                assert j == hm.objective_flat(xv, wv, n, par.c_p)
 
 
 def test_second_derivatives_match_gradient_differences(hot_hour):
