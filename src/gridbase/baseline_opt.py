@@ -542,8 +542,10 @@ def _finalize(xv, wv, w, n, par, cfg, sx, sh, sj):
     xv2, lam, mu, ok = _polish(xv2, wv, n, c_p, floor, sx, sh, sj, act2)
     if not ok or lam is None:
         return None
-    res = verify_kkt(hm.DecisionVector.from_vector(xv2), lam, w, cfg)
-    xv3 = _snap_active_bounds(xv2, wv, n, res.active_set, sh)
+    # verify_kkt's active set at xv2, without its residuals
+    active = np.where(np.abs(
+        hm.constraints_flat(xv2, wv, n, c_p, floor) / sh) <= cfg.act_tol)[0]
+    xv3 = _snap_active_bounds(xv2, wv, n, active, sh)
     x0 = hm.DecisionVector.from_vector(xv3)
     res = verify_kkt(x0, lam, w, cfg)
     j0 = hm.objective_flat(xv3, wv, n, c_p)

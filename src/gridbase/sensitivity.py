@@ -21,6 +21,7 @@ counterpart.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,11 @@ from .errors import EvaluationDomainError, RankDeficientError
 # off at the anchor is kept off at the shifted point, avoiding the
 # standby-power discontinuity corrupting K for infinitesimal shifts
 _CHILLER_SNAP_REL = 1e-6
+
+# most rows per shift product and kernel call in sample_bound: a block's
+# X, W (590 kB at 5 zones) and kernel temporaries fit in a 2 MB L2 cache,
+# where the W of 10000 rows alone is 2.9 MB
+_BLOCK_ROWS = 2048
 
 _BELOW_FLOOR = "shifted zone flow fell below the flow floor; reduce alpha"
 _NOT_FINITE = "objective is not finite at the shifted point; reduce alpha"
@@ -54,6 +60,8 @@ class UncertaintySpec:
         d = np.asarray(self.delta, dtype=float)
         if np.any(d < 0):
             raise ValueError("delta must be nonnegative")
+        if len(set(self.indices)) < len(self.indices):
+            raise ValueError(f"indices {self.indices} repeat a coordinate")
         off = np.setdiff1d(np.arange(d.size), np.asarray(self.indices, int))
         if off.size and np.any(d[off] != 0.0):
             raise ValueError("masked-out coordinates must have delta = 0")
@@ -68,9 +76,13 @@ def uncertainty_spec(w0: hm.ExogenousVector, mask, alpha: float,
     """Build a spec with delta = alpha * |w0| on the masked coordinates.
 
     `mask` is a sequence of ExogenousVector labels; `overrides` maps a
-    label to an explicit per-coordinate delta.
+    label to an explicit per-coordinate delta. A label may appear in
+    `mask` only once.
     """
-    labels = w0.labels()
+    mask = tuple(mask)
+    for k, lab in enumerate(mask):
+        if lab in mask[:k]:
+            raise ValueError(f"mask label {lab!r} appears more than once")
     idx = tuple(w0.index(lab) for lab in mask)
     wv = w0.to_vector()
     delta = np.zeros(wv.size)
@@ -81,7 +93,7 @@ def uncertainty_spec(w0: hm.ExogenousVector, mask, alpha: float,
         if j not in idx:
             raise ValueError(f"override for unmasked coordinate {lab!r}")
         delta[j] = float(val)
-    return UncertaintySpec(mask=tuple(mask), alpha=float(alpha),
+    return UncertaintySpec(mask=mask, alpha=float(alpha),
                            delta=delta, indices=idx)
 
 
@@ -420,32 +432,43 @@ def sample_bound(op: SensitivityOperator, w0: hm.ExogenousVector,
                  spec: UncertaintySpec, n_samples: int, seed: int,
                  k_func=None) -> BoundResult:
     """Sampled worst case of |K| over the box: every sign-pattern vertex
-    (capped at 2^12) plus uniform interior draws; deterministic in seed."""
+    (capped at 2^12) plus uniform interior draws; deterministic in seed.
+
+    The vertices come first, so an `n_samples` below 2^min(p, 12) still
+    evaluates every vertex and `samples` reports that total. K is
+    evaluated in equal blocks of at most `_BLOCK_ROWS` (2048) rows, each
+    with its own shift product and kernel call. A block has one row only
+    when the whole sample has: a one-row "F" block sums like
+    `objective_flat`, which would change that row's bits.
+    """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    idx = list(spec.indices)
-    p = len(idx)
     d = spec.masked_delta
+    signs = _vertex_signs(d.size)
+    n_vert = signs.shape[0]
+    dW = np.empty((max(n_samples, n_vert), d.size))
+    np.multiply(signs, d, out=dW[:n_vert])
+    # the bits of rng.uniform(-1.0, 1.0, size) * d, drawn in place
+    draws = dW[n_vert:]
+    np.random.default_rng(seed).random(out=draws)
+    draws *= 2.0
+    draws -= 1.0
+    draws *= d
 
-    # row r flips coordinate j < n_sign when bit n_sign-1-j of r is set,
-    # the order of itertools.product((1.0, -1.0), repeat=n_sign)
-    n_sign = min(p, 12)
-    flips = (np.arange(2 ** n_sign)[:, None]
-             >> np.arange(n_sign - 1, -1, -1)) & 1
-    vertices = np.where(np.pad(flips, ((0, 0), (0, p - n_sign))), -d, d)
-
-    rng = np.random.default_rng(seed)
-    n_draws = max(0, n_samples - vertices.shape[0])
-    draws = rng.uniform(-1.0, 1.0, size=(n_draws, p)) * d[None, :]
-    dW = np.vstack([vertices, draws])
-
+    total = dW.shape[0]
     if k_func is not None:
         kvals = np.array([k_func(dw) for dw in dW])
         skipped = 0
     else:
-        kvals, ok = _k_batch(op, w0, dW, dW @ op.shift_matrix.T, "F")
+        kvals = np.empty(total)
+        ok = np.empty(total, dtype=bool)
+        n_blocks = -(-total // _BLOCK_ROWS)
+        for b in range(n_blocks):
+            rows = slice(total * b // n_blocks, total * (b + 1) // n_blocks)
+            part = dW[rows]
+            kvals[rows], ok[rows] = _k_batch(
+                op, w0, part, part @ op.shift_matrix.T, "F")
         skipped = int(np.count_nonzero(~ok))
-    total = dW.shape[0]
     if skipped > 0.1 * total:
         raise EvaluationDomainError(
             f"{skipped}/{total} samples left the model domain; reduce alpha")
@@ -456,6 +479,21 @@ def sample_bound(op: SensitivityOperator, w0: hm.ExogenousVector,
             else abs(delta_cost(op, w0, argmax_dw)))
     return BoundResult(beta=beta, method="monte_carlo", samples=total,
                        argmax_dw=argmax_dw, seed=seed)
+
+
+@functools.lru_cache(maxsize=None)
+def _vertex_signs(p: int) -> np.ndarray:
+    """Read-only +/-1 sign rows of the sampled vertices for p masked
+    coordinates. Row r flips coordinate j < n_sign when bit n_sign-1-j of
+    r is set, the order of itertools.product((1.0, -1.0), repeat=n_sign);
+    coordinates past n_sign = min(p, 12) stay at +1."""
+    n_sign = min(p, 12)
+    flips = (np.arange(2 ** n_sign)[:, None]
+             >> np.arange(n_sign - 1, -1, -1)) & 1
+    signs = np.ones((2 ** n_sign, p))
+    signs[:, :n_sign] -= 2.0 * flips
+    signs.flags.writeable = False
+    return signs
 
 
 def _k_batch(op: SensitivityOperator, w0: hm.ExogenousVector,
@@ -488,12 +526,11 @@ def _k_batch(op: SensitivityOperator, w0: hm.ExogenousVector,
     else:
         X[:, iB] = np.maximum(X[:, iB], 0.0)
 
+    # every row goes through the kernel: dropping rows would copy X and W
+    # into "C" layout and change the bits of the rows that stay
     ok = (X[:, 2:2 + n] >= par.flow_floor).all(axis=1)
-    if not ok.all():
-        X, W = X[ok], W[ok]
-    kvals = np.full(dW.shape[0], np.nan)
-    if ok.any():
-        kvals[ok] = kernels.objective_batch(X, W, n, par.c_p) - op.anchor.j0
+    kvals = kernels.objective_batch(X, W, n, par.c_p) - op.anchor.j0
+    kvals[~ok] = np.nan
     return kvals, ok
 
 

@@ -146,6 +146,14 @@ def test_unknown_mask_label_is_usage_error(capsys, profile_path):
     assert code == 2
 
 
+def test_repeated_mask_label_is_usage_error(capsys, profile_path):
+    code, _, err = _run(capsys, "bound", "--profile", profile_path,
+                        "--hour", "12", "--mask", "T_oa,T_oa",
+                        "--alpha", "0.01")
+    assert code == 2
+    assert "mask label 'T_oa' appears more than once" in err
+
+
 def test_infeasible_hour_is_domain_error(capsys, tmp_path):
     prof = sc.synth_profile("cold", seed=0)
     z = prof.hours[0].zones

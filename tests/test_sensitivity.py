@@ -50,6 +50,17 @@ def test_spec_rejects_bad_inputs(moderate_hour):
         sn.uncertainty_spec(moderate_hour, ("no_such_label",), 0.1)
 
 
+def test_spec_rejects_repeated_labels(moderate_hour):
+    """A repeated label would move one coordinate twice in the shift map
+    but once in K; it is refused before any operator is built."""
+    with pytest.raises(ValueError, match="'T_oa' appears more than once"):
+        sn.uncertainty_spec(moderate_hour, ("T_oa", "Q_zone_1", "T_oa"),
+                            0.01)
+    with pytest.raises(ValueError, match="repeat a coordinate"):
+        sn.UncertaintySpec(mask=("T_oa", "T_oa"), alpha=0.01,
+                           delta=np.r_[0.18, np.zeros(33)], indices=(0, 0))
+
+
 # ---------------------------------------------------------------------------
 # the KKT map and its Jacobians
 # ---------------------------------------------------------------------------
@@ -436,6 +447,120 @@ def test_vertex_rows_follow_itertools_order(p, moderate_hour, solve_cached):
     sn.sample_bound(op, moderate_hour, spec, 2 ** n_sign, seed=0,
                     k_func=lambda dw: rows.append(dw.copy()) or 0.0)
     assert np.array_equal(np.array(rows), expected)
+
+
+def _unblocked_sample(op, w, spec, n_samples, seed):
+    """Reference for the sampler's rows and K, built the direct way:
+    np.where vertices in itertools.product order, rng.uniform draws, one
+    vstack and one _k_batch call over every row."""
+    d = spec.masked_delta
+    n_sign = min(d.size, 12)
+    vertices = np.array([
+        np.where(np.r_[s, np.ones(d.size - n_sign)] < 0, -d, d)
+        for s in itertools.product((1.0, -1.0), repeat=n_sign)])
+    n_draws = max(0, n_samples - vertices.shape[0])
+    draws = np.random.default_rng(seed).uniform(
+        -1.0, 1.0, size=(n_draws, d.size)) * d[None, :]
+    dW = np.vstack([vertices, draws])
+    kvals, ok = sn._k_batch(op, w, dW, dW @ op.shift_matrix.T, "F")
+    return dW, kvals, ok
+
+
+def _sampler_hour(n):
+    base = hm.HvacParameters()
+    par = hm.HvacParameters(zone_count=n, m_design=base.m_design * n / 5)
+    hour = sc.synth_profile("moderate", 42, n_zones=n).hours[3]
+    return hm.ExogenousVector(t_oa=hour.t_oa, zones=hour.zones, params=par)
+
+
+def _blocked_sample(monkeypatch, op, w, spec, n_samples, seed):
+    """sample_bound's result (or its domain error) and the rows, K and
+    mask of its blocked _k_batch calls, concatenated."""
+    calls = []
+    k_batch = sn._k_batch
+
+    def recording(op_, w_, dW, dX, order):
+        kvals, ok = k_batch(op_, w_, dW, dX, order)
+        calls.append((dW.copy(), kvals, ok))
+        return kvals, ok
+
+    monkeypatch.setattr(sn, "_k_batch", recording)
+    try:
+        res = sn.sample_bound(op, w, spec, n_samples, seed)
+    except EvaluationDomainError as exc:
+        res = exc
+    finally:
+        monkeypatch.setattr(sn, "_k_batch", k_batch)
+    rows, kvals, ok = (np.concatenate(parts) for parts in zip(*calls))
+    return res, rows, kvals, ok, len(calls)
+
+
+def _assert_matches_unblocked(monkeypatch, op, w, spec, n_samples, seed):
+    res, rows, kvals, ok, n_calls = _blocked_sample(
+        monkeypatch, op, w, spec, n_samples, seed)
+    dW, k_ref, ok_ref = _unblocked_sample(op, w, spec, n_samples, seed)
+    assert n_calls == -(-dW.shape[0] // sn._BLOCK_ROWS)
+    assert np.array_equal(rows, dW)
+    assert np.array_equal(kvals, k_ref, equal_nan=True)
+    assert np.array_equal(ok, ok_ref)
+    skipped = int(np.count_nonzero(~ok_ref))
+    if skipped > 0.1 * dW.shape[0]:
+        assert isinstance(res, EvaluationDomainError)
+        assert str(res).startswith(f"{skipped}/{dW.shape[0]} samples")
+        return skipped
+    best = int(np.nanargmax(np.abs(k_ref)))
+    assert res.samples == dW.shape[0]
+    assert np.array_equal(res.argmax_dw, dW[best])
+    assert res.beta == abs(sn.delta_cost(op, w, dW[best]))
+    return skipped
+
+
+SAMPLER_MASKS = (
+    ("T_oa",),
+    ("T_oa", "Q_zone_1", "T_sp_1") + FAN_MASK
+    + ("c_b_1", "c_b_2", "c_b_3", "alpha_el", "alpha_ng"),
+    ("c_f_4", "Q_b_rated", "eta_thermal", "c_b_1", "c_b_2", "c_b_3",
+     "Q_e_rated", "P_pump", "c_g_1", "c_g_2", "c_g_3", "alpha_el",
+     "alpha_ng"),
+)
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 8, 10])
+def test_blocked_sampler_matches_unblocked_rows(n, monkeypatch):
+    """The cached signs, in-place draws and blocked kernel calls give the
+    rows, K and domain mask of one unblocked pass bit for bit, and the
+    same beta, argmax and sample count; on 1 to 13 masked coordinates and
+    sample counts on either side of a block."""
+    w = _sampler_hour(n)
+    anchor = solve_baseline(w)
+    for mask in SAMPLER_MASKS:
+        spec = sn.uncertainty_spec(w, mask, 0.05)
+        op = sn.build_operator(anchor, w, spec)
+        for n_samples in (1, 2047, 2048, 2049, 10000):
+            _assert_matches_unblocked(monkeypatch, op, w, spec, n_samples,
+                                      seed=n_samples)
+
+
+@pytest.mark.parametrize("n", [5, 10])
+def test_blocked_sampler_matches_unblocked_below_the_floor(n, monkeypatch):
+    """Boxes whose lower edge crosses the flow floor: the NaN rows, the
+    skipped count and K on the other rows match one unblocked pass, both
+    when the sampler returns (a few rows, so that some blocks have none,
+    or about 5% skipped) and when it raises."""
+    w = _sampler_hour(n)
+    anchor = solve_baseline(w)
+    spec = sn.uncertainty_spec(w, ("Q_zone_1",), 0.01)
+    op = sn.build_operator(anchor, w, spec)
+    col = op.shift_matrix[2:2 + n, 0]
+    room = np.abs((anchor.x0.m_sa - w.params.flow_floor) / col).min()
+    skipped = []
+    for reach in (1.001, 1.0 / 0.9, 3.0):
+        box = sn.uncertainty_spec(w, ("Q_zone_1",), 0.01,
+                                  overrides={"Q_zone_1": reach * room})
+        skipped.append(_assert_matches_unblocked(
+            monkeypatch, dataclasses.replace(op, spec=box), w, box, 10000,
+            seed=1))
+    assert 0 < skipped[0] < 20 < skipped[1] <= 1000 < skipped[2]
 
 
 def test_sample_bound_deterministic_in_seed(moderate_hour, solve_cached):
