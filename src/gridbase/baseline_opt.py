@@ -133,9 +133,10 @@ def _canonicalize(xv: np.ndarray, n: int, c_p: float) -> np.ndarray:
 # active-set Newton polish
 # ---------------------------------------------------------------------------
 
-def _polish(xv, wv, n, c_p, flow_floor, sx, sh, sj, act_init,
+def _polish(xv, wv, n, c_p, flow_floor, sx, sh, sj, act_init, h0,
             feas_keep=1e-11, max_outer=25):
-    """Refine (x, lambda) on the active-set KKT system.
+    """Refine (x, lambda) on the active-set KKT system; h0 is the scaled
+    constraint vector h(xv) / sh.
 
     Returns (xv, lam_full, mu, converged). lam_full covers all rows in
     original units; the balance equality multiplier mu is split over the
@@ -161,7 +162,6 @@ def _polish(xv, wv, n, c_p, flow_floor, sx, sh, sj, act_init,
     # and admits nonnegative stationarity multipliers needs no Newton
     # refinement — restarting Newton there can diverge when the active
     # rows are linearly dependent (degenerate corners)
-    h0 = hm.constraints_flat(xv, wv, n, c_p, flow_floor) / sh
     if h0.max() <= feas_keep and (
             not act or np.abs(h0[act]).max() <= 1e-12):
         lam_nn, mu_nn = _nnls_multipliers(
@@ -175,8 +175,7 @@ def _polish(xv, wv, n, c_p, flow_floor, sx, sh, sj, act_init,
             xv, wv, n, c_p, flow_floor, sx, sh, sj, act, lam_act, mu)
         if not ok:
             return xv, None, mu, False
-        lam_scaled = lam_act * 1.0  # already in scaled units
-        if lam_scaled.size and lam_scaled.min() < -1e-9:
+        if lam_act.size and lam_act.min() < -1e-9:
             # at degenerate corners the active rows are dependent and the
             # Newton multipliers are sign-indefinite; try a nonnegative
             # recovery on the same rows before dropping any of them
@@ -185,7 +184,7 @@ def _polish(xv, wv, n, c_p, flow_floor, sx, sh, sj, act_init,
             if lam_nn is not None:
                 lam_act, mu = lam_nn, mu_nn
             else:
-                worst = int(np.argmin(lam_scaled))
+                worst = int(np.argmin(lam_act))
                 del act[worst]
                 lam_act = np.delete(lam_act, worst)
                 continue
@@ -532,14 +531,16 @@ def _finalize(xv, wv, w, n, par, cfg, sx, sh, sj):
     xv = _canonicalize(xv, n, c_p)
     h_scaled = hm.constraints_flat(xv, wv, n, c_p, floor) / sh
     act = np.where(h_scaled >= -max(cfg.act_tol, 1e-7))[0]
-    xv2, lam, mu, ok = _polish(xv, wv, n, c_p, floor, sx, sh, sj, act)
+    xv2, lam, mu, ok = _polish(xv, wv, n, c_p, floor, sx, sh, sj, act,
+                               h_scaled)
     if not ok or lam is None:
         return None
     # canonicalization can change the active set; always re-polish there
     xv2 = _canonicalize(xv2, n, c_p)
     h_scaled = hm.constraints_flat(xv2, wv, n, c_p, floor) / sh
     act2 = np.where(h_scaled >= -max(cfg.act_tol, 1e-7))[0]
-    xv2, lam, mu, ok = _polish(xv2, wv, n, c_p, floor, sx, sh, sj, act2)
+    xv2, lam, mu, ok = _polish(xv2, wv, n, c_p, floor, sx, sh, sj, act2,
+                               h_scaled)
     if not ok or lam is None:
         return None
     # verify_kkt's active set at xv2, without its residuals

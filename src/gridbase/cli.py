@@ -79,8 +79,8 @@ def _sensitivity_objects(args):
     params = _load_params(args.params)
     w = _load_hour(args, params)
     cfg = SolverConfig(rng_seed=args.seed)
-    kkt = solve_baseline(w, cfg)
     spec = sn.uncertainty_spec(w, _mask_list(args.mask), args.alpha)
+    kkt = solve_baseline(w, cfg)
     op = sn.build_operator(kkt, w, spec, cfg)
     return w, cfg, kkt, spec, op
 

@@ -32,6 +32,7 @@ in J/hr convert at exactly 1 J/hr = 1/3600 W.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -480,6 +481,117 @@ def constraints(x: DecisionVector, w: ExogenousVector) -> np.ndarray:
                             w.zones.count, w.params.c_p, w.params.flow_floor)
 
 
+_FirstOrder = namedtuple("_FirstOrder",
+                         "j grad jac m s_t q_b gq fan boiler chiller")
+
+
+def _first_order(xv, wv, n, c_p) -> _FirstOrder:
+    """Smooth J, grad_x J and jac_x h, with the intermediate values that
+    `first_order_flat` and `derivatives_flat` both build on."""
+    T, o, mvec, a, b = _unpack_x(xv, n)
+    t_oa = wv[0]
+    q_zone = wv[1:1 + n]
+    t_sp = wv[1 + n:1 + 2 * n]
+    v_min = wv[1 + 2 * n:1 + 3 * n]
+    P = _w_param_slices(n)
+    (dP, eta_tot, rho, m_des, cf1, cf2, cf3, cf4, qbr, eta_th,
+     cb1, cb2, cb3, qer, p_pump, cg1, cg2, cg3, ael, ang) = wv[P:P + 20]
+    mdim = n + 4
+    iM = slice(2, 2 + n)
+    iA, iB = 2 + n, 3 + n
+
+    m = mvec.sum()
+    s_t = (mvec * t_sp).sum()
+    q_b = q_zone.sum() + c_p * s_t - c_p * m * T + a
+
+    # --- fan curve ---
+    u = m / m_des
+    f_pl = cf1 + u * (cf2 + u * (cf3 + u * cf4))
+    f_plp = cf2 + u * (2.0 * cf3 + u * 3.0 * cf4)
+    gain = dP / (eta_tot * rho)
+    p_fan = gain * m_des * f_pl
+    fan1 = gain * f_plp               # dP_fan/dm_i, equal for all zones
+
+    # --- boiler curve ---
+    r = q_b / qbr
+    eta = cb1 + r * (cb2 + r * cb3)
+    etap = cb2 + 2.0 * cb3 * r
+    p_boiler = q_b / (eta_th * eta)
+    d1 = (eta - r * etap) / (eta_th * eta ** 2)          # dP_b/dQ_b
+
+    # --- chiller (smooth expanded form) ---
+    p_chiller = cg1 * qer + cg2 * b + cg3 * b * b / qer + p_pump
+    pc1 = cg2 + 2.0 * cg3 * b / qer
+
+    j = ael * (p_fan + p_chiller) + ang * p_boiler
+
+    # --- gradients of Q_b and Q_ahu ---
+    gq = np.zeros(mdim)
+    gq[0] = -c_p * m
+    gq[iM] = c_p * (t_sp - T)
+    gq[iA] = 1.0
+    ga = np.zeros(mdim)
+    ga[0] = c_p * m
+    ga[1] = c_p * (s_t / m - t_oa)
+    ga[iM] = c_p * (T - t_sp + o * (t_sp * m - s_t) / m ** 2)
+
+    grad = ang * d1 * gq
+    grad[iM] += ael * fan1
+    grad[iB] += ael * pc1
+
+    k0 = 6 + 4 * n
+    zi = np.arange(n)
+    jac = np.zeros((constraint_count(n), mdim))
+    jac[0, 0] = -1.0
+    jac[1, 0] = 1.0
+    jac[2, 1] = -1.0
+    jac[3, 1] = 1.0
+    jac[4, 1] = 1.0
+    jac[4, iM] = -1.0
+    jac[5, iM] = 1.0
+    jac[6 + zi, 2 + zi] = -1.0
+    # ventilation (bilinear): h = m v_i - m_i o
+    rows = 6 + n + zi
+    jac[rows[:, None], 2 + zi[None, :]] = v_min[:, None]
+    jac[rows, 2 + zi] -= o
+    jac[rows, 1] = -mvec
+    # T_da bounds: c_p m_i (T - T_sp_i) - Q_zone_i and
+    # Q_zone_i - c_p m_i (37 - T_sp_i)
+    jac[6 + 2 * n + zi, 0] = c_p * mvec
+    jac[6 + 2 * n + zi, 2 + zi] = c_p * (T - t_sp)
+    jac[6 + 3 * n + zi, 2 + zi] = -c_p * (37.0 - t_sp)
+    jac[k0, iA] = -1.0
+    jac[k0 + 1, iA] = 1.0
+    jac[k0 + 2, iB] = -1.0
+    jac[k0 + 3, iB] = 1.0
+    jac[k0 + 4] = -gq
+    jac[k0 + 5] = gq
+    # AHU balance rows: +/- (q_h - q_c - Q_ahu)
+    gbal = -ga
+    gbal[iA] += 1.0
+    gbal[iB] -= 1.0
+    jac[k0 + 6] = gbal
+    jac[k0 + 7] = -gbal
+    return _FirstOrder(j, grad, jac, m, s_t, q_b, gq,
+                       fan=(u, f_pl, f_plp, gain, p_fan, fan1),
+                       boiler=(r, eta, etap, p_boiler, d1),
+                       chiller=(p_chiller, pc1))
+
+
+def first_order_flat(xv: np.ndarray, wv: np.ndarray, n: int, c_p: float,
+                     flow_floor: float):
+    """Cheap solver path: (J_smooth, grad_x J, h, jac_x h) only.
+
+    J_smooth keeps the chiller standby term at q_c = 0, where the reported
+    `objective_flat` drops it. h equals `constraints_flat`, and the
+    gradient and Jacobian are the `derivatives_flat` blocks.
+    """
+    core = _first_order(xv, wv, n, c_p)
+    h = _constraint_rows(*_unpack_x(xv, n), core.m, core.s_t, core.q_b, wv,
+                         n, c_p, flow_floor)
+    return core.j, core.grad, h, core.jac
+
+
 # ---------------------------------------------------------------------------
 # analytic derivatives
 # ---------------------------------------------------------------------------
@@ -506,12 +618,17 @@ class ModelDerivatives:
 def derivatives_flat(xv: np.ndarray, wv: np.ndarray, n: int,
                      c_p: float) -> ModelDerivatives:
     """All derivative blocks at (x, w); the chiller term is the smooth
-    expanded form (identical to the reported objective wherever q_c > 0)."""
-    T, o, mvec, a, b = _unpack_x(xv, n)
-    t_oa = wv[0]
+    expanded form (identical to the reported objective wherever q_c > 0).
+    grad_x J and jac_x h are `first_order_flat`'s; this adds the
+    second-order blocks and the blocks in w."""
+    core = _first_order(xv, wv, n, c_p)
+    grad_x_j, jac_x_h, m, s_t, gq = (core.grad, core.jac, core.m, core.s_t,
+                                     core.gq)
+    u, f_pl, f_plp, gain, p_fan, fan1 = core.fan
+    r, eta, etap, p_boiler, d1 = core.boiler
+    p_chiller, pc1 = core.chiller
+    o, mvec, b = xv[1], xv[2:2 + n], xv[3 + n]
     t_sp = wv[1 + n:1 + 2 * n]
-    q_zone = wv[1:1 + n]
-    v_min = wv[1 + 2 * n:1 + 3 * n]
     P = _w_param_slices(n)
     (dP, eta_tot, rho, m_des, cf1, cf2, cf3, cf4, qbr, eta_th,
      cb1, cb2, cb3, qer, p_pump, cg1, cg2, cg3, ael, ang) = wv[P:P + 20]
@@ -520,7 +637,7 @@ def derivatives_flat(xv: np.ndarray, wv: np.ndarray, n: int,
     pdim = P + 20
     iT, iO = 0, 1
     iM = slice(2, 2 + n)
-    iA, iB = 2 + n, 3 + n
+    iB = 3 + n
     jTOA = 0
     jQZ = slice(1, 1 + n)
     jTSP = slice(1 + n, 1 + 2 * n)
@@ -529,17 +646,8 @@ def derivatives_flat(xv: np.ndarray, wv: np.ndarray, n: int,
      jCB1, jCB2, jCB3, jQER, jPPUMP, jCG1, jCG2, jCG3, jAEL,
      jANG) = range(P, P + 20)
 
-    m = mvec.sum()
-    s_t = (mvec * t_sp).sum()
-    q_b = q_zone.sum() + c_p * s_t - c_p * m * T + a
-
-    # --- boiler curve and its sensitivities ---
-    r = q_b / qbr
-    eta = cb1 + r * (cb2 + r * cb3)
-    etap = cb2 + 2.0 * cb3 * r
+    # --- second derivatives and w-sensitivities of the curves ---
     etapp = 2.0 * cb3
-    p_boiler = q_b / (eta_th * eta)
-    d1 = (eta - r * etap) / (eta_th * eta ** 2)          # dP_b/dQ_b
     dd1_dr = (-r * etapp * eta - 2.0 * etap * (eta - r * etap)) / (eta_th * eta ** 3)
     d2 = dd1_dr / qbr                                    # d2P_b/dQ_b^2
     dd1_dqbr = -r * d2
@@ -547,37 +655,26 @@ def derivatives_flat(xv: np.ndarray, wv: np.ndarray, n: int,
     rk = np.array([1.0, r, r * r])
     dd1_dcb = (2.0 - np.array([1.0, 2.0, 3.0])) * rk / (eta_th * eta ** 2) \
         - 2.0 * d1 * rk / eta
-
-    # --- fan curve ---
-    u = m / m_des
-    f_pl = cf1 + u * (cf2 + u * (cf3 + u * cf4))
-    f_plp = cf2 + u * (2.0 * cf3 + u * 3.0 * cf4)
     f_plpp = 2.0 * cf3 + 6.0 * cf4 * u
-    gain = dP / (eta_tot * rho)
-    p_fan = gain * m_des * f_pl
-    fan1 = gain * f_plp               # dP_fan/dm_i, equal for all zones
     fan2 = gain * f_plpp / m_des      # d2P_fan/dm_i dm_j
-
-    # --- chiller (smooth expanded form) ---
-    p_chiller = cg1 * qer + cg2 * b + cg3 * b * b / qer + p_pump
-    pc1 = cg2 + 2.0 * cg3 * b / qer
     pc2 = 2.0 * cg3 / qer
 
-    # --- gradients/Hessians of Q_b ---
-    gq = np.zeros(mdim)
-    gq[iT] = -c_p * m
-    gq[iM] = c_p * (t_sp - T)
-    gq[iA] = 1.0
-    Hq = np.zeros((mdim, mdim))
+    ncon = constraint_count(n)
+    hess_xx_h = np.zeros((ncon, mdim, mdim))
+    jac_w_h = np.zeros((ncon, pdim))
+    hess_xw_h = np.zeros((ncon, mdim, pdim))
+    zi = np.arange(n)
+    k0 = 6 + 4 * n
+
+    # --- Q_b and Q_ahu blocks, written in place as the rows
+    # Q_b - Q_b_rated and -(q_h - q_c - Q_ahu) ---
+    Hq, gwq, xwq = hess_xx_h[k0 + 5], jac_w_h[k0 + 5], hess_xw_h[k0 + 5]
     Hq[iT, iM] = -c_p
     Hq[iM, iT] = -c_p
-
-    # --- Q_ahu derivatives ---
-    ga = np.zeros(mdim)
-    ga[iT] = c_p * m
-    ga[iO] = c_p * (s_t / m - t_oa)
-    ga[iM] = c_p * (T - t_sp + o * (t_sp * m - s_t) / m ** 2)
-    Ha = np.zeros((mdim, mdim))
+    gwq[jQZ] = 1.0
+    gwq[jTSP] = c_p * mvec
+    xwq[iM, jTSP] = c_p * np.eye(n)
+    Ha, gwa, xwa = hess_xx_h[k0 + 7], jac_w_h[k0 + 7], hess_xw_h[k0 + 7]
     Ha[iT, iM] = c_p
     Ha[iM, iT] = c_p
     cross_om = c_p * (t_sp * m - s_t) / m ** 2
@@ -585,21 +682,14 @@ def derivatives_flat(xv: np.ndarray, wv: np.ndarray, n: int,
     Ha[iM, iO] = cross_om
     Ha[iM, iM] = c_p * o * (2.0 * s_t / m ** 3
                             - (t_sp[:, None] + t_sp[None, :]) / m ** 2)
-    gwa = np.zeros(pdim)
     gwa[jTOA] = -c_p * o
     gwa[jTSP] = -c_p * mvec * (m - o) / m
-    xwa = np.zeros((mdim, pdim))
     xwa[iO, jTOA] = -c_p
     xwa[iO, jTSP] = c_p * mvec / m
-    block = -c_p * (o / m ** 2) * np.outer(np.ones(n), mvec)
-    block[np.arange(n), np.arange(n)] += c_p * (o / m - 1.0)
-    xwa[iM, jTSP] = block
+    xwa[iM, jTSP] = -c_p * (o / m ** 2) * np.outer(np.ones(n), mvec)
+    xwa[2 + zi, 1 + n + zi] += c_p * (o / m - 1.0)
 
     # --- objective blocks ---
-    grad_x_j = ang * d1 * gq
-    grad_x_j[iM] += ael * fan1
-    grad_x_j[iB] += ael * pc1
-
     hess_xx_j = ang * (d2 * np.outer(gq, gq) + d1 * Hq)
     hess_xx_j[iM, iM] += ael * fan2
     hess_xx_j[iB, iB] += ael * pc2
@@ -636,8 +726,7 @@ def derivatives_flat(xv: np.ndarray, wv: np.ndarray, n: int,
     hess_xw_j[iM, jCF4] = ael * gain * 3.0 * u ** 2
     hess_xw_j[:, jQBR] = ang * dd1_dqbr * gq
     hess_xw_j[:, jETATH] = ang * dd1_detath * gq
-    for k in range(3):
-        hess_xw_j[:, jCB1 + k] = ang * dd1_dcb[k] * gq
+    hess_xw_j[:, jCB1:jCB3 + 1] = gq[:, None] * (ang * dd1_dcb)
     hess_xw_j[iB, jQER] = -ael * 2.0 * cg3 * b / qer ** 2
     hess_xw_j[iB, jCG2] = ael
     hess_xw_j[iB, jCG3] = ael * 2.0 * b / qer
@@ -645,183 +734,38 @@ def derivatives_flat(xv: np.ndarray, wv: np.ndarray, n: int,
     hess_xw_j[iB, jAEL] = pc1
     hess_xw_j[:, jANG] = d1 * gq
 
-    # --- constraint blocks ---
-    ncon = constraint_count(n)
-    jac_x_h = np.zeros((ncon, mdim))
-    hess_xx_h = np.zeros((ncon, mdim, mdim))
-    jac_w_h = np.zeros((ncon, pdim))
-    hess_xw_h = np.zeros((ncon, mdim, pdim))
-    zi = np.arange(n)
-
-    jac_x_h[0, iT] = -1.0
-    jac_x_h[1, iT] = 1.0
-    jac_x_h[2, iO] = -1.0
+    # --- constraint blocks (jac_x h comes with the first order) ---
     jac_w_h[2, jVMIN] = 1.0
-    jac_x_h[3, iO] = 1.0
     jac_w_h[3, jMDES] = -1.0
-    jac_x_h[4, iO] = 1.0
-    jac_x_h[4, iM] = -1.0
-    jac_x_h[5, iM] = 1.0
     jac_w_h[5, jMDES] = -1.0
-    # flow floors
-    jac_x_h[6 + zi, 2 + zi] = -1.0
     # ventilation (bilinear): h = m v_i - m_i o
-    base = 6 + n
-    for i in range(n):
-        row = base + i
-        jac_x_h[row, iM] = v_min[i]
-        jac_x_h[row, 2 + i] -= o
-        jac_x_h[row, iO] = -mvec[i]
-        hess_xx_h[row, iO, 2 + i] = -1.0
-        hess_xx_h[row, 2 + i, iO] = -1.0
-        jac_w_h[row, 1 + 2 * n + i] = m
-        hess_xw_h[row, iM, 1 + 2 * n + i] = 1.0
+    rows = 6 + n + zi
+    hess_xx_h[rows, iO, 2 + zi] = -1.0
+    hess_xx_h[rows, 2 + zi, iO] = -1.0
+    jac_w_h[rows, 1 + 2 * n + zi] = m
+    hess_xw_h[rows, iM, 1 + 2 * n + zi] = 1.0
     # T_da lower bound: c_p m_i (T - T_sp_i) - Q_zone_i
-    base = 6 + 2 * n
-    for i in range(n):
-        row = base + i
-        jac_x_h[row, iT] = c_p * mvec[i]
-        jac_x_h[row, 2 + i] = c_p * (T - t_sp[i])
-        hess_xx_h[row, iT, 2 + i] = c_p
-        hess_xx_h[row, 2 + i, iT] = c_p
-        jac_w_h[row, 1 + i] = -1.0
-        jac_w_h[row, 1 + n + i] = -c_p * mvec[i]
-        hess_xw_h[row, 2 + i, 1 + n + i] = -c_p
+    rows = 6 + 2 * n + zi
+    hess_xx_h[rows, iT, 2 + zi] = c_p
+    hess_xx_h[rows, 2 + zi, iT] = c_p
+    jac_w_h[rows, 1 + zi] = -1.0
+    jac_w_h[rows, 1 + n + zi] = -c_p * mvec
+    hess_xw_h[rows, 2 + zi, 1 + n + zi] = -c_p
     # T_da upper bound: Q_zone_i - c_p m_i (37 - T_sp_i)
-    base = 6 + 3 * n
-    for i in range(n):
-        row = base + i
-        jac_x_h[row, 2 + i] = -c_p * (37.0 - t_sp[i])
-        jac_w_h[row, 1 + i] = 1.0
-        jac_w_h[row, 1 + n + i] = c_p * mvec[i]
-        hess_xw_h[row, 2 + i, 1 + n + i] = c_p
-    k0 = 6 + 4 * n
-    jac_x_h[k0, iA] = -1.0
-    jac_x_h[k0 + 1, iA] = 1.0
+    rows = 6 + 3 * n + zi
+    jac_w_h[rows, 1 + zi] = 1.0
+    jac_w_h[rows, 1 + n + zi] = c_p * mvec
+    hess_xw_h[rows, 2 + zi, 1 + n + zi] = c_p
     jac_w_h[k0 + 1, jQBR] = -1.0
-    jac_x_h[k0 + 2, iB] = -1.0
-    jac_x_h[k0 + 3, iB] = 1.0
     jac_w_h[k0 + 3, jQER] = -1.0
-    # Q_b rows
-    gwq = np.zeros(pdim)
-    gwq[jQZ] = 1.0
-    gwq[jTSP] = c_p * mvec
-    xwq = np.zeros((mdim, pdim))
-    xwq[iM, jTSP] = c_p * np.eye(n)
-    jac_x_h[k0 + 4] = -gq
-    hess_xx_h[k0 + 4] = -Hq
-    jac_w_h[k0 + 4] = -gwq
-    hess_xw_h[k0 + 4] = -xwq
-    jac_x_h[k0 + 5] = gq
-    hess_xx_h[k0 + 5] = Hq
-    jac_w_h[k0 + 5] = gwq
+    # rows -Q_b and (q_h - q_c - Q_ahu) negate the rows filled above
+    for blocks in (hess_xx_h, jac_w_h, hess_xw_h):
+        blocks[k0 + 4] = -blocks[k0 + 5]
+        blocks[k0 + 6] = -blocks[k0 + 7]
     jac_w_h[k0 + 5, jQBR] -= 1.0
-    hess_xw_h[k0 + 5] = xwq
-    # AHU balance rows: +/- (q_h - q_c - Q_ahu)
-    gbal = np.zeros(mdim)
-    gbal[iA] = 1.0
-    gbal[iB] = -1.0
-    jac_x_h[k0 + 6] = gbal - ga
-    hess_xx_h[k0 + 6] = -Ha
-    jac_w_h[k0 + 6] = -gwa
-    hess_xw_h[k0 + 6] = -xwa
-    jac_x_h[k0 + 7] = -(gbal - ga)
-    hess_xx_h[k0 + 7] = Ha
-    jac_w_h[k0 + 7] = gwa
-    hess_xw_h[k0 + 7] = xwa
 
     return ModelDerivatives(
         grad_x_j=grad_x_j, hess_xx_j=hess_xx_j, grad_w_j=grad_w_j,
         hess_xw_j=hess_xw_j, jac_x_h=jac_x_h, hess_xx_h=hess_xx_h,
         jac_w_h=jac_w_h, hess_xw_h=hess_xw_h,
     )
-
-
-def first_order_flat(xv: np.ndarray, wv: np.ndarray, n: int, c_p: float,
-                     flow_floor: float):
-    """Cheap solver path: (J_smooth, grad_x J, h, jac_x h) only.
-
-    J_smooth keeps the chiller standby term at q_c = 0, where the reported
-    `objective_flat` drops it. h equals `constraints_flat`, and the
-    gradient and Jacobian equal the `derivatives_flat` blocks.
-    """
-    T, o, mvec, a, b = _unpack_x(xv, n)
-    t_oa = wv[0]
-    q_zone = wv[1:1 + n]
-    t_sp = wv[1 + n:1 + 2 * n]
-    v_min = wv[1 + 2 * n:1 + 3 * n]
-    P = _w_param_slices(n)
-    (dP, eta_tot, rho, m_des, cf1, cf2, cf3, cf4, qbr, eta_th,
-     cb1, cb2, cb3, qer, p_pump, cg1, cg2, cg3, ael, ang) = wv[P:P + 20]
-    mdim = n + 4
-    iM = slice(2, 2 + n)
-    iA, iB = 2 + n, 3 + n
-
-    m = mvec.sum()
-    s_t = (mvec * t_sp).sum()
-    q_b = q_zone.sum() + c_p * s_t - c_p * m * T + a
-
-    u = m / m_des
-    f_pl = cf1 + u * (cf2 + u * (cf3 + u * cf4))
-    f_plp = cf2 + u * (2.0 * cf3 + u * 3.0 * cf4)
-    gain = dP / (eta_tot * rho)
-    p_fan = gain * m_des * f_pl
-    fan1 = gain * f_plp
-
-    r = q_b / qbr
-    eta = cb1 + r * (cb2 + r * cb3)
-    etap = cb2 + 2.0 * cb3 * r
-    p_boiler = q_b / (eta_th * eta)
-    d1 = (eta - r * etap) / (eta_th * eta ** 2)
-
-    p_chiller = cg1 * qer + cg2 * b + cg3 * b * b / qer + p_pump
-    pc1 = cg2 + 2.0 * cg3 * b / qer
-
-    j = ael * (p_fan + p_chiller) + ang * p_boiler
-
-    gq = np.zeros(mdim)
-    gq[0] = -c_p * m
-    gq[iM] = c_p * (t_sp - T)
-    gq[iA] = 1.0
-    grad = ang * d1 * gq
-    grad[iM] += ael * fan1
-    grad[iB] += ael * pc1
-
-    h = _constraint_rows(T, o, mvec, a, b, m, s_t, q_b, wv, n, c_p,
-                         flow_floor)
-
-    ncon = constraint_count(n)
-    k0 = 6 + 4 * n
-    jac = np.zeros((ncon, mdim))
-    jac[0, 0] = -1.0
-    jac[1, 0] = 1.0
-    jac[2, 1] = -1.0
-    jac[3, 1] = 1.0
-    jac[4, 1] = 1.0
-    jac[4, iM] = -1.0
-    jac[5, iM] = 1.0
-    zi = np.arange(n)
-    jac[6 + zi, 2 + zi] = -1.0
-    rows = 6 + n + zi
-    jac[rows[:, None], 2 + zi[None, :]] = v_min[:, None]
-    jac[rows, 2 + zi] -= o
-    jac[rows, 1] = -mvec
-    jac[6 + 2 * n + zi, 0] = c_p * mvec
-    jac[6 + 2 * n + zi, 2 + zi] = c_p * (T - t_sp)
-    jac[6 + 3 * n + zi, 2 + zi] = -c_p * (37.0 - t_sp)
-    jac[k0, iA] = -1.0
-    jac[k0 + 1, iA] = 1.0
-    jac[k0 + 2, iB] = -1.0
-    jac[k0 + 3, iB] = 1.0
-    jac[k0 + 4] = -gq
-    jac[k0 + 5] = gq
-    ga = np.zeros(mdim)
-    ga[0] = c_p * m
-    ga[1] = c_p * (s_t / m - t_oa)
-    ga[iM] = c_p * (T - t_sp + o * (t_sp * m - s_t) / m ** 2)
-    gbal = -ga
-    gbal[iA] += 1.0
-    gbal[iB] -= 1.0
-    jac[k0 + 6] = gbal
-    jac[k0 + 7] = -gbal
-    return j, grad, h, jac

@@ -221,10 +221,11 @@ def run_day(profile: DayProfile, mask, alpha: float,
     """Solve and analyze every hour; output order matches input order.
 
     Hours run in turn unless `max_workers` > 1 asks for threads, which
-    do not help: the work holds the interpreter lock. Per-hour sampling seeds are seed XOR hour_index, so results do not
-    depend on worker count or scheduling. Hours that fail record the
-    error in their warnings; if every hour fails, the last error is
-    re-raised with a day-level summary.
+    do not help: the work holds the interpreter lock. Per-hour sampling
+    seeds are seed XOR hour_index, so results do not depend on worker
+    count or scheduling. Hours that fail record the error in their
+    warnings; if every hour fails, the last error is re-raised with a
+    day-level summary.
     """
     cfg = cfg or SolverConfig()
     params = params or hm.HvacParameters()

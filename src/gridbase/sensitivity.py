@@ -106,7 +106,6 @@ class SensitivityOperator:
     W_jac: np.ndarray      # (m + n) x p_masked
     rank_ok: bool
     shift_matrix: np.ndarray   # m x p_masked, dx = shift_matrix @ dw
-    _x_scale_vec: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -135,7 +134,9 @@ class BoundResult:
 
 def kkt_map(xv, wv, lam, n, c_p, flow_floor) -> np.ndarray:
     """H(x, w; lambda): stationarity rows then complementarity rows, from
-    `first_order_flat`, coded apart from the blocks G is built from."""
+    `first_order_flat`. Its h comes from `_constraint_rows` and its
+    gradients are coded apart from the second-order blocks, so differences
+    of H check each level of G and grad_w H against the level below."""
     _, grad, h, jac = hm.first_order_flat(xv, wv, n, c_p, flow_floor)
     return np.concatenate([grad + lam @ jac, lam * h])
 
@@ -205,7 +206,7 @@ def build_operator(anchor: KktPoint, w0: hm.ExogenousVector,
     shift_matrix = _shift_map(A, B, S, Ds, sx)
     return SensitivityOperator(
         anchor=anchor, w0=w0, spec=spec, G=G, W_jac=W_jac,
-        rank_ok=rank_ok, shift_matrix=shift_matrix, _x_scale_vec=sx)
+        rank_ok=rank_ok, shift_matrix=shift_matrix)
 
 
 def _shift_rank_ok(A, S, xv, n, par, sx) -> bool:

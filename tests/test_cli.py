@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import gridbase
+from gridbase import cli
 from gridbase import hvac_model as hm
 from gridbase import scenario as sc
 from gridbase.cli import main
@@ -152,6 +153,19 @@ def test_repeated_mask_label_is_usage_error(capsys, profile_path):
                         "--alpha", "0.01")
     assert code == 2
     assert "mask label 'T_oa' appears more than once" in err
+
+
+@pytest.mark.parametrize("command", ["bound", "sensitivity"])
+def test_bad_mask_exits_before_solving(capsys, profile_path, monkeypatch,
+                                       command):
+    solves = []
+    monkeypatch.setattr(cli, "solve_baseline",
+                        lambda *args, **kw: solves.append(args))
+    for mask in ("T_oa,T_oa", "T_surface"):
+        code, _, _ = _run(capsys, command, "--profile", profile_path,
+                          "--hour", "12", "--mask", mask, "--alpha", "0.01")
+        assert code == 2
+    assert solves == []
 
 
 def test_infeasible_hour_is_domain_error(capsys, tmp_path):

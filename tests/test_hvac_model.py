@@ -272,7 +272,8 @@ def test_first_derivatives_match_fd(hot_hour):
 
 def test_first_order_flat_matches_constraints_and_derivatives():
     # the solver, verify_kkt and the NNLS multipliers take h, grad_x J and
-    # jac_x h from first_order_flat; they must be the bits of the full paths
+    # jac_x h from first_order_flat; they must be the bits of
+    # constraints_flat and of the derivatives_flat blocks
     base = hm.HvacParameters()
     rng = np.random.default_rng(11)
     for n in (1, 3, 5, 8, 13):
@@ -321,6 +322,41 @@ def test_second_derivatives_match_gradient_differences(hot_hour):
         fd = (gp - gm) / (2 * e[k])
         scale = max(1.0, np.abs(d.hess_xw_j[:, k]).max())
         assert np.abs(fd - d.hess_xw_j[:, k]).max() < 1e-4 * scale
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_constraint_hessians_match_jacobian_differences(n):
+    # every row of hess_xx_h and hess_xw_h, zero rows included, against
+    # central differences of first_order_flat's jac_x h in x and in w
+    base = hm.HvacParameters()
+    par = hm.HvacParameters(zone_count=n, m_design=base.m_design * n / 5)
+    labels = np.array(hm.constraint_labels(n))
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        w = hm.make_exogenous(
+            rng.uniform(-5.0, 38.0), rng.uniform(-6000.0, 4000.0, n),
+            rng.uniform(20.0, 26.0, n), rng.uniform(0.02, 0.1, n), par)
+        wv = w.to_vector()
+        xv = np.concatenate([
+            [rng.uniform(13.0, 30.0), rng.uniform(0.2, 1.5)],
+            rng.uniform(0.1, 0.6, n),
+            [rng.uniform(100.0, 5000.0), rng.uniform(100.0, 30000.0)]])
+        d = hm.derivatives_flat(xv, wv, n, par.c_p)
+
+        def jac_at(x, v):
+            return hm.first_order_flat(x, v, n, par.c_p, par.flow_floor)[3]
+
+        for z, block, jac in ((xv, d.hess_xx_h, lambda z: jac_at(z, wv)),
+                              (wv, d.hess_xw_h, lambda z: jac_at(xv, z))):
+            fd = np.empty_like(block)
+            for k in range(z.size):
+                e = np.zeros(z.size)
+                e[k] = 1e-6 * max(1.0, abs(z[k]))
+                fd[:, :, k] = (jac(z + e) - jac(z - e)) / (2 * e[k])
+            err = np.abs(fd - block).max(axis=(1, 2))
+            scale = np.maximum(1.0, np.abs(block).max(axis=(1, 2)))
+            bad = err > 1e-6 * scale
+            assert not bad.any(), labels[bad].tolist()
 
 
 @given(st.integers(0, 10_000))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gridbase import baseline_opt
 from gridbase import hvac_model as hm
 from gridbase import numkit
 from gridbase import scenario as sc
@@ -114,7 +115,8 @@ def test_fd_verification_catches_a_wrong_entry(moderate_hour, solve_cached,
         M[np.unravel_index(np.argmax(np.abs(M * col_scale)), M.shape)] *= 1 + 1e-3
         return M
 
-    for G, W_jac in ((scaled(op.G, op._x_scale_vec), op.W_jac),
+    sx = baseline_opt._x_scale(moderate_hour.params, moderate_hour.zones.count)
+    for G, W_jac in ((scaled(op.G, sx), op.W_jac),
                      (op.G, scaled(op.W_jac, sw))):
         err = sn.verify_operator_fd(anchor, moderate_hour, spec, n_probes=4,
                                     seed=0, G=G, W_jac=W_jac)
@@ -168,7 +170,7 @@ def test_predicted_shift_matches_resolve_direction(moderate_hour,
                            moderate_hour.zones.m_oa_min, params)
     dx_true = (solve_baseline(w1).x0.to_vector()
                - op.anchor.x0.to_vector())
-    sx = op._x_scale_vec
+    sx = baseline_opt._x_scale(params, moderate_hour.zones.count)
     a, b = dx_pred / sx, dx_true / sx
     cos = a @ b / (np.linalg.norm(a) * np.linalg.norm(b))
     assert cos > 0.9
