@@ -74,55 +74,73 @@ class KktResiduals:
 # scaling
 # ---------------------------------------------------------------------------
 
-def _x_scale(params: hm.HvacParameters, n: int) -> np.ndarray:
-    return np.concatenate([
-        [10.0, params.m_design], np.full(n, params.m_design),
-        [params.Q_b_rated, params.Q_e_rated],
-    ])
+@dataclass(frozen=True)
+class Scaling:
+    """One hour's flat w and layout, with the diagonal scales of x, h and J
+    that the solver, `verify_kkt` and the sensitivity checks share.
+    `Scaling.of(w)` builds it."""
 
+    wv: np.ndarray
+    params: hm.HvacParameters
+    layout: hm.Layout
+    x: np.ndarray
+    h: np.ndarray
+    j: float
 
-def _h_scale(wv: np.ndarray, n: int, params: hm.HvacParameters) -> np.ndarray:
-    v_min = wv[1 + 2 * n:1 + 3 * n]
-    md = params.m_design
-    qbr, qer = params.Q_b_rated, params.Q_e_rated
-    s = np.empty(hm.constraint_count(n))
-    s[0:2] = 10.0
-    s[2:6] = md
-    s[6:6 + n] = md
-    s[6 + n:6 + 2 * n] = md * np.maximum(v_min, 0.01)
-    s[6 + 2 * n:6 + 4 * n] = params.c_p * md * 10.0
-    k0 = 6 + 4 * n
-    s[k0:k0 + 2] = qbr
-    s[k0 + 2:k0 + 4] = qer
-    s[k0 + 4:k0 + 6] = qbr
-    s[k0 + 6:k0 + 8] = max(qbr, qer)
-    return s
+    @classmethod
+    def of(cls, w: hm.ExogenousVector) -> "Scaling":
+        par = w.params
+        lay = hm.layout(w.zones.count)
+        wv = w.to_vector()
+        md, qbr, qer = par.m_design, par.Q_b_rated, par.Q_e_rated
+        x = np.empty(lay.x_dim)
+        x[lay.t_sa], x[lay.m_oa], x[lay.m_sa] = 10.0, md, md
+        x[lay.q_h], x[lay.q_c] = qbr, qer
+        h = np.empty(lay.h_dim)
+        h[lay.air] = (10.0, 10.0, md, md, md, md)
+        h[lay.floor] = md
+        h[lay.ventilation] = md * np.maximum(wv[lay.m_oa_min], 0.01)
+        h[lay.t_da_low] = h[lay.t_da_high] = par.c_p * md * 10.0
+        h[lay.duty] = (qbr, qbr, qer, qer, qbr, qbr)
+        h[lay.balance] = h[lay.balance_neg] = max(qbr, qer)
+        j = par.alpha_el * (hm.fan_power(md, par) + 0.5 * qer) \
+            + par.alpha_ng * 0.5 * qbr / par.eta_thermal
+        return cls(wv, par, lay, x, h, j)
 
+    def first_order(self, xv):
+        return hm.first_order_flat(xv, self.wv, self.layout.n,
+                                   self.params.c_p, self.params.flow_floor)
 
-def _j_scale(params: hm.HvacParameters) -> float:
-    fan = hm.fan_power(params.m_design, params)
-    return params.alpha_el * (fan + 0.5 * params.Q_e_rated) \
-        + params.alpha_ng * 0.5 * params.Q_b_rated / params.eta_thermal
+    def derivatives(self, xv):
+        return hm.derivatives_flat(xv, self.wv, self.layout.n,
+                                   self.params.c_p)
+
+    def scaled_h(self, xv):
+        """h(xv) divided by the h scale."""
+        return hm.constraints_flat(xv, self.wv, self.layout.n,
+                                   self.params.c_p,
+                                   self.params.flow_floor) / self.h
 
 
 # ---------------------------------------------------------------------------
 # gauge canonicalization
 # ---------------------------------------------------------------------------
 
-def _canonicalize(xv: np.ndarray, n: int, c_p: float) -> np.ndarray:
+def _canonicalize(xv: np.ndarray, s: Scaling) -> np.ndarray:
     """Move along the cost-flat (T_sa, q_h) direction to the deterministic
     minimum-q_h endpoint, and strip any common heat/cool mode."""
     xv = xv.copy()
-    iA, iB = 2 + n, 3 + n
+    lay, c_p = s.layout, s.params.c_p
+    iT, iA, iB = lay.t_sa, lay.q_h, lay.q_c
     common = min(xv[iA], xv[iB])
     if common > 0.0:
         xv[iA] -= common
         xv[iB] -= common
-    m = xv[2:2 + n].sum()
+    m = xv[lay.m_sa].sum()
     # slide t <= 0 with dT_sa = t, dq_h = c_p * m * t (J and Q_b invariant)
-    t = max(12.0 - xv[0], -xv[iA] / (c_p * m))
+    t = max(12.0 - xv[iT], -xv[iA] / (c_p * m))
     if t < 0.0:
-        xv[0] += t
+        xv[iT] += t
         xv[iA] += c_p * m * t
         if abs(xv[iA]) < 1e-9 * max(1.0, abs(c_p * m * t)):
             xv[iA] = max(xv[iA], 0.0)
@@ -133,30 +151,29 @@ def _canonicalize(xv: np.ndarray, n: int, c_p: float) -> np.ndarray:
 # active-set Newton polish
 # ---------------------------------------------------------------------------
 
-def _polish(xv, wv, n, c_p, flow_floor, sx, sh, sj, act_init, h0,
-            feas_keep=1e-11, max_outer=25):
+def _polish(xv, s: Scaling, act_init, h0, feas_keep=1e-11, max_outer=25):
     """Refine (x, lambda) on the active-set KKT system; h0 is the scaled
-    constraint vector h(xv) / sh.
+    constraint vector `s.scaled_h(xv)`.
 
-    Returns (xv, lam_full, mu, converged). lam_full covers all rows in
-    original units; the balance equality multiplier mu is split over the
-    two opposite rows by sign.
+    Returns (xv, lam_full, h) with h the scaled constraint vector at the
+    returned xv, or lam_full None when the polish fails. lam_full covers
+    all rows in original units; the balance equality multiplier mu is
+    split over the two opposite rows by sign.
     """
-    ncon = hm.constraint_count(n)
-    k0 = 6 + 4 * n
-    eq_row = k0 + 6
-    act = sorted(set(int(i) for i in act_init) - {eq_row, eq_row + 1})
+    lay = s.layout
+    eq_rows = [lay.balance, lay.balance_neg]
+    act = sorted(set(int(i) for i in act_init) - set(eq_rows))
     lam_act = np.zeros(len(act))
     mu = 0.0
 
     def _assemble(lam_vec, mu_scaled):
-        lam_full = np.zeros(ncon)
+        lam_full = np.zeros(lay.h_dim)
         for idx, row in enumerate(act):
-            lam_full[row] = max(lam_vec[idx], 0.0) * sj / sh[row]
-        mu_orig = mu_scaled * sj / sh[eq_row]
-        lam_full[eq_row] = max(mu_orig, 0.0)
-        lam_full[eq_row + 1] = max(-mu_orig, 0.0)
-        return lam_full, mu_orig
+            lam_full[row] = max(lam_vec[idx], 0.0) * s.j / s.h[row]
+        mu_orig = mu_scaled * s.j / s.h[lay.balance]
+        lam_full[lay.balance] = max(mu_orig, 0.0)
+        lam_full[lay.balance_neg] = max(-mu_orig, 0.0)
+        return lam_full
 
     # a point that is already feasible, sits exactly on its active rows,
     # and admits nonnegative stationarity multipliers needs no Newton
@@ -164,23 +181,19 @@ def _polish(xv, wv, n, c_p, flow_floor, sx, sh, sj, act_init, h0,
     # rows are linearly dependent (degenerate corners)
     if h0.max() <= feas_keep and (
             not act or np.abs(h0[act]).max() <= 1e-12):
-        lam_nn, mu_nn = _nnls_multipliers(
-            xv, wv, n, c_p, flow_floor, sx, sh, sj, act, eq_row)
+        lam_nn, mu_nn = _nnls_multipliers(xv, s, act)
         if lam_nn is not None:
-            lam_full, mu_orig = _assemble(lam_nn, mu_nn)
-            return xv, lam_full, mu_orig, True
+            return xv, _assemble(lam_nn, mu_nn), h0
 
     for _outer in range(max_outer):
-        xv, lam_act, mu, ok = _newton_on_active(
-            xv, wv, n, c_p, flow_floor, sx, sh, sj, act, lam_act, mu)
+        xv, lam_act, mu, ok = _newton_on_active(xv, s, act, lam_act, mu)
         if not ok:
-            return xv, None, mu, False
+            return xv, None, None
         if lam_act.size and lam_act.min() < -1e-9:
             # at degenerate corners the active rows are dependent and the
             # Newton multipliers are sign-indefinite; try a nonnegative
             # recovery on the same rows before dropping any of them
-            lam_nn, mu_nn = _nnls_multipliers(
-                xv, wv, n, c_p, flow_floor, sx, sh, sj, act, eq_row)
+            lam_nn, mu_nn = _nnls_multipliers(xv, s, act)
             if lam_nn is not None:
                 lam_act, mu = lam_nn, mu_nn
             else:
@@ -188,35 +201,32 @@ def _polish(xv, wv, n, c_p, flow_floor, sx, sh, sj, act_init, h0,
                 del act[worst]
                 lam_act = np.delete(lam_act, worst)
                 continue
-        h = hm.constraints_flat(xv, wv, n, c_p, flow_floor) / sh
-        inactive = np.setdiff1d(np.arange(ncon), act + [eq_row, eq_row + 1])
+        h = s.scaled_h(xv)
+        inactive = np.setdiff1d(np.arange(lay.h_dim), act + eq_rows)
         if inactive.size and h[inactive].max() > feas_keep:
             worst = int(inactive[np.argmax(h[inactive])])
             act = sorted(act + [worst])
             lam_act = np.zeros(len(act))
             continue
         # converged: assemble full multipliers in original units
-        lam_full, mu_orig = _assemble(lam_act, mu)
-        return xv, lam_full, mu_orig, True
-    return xv, None, mu, False
+        return xv, _assemble(lam_act, mu), h
+    return xv, None, None
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _newton_on_active(xv, wv, n, c_p, flow_floor, sx, sh, sj, act,
-                      lam_act, mu, max_iter=40):
+def _newton_on_active(xv, s: Scaling, act, lam_act, mu, max_iter=40):
     """Newton iteration on the equality-constrained KKT system for a fixed
     active set (plus the always-active balance equality)."""
-    k0 = 6 + 4 * n
-    eq_row = k0 + 6
-    rows = list(act) + [eq_row]
+    lay = s.layout
+    rows = list(act) + [lay.balance]
     na = len(act)
     lam = np.concatenate([lam_act, [mu]])
-    mdim = n + 4
+    mdim = lay.x_dim
+    sx, sh, sj = s.x, s.h, s.j
 
     for _it in range(max_iter):
-        d = hm.derivatives_flat(xv, wv, n, c_p)
-        h = hm.constraints_flat(xv, wv, n, c_p, flow_floor)
-        lam_orig = np.zeros(hm.constraint_count(n))
+        d = s.derivatives(xv)
+        lam_orig = np.zeros(lay.h_dim)
         for idx, row in enumerate(rows):
             lam_orig[row] = lam[idx] * sj / sh[row]
         W = d.hess_xx_j.copy()
@@ -227,7 +237,7 @@ def _newton_on_active(xv, wv, n, c_p, flow_floor, sx, sh, sj, act,
         A = (d.jac_x_h[rows] * sx[None, :]) / sh[rows, None]
         gj = d.grad_x_j * sx / sj
         resid_stat = gj + A.T @ lam
-        resid_h = h[rows] / sh[rows]
+        resid_h = s.scaled_h(xv)[rows]
         err = max(np.abs(resid_stat).max(), np.abs(resid_h).max())
         if err < 1e-13:
             return xv, lam[:na], lam[na], True
@@ -266,16 +276,16 @@ def _newton_on_active(xv, wv, n, c_p, flow_floor, sx, sh, sj, act,
     return xv, lam[:na], lam[na], err < 1e-9
 
 
-def _nnls_multipliers(xv, wv, n, c_p, flow_floor, sx, sh, sj, act, eq_row,
-                      tol=1e-11):
+def _nnls_multipliers(xv, s: Scaling, act, tol=1e-11):
     """Nonnegative multipliers for a fixed active set at a fixed point.
 
     Solves min ||grad J + sum lam_i grad h_i|| (scaled) subject to
     lam >= 0, with the balance-equality multiplier free in sign. Returns
     (lam_act, mu) in scaled units, or (None, 0.0) when no nonnegative
     combination reaches stationarity."""
-    _, grad, _, jac = hm.first_order_flat(xv, wv, n, c_p, flow_floor)
-    gj = grad * sx / sj
+    _, grad, _, jac = s.first_order(xv)
+    sx, sh, eq_row = s.x, s.h, s.layout.balance
+    gj = grad * sx / s.j
     A = (jac[list(act)] * sx[None, :]) / sh[list(act), None]
     a_eq = (jac[eq_row] * sx) / sh[eq_row]
     M = np.column_stack([A.T, a_eq, -a_eq])
@@ -285,24 +295,20 @@ def _nnls_multipliers(xv, wv, n, c_p, flow_floor, sx, sh, sj, act, eq_row,
     return z[:len(act)], float(z[-2] - z[-1])
 
 
-def _snap_active_bounds(xv, wv, n, active, sh):
+def _snap_active_bounds(xv, s: Scaling, active):
     """Set variables sitting on simple bounds to the exact bound value."""
     xv = xv.copy()
-    P = 1 + 3 * n
-    m_des = wv[P + 3]
-    qbr = wv[P + 8]
-    qer = wv[P + 13]
-    v_sum = wv[1 + 2 * n:1 + 3 * n].sum()
-    k0 = 6 + 4 * n
+    lay, par = s.layout, s.params
     simple = {
-        0: (0, 12.0), 1: (0, 37.0),
-        2: (1, v_sum), 3: (1, m_des),
-        k0: (2 + n, 0.0), k0 + 1: (2 + n, qbr),
-        k0 + 2: (3 + n, 0.0), k0 + 3: (3 + n, qer),
+        "T_sa_min": (lay.t_sa, 12.0), "T_sa_max": (lay.t_sa, 37.0),
+        "m_oa_min_total": (lay.m_oa, s.wv[lay.m_oa_min].sum()),
+        "m_oa_max": (lay.m_oa, par.m_design),
+        "q_h_nonneg": (lay.q_h, 0.0), "q_h_max": (lay.q_h, par.Q_b_rated),
+        "q_c_nonneg": (lay.q_c, 0.0), "q_c_max": (lay.q_c, par.Q_e_rated),
     }
     for row in active:
-        if row in simple:
-            i, val = simple[row]
+        if lay.labels[row] in simple:
+            i, val = simple[lay.labels[row]]
             xv[i] = val
     return xv
 
@@ -316,20 +322,17 @@ def verify_kkt(x: hm.DecisionVector, lam, w: hm.ExogenousVector,
     """Recompute the four KKT residual groups from the analytic model
     gradient and constraint Jacobian, independently of any solver state."""
     cfg = cfg or SolverConfig()
-    n = w.zones.count
-    par = w.params
+    s = Scaling.of(w)
+    lay, sx, sh = s.layout, s.x, s.h
     lam = np.asarray(lam, dtype=float)
-    if lam.size != hm.constraint_count(n):
-        raise ValueError(
-            f"expected {hm.constraint_count(n)} multipliers, got {lam.size}")
+    if lam.size != lay.h_dim:
+        raise ValueError(f"expected {lay.h_dim} multipliers, got {lam.size}")
     xv = x.to_vector()
-    if xv.size != n + 4:
-        raise ValueError(f"expected {n + 4} decision entries, got {xv.size}")
-    wv = w.to_vector()
-    _, grad, h, jac = hm.first_order_flat(xv, wv, n, par.c_p, par.flow_floor)
-    sx = _x_scale(par, n)
-    sh = _h_scale(wv, n, par)
-    j0 = hm.objective_flat(xv, wv, n, par.c_p)
+    if xv.size != lay.x_dim:
+        raise ValueError(
+            f"expected {lay.x_dim} decision entries, got {xv.size}")
+    _, grad, h, jac = s.first_order(xv)
+    j0 = hm.objective_flat(xv, s.wv, lay.n, s.params.c_p)
 
     grad_l = grad + lam @ jac
     stat = np.abs(grad_l * sx).max() / max(1.0, np.abs(grad * sx).max())
@@ -338,7 +341,7 @@ def verify_kkt(x: hm.DecisionVector, lam, w: hm.ExogenousVector,
     dual = max(0.0, -lam.min()) if lam.size else 0.0
     h_scaled = h / sh
     active = tuple(int(i) for i in np.where(np.abs(h_scaled) <= cfg.act_tol)[0])
-    lam_scaled = lam * sh / _j_scale(par)
+    lam_scaled = lam * sh / s.j
     strict_ok = all(lam_scaled[i] > 1e-8 for i in active)
     return KktResiduals(
         stationarity_residual=float(stat),
@@ -354,41 +357,42 @@ def verify_kkt(x: hm.DecisionVector, lam, w: hm.ExogenousVector,
 # starts
 # ---------------------------------------------------------------------------
 
-def _center_start(wv, n, params):
-    v_sum = wv[1 + 2 * n:1 + 3 * n].sum()
-    md = params.m_design
-    t_sa = 24.5
-    m_oa = 0.5 * (v_sum + md)
-    m_i = np.full(n, md / (n + 1))
-    xv = np.concatenate([[t_sa, m_oa], m_i, [0.0, 0.0]])
-    return _balance_duties(xv, wv, n, params)
+def _center_start(s: Scaling):
+    lay, md = s.layout, s.params.m_design
+    xv = np.zeros(lay.x_dim)
+    xv[lay.t_sa] = 24.5
+    xv[lay.m_oa] = 0.5 * (s.wv[lay.m_oa_min].sum() + md)
+    xv[lay.m_sa] = md / (lay.n + 1)
+    return _balance_duties(xv, s)
 
 
-def _balance_duties(xv, wv, n, params):
+def _balance_duties(xv, s: Scaling):
     """Set (q_h, q_c) = (max(Q_ahu,0), max(-Q_ahu,0)), clipped to ratings."""
     xv = xv.copy()
-    c_p = params.c_p
-    T, o, mvec = xv[0], xv[1], xv[2:2 + n]
-    t_sp = wv[1 + n:1 + 2 * n]
-    t_oa = wv[0]
+    lay, par = s.layout, s.params
+    c_p = par.c_p
+    T, o, mvec = xv[lay.t_sa], xv[lay.m_oa], xv[lay.m_sa]
+    t_sp = s.wv[lay.t_sp]
+    t_oa = s.wv[lay.t_oa]
     m = mvec.sum()
     s_t = (mvec * t_sp).sum()
     q_ahu = c_p * (m * T - s_t + o * s_t / m - o * t_oa)
-    xv[2 + n] = min(max(q_ahu, 0.0), params.Q_b_rated)
-    xv[3 + n] = min(max(-q_ahu, 0.0), params.Q_e_rated)
+    xv[lay.q_h] = min(max(q_ahu, 0.0), par.Q_b_rated)
+    xv[lay.q_c] = min(max(-q_ahu, 0.0), par.Q_e_rated)
     return xv
 
 
-def _random_start(rng, wv, n, params):
-    v_sum = wv[1 + 2 * n:1 + 3 * n].sum()
-    md = params.m_design
-    t_sa = rng.uniform(12.0, 37.0)
-    m_oa = rng.uniform(v_sum, md)
-    frac = rng.uniform(0.3, 1.0, n)
+def _random_start(rng, s: Scaling):
+    lay, par = s.layout, s.params
+    v_sum = s.wv[lay.m_oa_min].sum()
+    md = par.m_design
+    xv = np.zeros(lay.x_dim)
+    xv[lay.t_sa] = rng.uniform(12.0, 37.0)
+    xv[lay.m_oa] = rng.uniform(v_sum, md)
+    frac = rng.uniform(0.3, 1.0, lay.n)
     total = rng.uniform(max(1.2 * v_sum, 0.3 * md), 0.95 * md)
-    m_i = np.maximum(frac / frac.sum() * total, params.flow_floor * 2)
-    xv = np.concatenate([[t_sa, m_oa], m_i, [0.0, 0.0]])
-    return _balance_duties(xv, wv, n, params)
+    xv[lay.m_sa] = np.maximum(frac / frac.sum() * total, par.flow_floor * 2)
+    return _balance_duties(xv, s)
 
 
 # ---------------------------------------------------------------------------
@@ -409,11 +413,7 @@ def solve_baseline(w: hm.ExogenousVector, cfg: SolverConfig | None = None,
     best residual report) when tolerances cannot be met.
     """
     cfg = cfg or SolverConfig()
-    n = w.zones.count
     par = w.params
-    wv = w.to_vector()
-    c_p = par.c_p
-    floor = par.flow_floor
 
     v_sum = w.zones.m_oa_min.sum()
     if v_sum > par.m_design:
@@ -422,20 +422,17 @@ def solve_baseline(w: hm.ExogenousVector, cfg: SolverConfig | None = None,
             f"flow {par.m_design:.4g} kg/s")
     q_zone = w.zones.q_zone
     t_sp = w.zones.t_sp
-    cap = c_p * par.m_design * (37.0 - t_sp)
+    cap = par.c_p * par.m_design * (37.0 - t_sp)
     if np.any(q_zone > cap):
         bad = int(np.argmax(q_zone - cap))
         raise InfeasibleHourError(
             f"zone {bad + 1} heating load exceeds the discharge-temperature "
             f"window at design flow")
 
-    sx = _x_scale(par, n)
-    sh = _h_scale(wv, n, par)
-    sj = _j_scale(par)
-    ncon = hm.constraint_count(n)
-    k0 = 6 + 4 * n
-    eq_row = k0 + 6
-    ineq_rows = np.setdiff1d(np.arange(ncon), [eq_row, eq_row + 1])
+    s = Scaling.of(w)
+    lay, sx, sh, sj = s.layout, s.x, s.h, s.j
+    eq_row = lay.balance
+    ineq_rows = np.setdiff1d(np.arange(lay.h_dim), [eq_row, lay.balance_neg])
 
     cache = {}
 
@@ -443,8 +440,7 @@ def solve_baseline(w: hm.ExogenousVector, cfg: SolverConfig | None = None,
         key = z.tobytes()
         hit = cache.get(key)
         if hit is None:
-            xv = z * sx
-            hit = hm.first_order_flat(xv, wv, n, c_p, floor)
+            hit = s.first_order(z * sx)
             if len(cache) > 64:
                 cache.clear()
             cache[key] = hit
@@ -474,19 +470,24 @@ def solve_baseline(w: hm.ExogenousVector, cfg: SolverConfig | None = None,
         _, _, _, jac = _eval(z)
         return (jac[eq_row] * sx / sh[eq_row])[None, :]
 
-    bounds = [(12.0 / sx[0], 37.0 / sx[0]), (0.0, par.m_design / sx[1])]
-    bounds += [(floor / sx[2 + i], par.m_design / sx[2 + i]) for i in range(n)]
-    bounds += [(0.0, par.Q_b_rated / sx[2 + n]), (0.0, par.Q_e_rated / sx[3 + n])]
+    lo, hi = np.empty(lay.x_dim), np.empty(lay.x_dim)
+    lo[lay.t_sa], hi[lay.t_sa] = 12.0, 37.0
+    lo[lay.m_oa], hi[lay.m_oa] = 0.0, par.m_design
+    lo[lay.m_sa], hi[lay.m_sa] = par.flow_floor, par.m_design
+    lo[lay.q_h], hi[lay.q_h] = 0.0, par.Q_b_rated
+    lo[lay.q_c], hi[lay.q_c] = 0.0, par.Q_e_rated
+    lo, hi = lo / sx, hi / sx
+    bounds = list(zip(lo, hi))
 
     rng = np.random.default_rng(cfg.rng_seed)
     starts = itertools.chain(
         [] if x_init is None else [x_init.to_vector().astype(float)],
-        [_center_start(wv, n, par)],
-        (_random_start(rng, wv, n, par) for _ in itertools.count()))
+        [_center_start(s)],
+        (_random_start(rng, s) for _ in itertools.count()))
     feasible = False
     best_report = None
     for start in itertools.islice(starts, cfg.multistart_count):
-        z0 = np.clip(start / sx, [b[0] for b in bounds], [b[1] for b in bounds])
+        z0 = np.clip(start / sx, lo, hi)
         try:
             with warnings.catch_warnings():
                 # SLSQP routinely steps a hair outside the bounds and clips
@@ -505,11 +506,11 @@ def solve_baseline(w: hm.ExogenousVector, cfg: SolverConfig | None = None,
         except (ValueError, FloatingPointError):
             continue
         xv = res.x * sx
-        h = hm.constraints_flat(xv, wv, n, c_p, floor) / sh
+        h = s.scaled_h(xv)
         if max(h[ineq_rows].max(), abs(h[eq_row])) >= 1e-5:
             continue
         feasible = True
-        kkt = _finalize(xv, wv, w, n, par, cfg, sx, sh, sj)
+        kkt = _finalize(xv, s, w, cfg)
         if kkt is None:
             continue
         if (kkt.stationarity_residual <= cfg.kkt_tol
@@ -526,30 +527,30 @@ def solve_baseline(w: hm.ExogenousVector, cfg: SolverConfig | None = None,
         "baseline solve did not meet KKT tolerances", report=best_report)
 
 
-def _finalize(xv, wv, w, n, par, cfg, sx, sh, sj):
-    c_p, floor = par.c_p, par.flow_floor
-    xv = _canonicalize(xv, n, c_p)
-    h_scaled = hm.constraints_flat(xv, wv, n, c_p, floor) / sh
-    act = np.where(h_scaled >= -max(cfg.act_tol, 1e-7))[0]
-    xv2, lam, mu, ok = _polish(xv, wv, n, c_p, floor, sx, sh, sj, act,
-                               h_scaled)
-    if not ok or lam is None:
-        return None
-    # canonicalization can change the active set; always re-polish there
-    xv2 = _canonicalize(xv2, n, c_p)
-    h_scaled = hm.constraints_flat(xv2, wv, n, c_p, floor) / sh
-    act2 = np.where(h_scaled >= -max(cfg.act_tol, 1e-7))[0]
-    xv2, lam, mu, ok = _polish(xv2, wv, n, c_p, floor, sx, sh, sj, act2,
-                               h_scaled)
-    if not ok or lam is None:
-        return None
-    # verify_kkt's active set at xv2, without its residuals
-    active = np.where(np.abs(
-        hm.constraints_flat(xv2, wv, n, c_p, floor) / sh) <= cfg.act_tol)[0]
-    xv3 = _snap_active_bounds(xv2, wv, n, active, sh)
-    x0 = hm.DecisionVector.from_vector(xv3)
+def _finalize(xv, s: Scaling, w, cfg):
+    start = _canonicalize(xv, s)
+    h = s.scaled_h(start)
+    # canonicalization can change the active set, so a second round
+    # polishes at the canonical form of the first round's result; it is
+    # skipped when that form is the point the first round started from,
+    # where the round would repeat the first bit for bit
+    for second_round in (False, True):
+        act = np.where(h >= -max(cfg.act_tol, 1e-7))[0]
+        xv, lam, h = _polish(start, s, act, h)
+        if lam is None:
+            return None
+        if second_round:
+            break
+        nxt = _canonicalize(xv, s)
+        if nxt.tobytes() == start.tobytes():
+            break
+        start, h = nxt, s.scaled_h(nxt)
+    # verify_kkt's active set at xv, without its residuals
+    active = np.where(np.abs(h) <= cfg.act_tol)[0]
+    xv = _snap_active_bounds(xv, s, active)
+    x0 = hm.DecisionVector.from_vector(xv)
     res = verify_kkt(x0, lam, w, cfg)
-    j0 = hm.objective_flat(xv3, wv, n, c_p)
+    j0 = hm.objective_flat(xv, s.wv, s.layout.n, s.params.c_p)
     return KktPoint(
         x0=x0, lam=lam, j0=float(j0),
         stationarity_residual=res.stationarity_residual,

@@ -31,6 +31,7 @@ in J/hr convert at exactly 1 J/hr = 1/3600 W.
 
 from __future__ import annotations
 
+import functools
 import json
 from collections import namedtuple
 from dataclasses import dataclass, replace
@@ -156,6 +157,8 @@ _PARAM_REGISTRY = (
     ("c_g", 0), ("c_g", 1), ("c_g", 2),
     ("alpha_el", None), ("alpha_ng", None),
 )
+_PARAM_LABELS = tuple(attr if comp is None else f"{attr}_{comp + 1}"
+                      for attr, comp in _PARAM_REGISTRY)
 
 
 @dataclass(frozen=True)
@@ -174,7 +177,7 @@ class ExogenousVector:
 
     @property
     def dim(self) -> int:
-        return 1 + 3 * self.zones.count + len(_PARAM_REGISTRY)
+        return layout(self.zones.count).w_dim
 
     def labels(self) -> list:
         n = self.zones.count
@@ -182,9 +185,7 @@ class ExogenousVector:
         lab += [f"Q_zone_{i + 1}" for i in range(n)]
         lab += [f"T_sp_{i + 1}" for i in range(n)]
         lab += [f"m_oa_min_{i + 1}" for i in range(n)]
-        for attr, comp in _PARAM_REGISTRY:
-            lab.append(attr if comp is None else f"{attr}_{comp + 1}")
-        return lab
+        return lab + list(_PARAM_LABELS)
 
     def to_vector(self) -> np.ndarray:
         p = self.params
@@ -200,14 +201,14 @@ class ExogenousVector:
     def with_vector(self, vec) -> "ExogenousVector":
         """Rebuild a structured vector from a flat one (bit-exact)."""
         vec = np.asarray(vec, dtype=float)
-        n = self.zones.count
-        if vec.size != self.dim:
-            raise ValueError(f"expected {self.dim} entries, got {vec.size}")
-        zones = ZoneInputs(q_zone=vec[1:1 + n].copy(),
-                           t_sp=vec[1 + n:1 + 2 * n].copy(),
-                           m_oa_min=vec[1 + 2 * n:1 + 3 * n].copy())
+        lay = layout(self.zones.count)
+        if vec.size != lay.w_dim:
+            raise ValueError(f"expected {lay.w_dim} entries, got {vec.size}")
+        zones = ZoneInputs(q_zone=vec[lay.q_zone].copy(),
+                           t_sp=vec[lay.t_sp].copy(),
+                           m_oa_min=vec[lay.m_oa_min].copy())
         kwargs = {}
-        tail = vec[1 + 3 * n:]
+        tail = vec[lay.tail]
         seq_parts = {}
         for (attr, comp), value in zip(_PARAM_REGISTRY, tail):
             if comp is None:
@@ -216,7 +217,7 @@ class ExogenousVector:
                 seq_parts.setdefault(attr, {})[comp] = float(value)
         for attr, parts in seq_parts.items():
             kwargs[attr] = tuple(parts[i] for i in range(len(parts)))
-        return ExogenousVector(t_oa=float(vec[0]), zones=zones,
+        return ExogenousVector(t_oa=float(vec[lay.t_oa]), zones=zones,
                                params=replace(self.params, **kwargs))
 
     def index(self, label: str) -> int:
@@ -272,7 +273,7 @@ class DecisionVector:
 
 
 def constraint_count(n_zones: int) -> int:
-    return 14 + 4 * n_zones
+    return layout(n_zones).h_dim
 
 
 def constraint_labels(n_zones: int) -> list:
@@ -285,6 +286,44 @@ def constraint_labels(n_zones: int) -> list:
     lab += ["q_h_nonneg", "q_h_max", "q_c_nonneg", "q_c_max",
             "Q_b_nonneg", "Q_b_max", "ahu_balance_pos", "ahu_balance_neg"]
     return lab
+
+
+# ---------------------------------------------------------------------------
+# flat layout
+# ---------------------------------------------------------------------------
+
+class Layout:
+    """Positions in the flat x, w and h vectors of an n-zone model; use
+    the shared instance from `layout(n)`. `param` maps a parameter label
+    to its w position, and h's row blocks follow `labels`: `air`
+    (T_sa_min .. m_sa_total_max), the zone blocks, `duty` (q_h_nonneg ..
+    Q_b_max), then the balance row and its negation."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.t_sa, self.m_oa = 0, 1
+        self.m_sa = slice(2, 2 + n)
+        self.q_h, self.q_c = 2 + n, 3 + n
+        self.x_dim = n + 4
+        self.t_oa = 0
+        self.q_zone, self.t_sp, self.m_oa_min = (
+            slice(1 + k * n, 1 + (k + 1) * n) for k in range(3))
+        self.tail = slice(1 + 3 * n, 1 + 3 * n + len(_PARAM_LABELS))
+        self.param = {lab: self.tail.start + k
+                      for k, lab in enumerate(_PARAM_LABELS)}
+        self.w_dim = self.tail.stop
+        self.labels = tuple(constraint_labels(n))
+        self.air = slice(0, 6)
+        self.floor, self.ventilation, self.t_da_low, self.t_da_high = (
+            slice(6 + k * n, 6 + (k + 1) * n) for k in range(4))
+        self.duty = slice(6 + 4 * n, 12 + 4 * n)
+        self.balance, self.balance_neg = 12 + 4 * n, 13 + 4 * n
+        self.h_dim = 14 + 4 * n
+
+
+@functools.lru_cache(maxsize=None)
+def layout(n_zones: int) -> Layout:
+    return Layout(n_zones)
 
 
 # ---------------------------------------------------------------------------
@@ -409,15 +448,6 @@ def objective(x: DecisionVector, w: ExogenousVector) -> float:
 # flat-array core (shared with the solver and the sensitivity engine)
 # ---------------------------------------------------------------------------
 
-def _unpack_x(xv: np.ndarray, n: int):
-    return xv[0], xv[1], xv[2:2 + n], xv[2 + n], xv[3 + n]
-
-
-def _w_param_slices(n: int):
-    """Start index of the parameter tail inside the registry vector."""
-    return 1 + 3 * n
-
-
 def objective_flat(xv: np.ndarray, wv: np.ndarray, n: int,
                    c_p: float) -> float:
     """Reported objective from flat arrays: the one-row case of
@@ -425,42 +455,34 @@ def objective_flat(xv: np.ndarray, wv: np.ndarray, n: int,
     return kernels.objective_batch(xv[None, :], wv[None, :], n, c_p)[0]
 
 
-def _constraint_rows(T, o, mvec, a, b, m, s_t, q_b, wv, n, c_p, flow_floor):
-    """h(x, w) from the unpacked decision and the intermediates the
-    objective shares: total flow m, S = sum m_i T_sp_i and boiler duty q_b."""
-    t_oa = wv[0]
-    q_zone = wv[1:1 + n]
-    t_sp = wv[1 + n:1 + 2 * n]
-    v_min = wv[1 + 2 * n:1 + 3 * n]
-    P = _w_param_slices(n)
-    m_des = wv[P + 3]
-    qbr = wv[P + 8]
-    qer = wv[P + 13]
+def _constraint_rows(xv, m, s_t, q_b, wv, n, c_p, flow_floor):
+    """h(x, w) from the decision and the intermediates the objective
+    shares: total flow m, S = sum m_i T_sp_i and boiler duty q_b."""
+    lay = layout(n)
+    T, o, mvec = xv[lay.t_sa], xv[lay.m_oa], xv[lay.m_sa]
+    a, b = xv[lay.q_h], xv[lay.q_c]
+    t_oa = wv[lay.t_oa]
+    q_zone = wv[lay.q_zone]
+    t_sp = wv[lay.t_sp]
+    v_min = wv[lay.m_oa_min]
+    m_des = wv[lay.param["m_design"]]
+    qbr = wv[lay.param["Q_b_rated"]]
+    qer = wv[lay.param["Q_e_rated"]]
 
     # Q_ahu = c_p (m T - S + o S / m - o T_oa)
     q_ahu = c_p * (m * T - s_t + o * s_t / m - o * t_oa)
 
-    h = np.empty(constraint_count(n))
-    h[0] = 12.0 - T
-    h[1] = T - 37.0
-    h[2] = v_min.sum() - o
-    h[3] = o - m_des
-    h[4] = o - m
-    h[5] = m - m_des
-    h[6:6 + n] = flow_floor - mvec
-    h[6 + n:6 + 2 * n] = m * v_min - mvec * o
-    h[6 + 2 * n:6 + 3 * n] = c_p * mvec * (T - t_sp) - q_zone
-    h[6 + 3 * n:6 + 4 * n] = q_zone - c_p * mvec * (37.0 - t_sp)
-    k = 6 + 4 * n
-    h[k] = -a
-    h[k + 1] = a - qbr
-    h[k + 2] = -b
-    h[k + 3] = b - qer
-    h[k + 4] = -q_b
-    h[k + 5] = q_b - qbr
+    h = np.empty(lay.h_dim)
+    h[lay.air] = (12.0 - T, T - 37.0, v_min.sum() - o, o - m_des, o - m,
+                  m - m_des)
+    h[lay.floor] = flow_floor - mvec
+    h[lay.ventilation] = m * v_min - mvec * o
+    h[lay.t_da_low] = c_p * mvec * (T - t_sp) - q_zone
+    h[lay.t_da_high] = q_zone - c_p * mvec * (37.0 - t_sp)
+    h[lay.duty] = (-a, a - qbr, -b, b - qer, -q_b, q_b - qbr)
     bal = a - b - q_ahu
-    h[k + 6] = bal
-    h[k + 7] = -bal
+    h[lay.balance] = bal
+    h[lay.balance_neg] = -bal
     return h
 
 
@@ -468,12 +490,13 @@ def constraints_flat(xv: np.ndarray, wv: np.ndarray, n: int,
                      c_p: float, flow_floor: float) -> np.ndarray:
     """Ordered inequality vector h(x, w), h <= 0 feasible. Always returns
     values, even at infeasible points (the solver needs them)."""
-    T, o, mvec, a, b = _unpack_x(xv, n)
+    lay = layout(n)
+    mvec = xv[lay.m_sa]
     m = mvec.sum()
-    s_t = (mvec * wv[1 + n:1 + 2 * n]).sum()
-    q_b = wv[1:1 + n].sum() + c_p * s_t - c_p * m * T + a
-    return _constraint_rows(T, o, mvec, a, b, m, s_t, q_b, wv, n, c_p,
-                            flow_floor)
+    s_t = (mvec * wv[lay.t_sp]).sum()
+    q_b = wv[lay.q_zone].sum() + c_p * s_t - c_p * m * xv[lay.t_sa] \
+        + xv[lay.q_h]
+    return _constraint_rows(xv, m, s_t, q_b, wv, n, c_p, flow_floor)
 
 
 def constraints(x: DecisionVector, w: ExogenousVector) -> np.ndarray:
@@ -488,17 +511,18 @@ _FirstOrder = namedtuple("_FirstOrder",
 def _first_order(xv, wv, n, c_p) -> _FirstOrder:
     """Smooth J, grad_x J and jac_x h, with the intermediate values that
     `first_order_flat` and `derivatives_flat` both build on."""
-    T, o, mvec, a, b = _unpack_x(xv, n)
-    t_oa = wv[0]
-    q_zone = wv[1:1 + n]
-    t_sp = wv[1 + n:1 + 2 * n]
-    v_min = wv[1 + 2 * n:1 + 3 * n]
-    P = _w_param_slices(n)
+    lay = layout(n)
+    T, o, mvec = xv[lay.t_sa], xv[lay.m_oa], xv[lay.m_sa]
+    a, b = xv[lay.q_h], xv[lay.q_c]
+    t_oa = wv[lay.t_oa]
+    q_zone = wv[lay.q_zone]
+    t_sp = wv[lay.t_sp]
+    v_min = wv[lay.m_oa_min]
     (dP, eta_tot, rho, m_des, cf1, cf2, cf3, cf4, qbr, eta_th,
-     cb1, cb2, cb3, qer, p_pump, cg1, cg2, cg3, ael, ang) = wv[P:P + 20]
-    mdim = n + 4
-    iM = slice(2, 2 + n)
-    iA, iB = 2 + n, 3 + n
+     cb1, cb2, cb3, qer, p_pump, cg1, cg2, cg3, ael, ang) = wv[lay.tail]
+    mdim = lay.x_dim
+    iM = lay.m_sa
+    iA, iB = lay.q_h, lay.q_c
 
     m = mvec.sum()
     s_t = (mvec * t_sp).sum()
@@ -539,9 +563,13 @@ def _first_order(xv, wv, n, c_p) -> _FirstOrder:
     grad[iM] += ael * fan1
     grad[iB] += ael * pc1
 
-    k0 = 6 + 4 * n
+    q_h_lo, q_h_hi, q_c_lo, q_c_hi, q_b_lo, q_b_hi = range(lay.duty.start,
+                                                           lay.duty.stop)
+    # index arrays: zone flows in x, and the zone row blocks of h
     zi = np.arange(n)
-    jac = np.zeros((constraint_count(n), mdim))
+    xm, floor, vent, low, high = (zi + block.start for block in (
+        iM, lay.floor, lay.ventilation, lay.t_da_low, lay.t_da_high))
+    jac = np.zeros((lay.h_dim, mdim))
     jac[0, 0] = -1.0
     jac[1, 0] = 1.0
     jac[2, 1] = -1.0
@@ -549,29 +577,28 @@ def _first_order(xv, wv, n, c_p) -> _FirstOrder:
     jac[4, 1] = 1.0
     jac[4, iM] = -1.0
     jac[5, iM] = 1.0
-    jac[6 + zi, 2 + zi] = -1.0
+    jac[floor, xm] = -1.0
     # ventilation (bilinear): h = m v_i - m_i o
-    rows = 6 + n + zi
-    jac[rows[:, None], 2 + zi[None, :]] = v_min[:, None]
-    jac[rows, 2 + zi] -= o
-    jac[rows, 1] = -mvec
+    jac[vent[:, None], xm[None, :]] = v_min[:, None]
+    jac[vent, xm] -= o
+    jac[vent, lay.m_oa] = -mvec
     # T_da bounds: c_p m_i (T - T_sp_i) - Q_zone_i and
     # Q_zone_i - c_p m_i (37 - T_sp_i)
-    jac[6 + 2 * n + zi, 0] = c_p * mvec
-    jac[6 + 2 * n + zi, 2 + zi] = c_p * (T - t_sp)
-    jac[6 + 3 * n + zi, 2 + zi] = -c_p * (37.0 - t_sp)
-    jac[k0, iA] = -1.0
-    jac[k0 + 1, iA] = 1.0
-    jac[k0 + 2, iB] = -1.0
-    jac[k0 + 3, iB] = 1.0
-    jac[k0 + 4] = -gq
-    jac[k0 + 5] = gq
+    jac[low, lay.t_sa] = c_p * mvec
+    jac[low, xm] = c_p * (T - t_sp)
+    jac[high, xm] = -c_p * (37.0 - t_sp)
+    jac[q_h_lo, iA] = -1.0
+    jac[q_h_hi, iA] = 1.0
+    jac[q_c_lo, iB] = -1.0
+    jac[q_c_hi, iB] = 1.0
+    jac[q_b_lo] = -gq
+    jac[q_b_hi] = gq
     # AHU balance rows: +/- (q_h - q_c - Q_ahu)
     gbal = -ga
     gbal[iA] += 1.0
     gbal[iB] -= 1.0
-    jac[k0 + 6] = gbal
-    jac[k0 + 7] = -gbal
+    jac[lay.balance] = gbal
+    jac[lay.balance_neg] = -gbal
     return _FirstOrder(j, grad, jac, m, s_t, q_b, gq,
                        fan=(u, f_pl, f_plp, gain, p_fan, fan1),
                        boiler=(r, eta, etap, p_boiler, d1),
@@ -587,8 +614,8 @@ def first_order_flat(xv: np.ndarray, wv: np.ndarray, n: int, c_p: float,
     gradient and Jacobian are the `derivatives_flat` blocks.
     """
     core = _first_order(xv, wv, n, c_p)
-    h = _constraint_rows(*_unpack_x(xv, n), core.m, core.s_t, core.q_b, wv,
-                         n, c_p, flow_floor)
+    h = _constraint_rows(xv, core.m, core.s_t, core.q_b, wv, n, c_p,
+                         flow_floor)
     return core.j, core.grad, h, core.jac
 
 
@@ -627,24 +654,19 @@ def derivatives_flat(xv: np.ndarray, wv: np.ndarray, n: int,
     u, f_pl, f_plp, gain, p_fan, fan1 = core.fan
     r, eta, etap, p_boiler, d1 = core.boiler
     p_chiller, pc1 = core.chiller
-    o, mvec, b = xv[1], xv[2:2 + n], xv[3 + n]
-    t_sp = wv[1 + n:1 + 2 * n]
-    P = _w_param_slices(n)
+    lay = layout(n)
+    o, mvec, b = xv[lay.m_oa], xv[lay.m_sa], xv[lay.q_c]
+    t_sp = wv[lay.t_sp]
     (dP, eta_tot, rho, m_des, cf1, cf2, cf3, cf4, qbr, eta_th,
-     cb1, cb2, cb3, qer, p_pump, cg1, cg2, cg3, ael, ang) = wv[P:P + 20]
+     cb1, cb2, cb3, qer, p_pump, cg1, cg2, cg3, ael, ang) = wv[lay.tail]
 
-    mdim = n + 4
-    pdim = P + 20
-    iT, iO = 0, 1
-    iM = slice(2, 2 + n)
-    iB = 3 + n
-    jTOA = 0
-    jQZ = slice(1, 1 + n)
-    jTSP = slice(1 + n, 1 + 2 * n)
-    jVMIN = slice(1 + 2 * n, 1 + 3 * n)
+    mdim = lay.x_dim
+    pdim = lay.w_dim
+    iT, iO, iM, iB = lay.t_sa, lay.m_oa, lay.m_sa, lay.q_c
+    jTOA, jQZ, jTSP, jVMIN = lay.t_oa, lay.q_zone, lay.t_sp, lay.m_oa_min
     (jDP, jETATOT, jRHO, jMDES, jCF1, jCF2, jCF3, jCF4, jQBR, jETATH,
      jCB1, jCB2, jCB3, jQER, jPPUMP, jCG1, jCG2, jCG3, jAEL,
-     jANG) = range(P, P + 20)
+     jANG) = range(lay.tail.start, lay.tail.stop)
 
     # --- second derivatives and w-sensitivities of the curves ---
     etapp = 2.0 * cb3
@@ -659,22 +681,26 @@ def derivatives_flat(xv: np.ndarray, wv: np.ndarray, n: int,
     fan2 = gain * f_plpp / m_des      # d2P_fan/dm_i dm_j
     pc2 = 2.0 * cg3 / qer
 
-    ncon = constraint_count(n)
-    hess_xx_h = np.zeros((ncon, mdim, mdim))
-    jac_w_h = np.zeros((ncon, pdim))
-    hess_xw_h = np.zeros((ncon, mdim, pdim))
+    hess_xx_h = np.zeros((lay.h_dim, mdim, mdim))
+    jac_w_h = np.zeros((lay.h_dim, pdim))
+    hess_xw_h = np.zeros((lay.h_dim, mdim, pdim))
+    _, q_h_hi, _, q_c_hi, q_b_lo, q_b_hi = range(lay.duty.start,
+                                                 lay.duty.stop)
+    bal_neg = lay.balance_neg
+    # index arrays: zone entries of x and w, and the zone row blocks of h
     zi = np.arange(n)
-    k0 = 6 + 4 * n
+    xm, wq, wt, wm, vent, low, high = (zi + block.start for block in (
+        iM, jQZ, jTSP, jVMIN, lay.ventilation, lay.t_da_low, lay.t_da_high))
 
     # --- Q_b and Q_ahu blocks, written in place as the rows
     # Q_b - Q_b_rated and -(q_h - q_c - Q_ahu) ---
-    Hq, gwq, xwq = hess_xx_h[k0 + 5], jac_w_h[k0 + 5], hess_xw_h[k0 + 5]
+    Hq, gwq, xwq = hess_xx_h[q_b_hi], jac_w_h[q_b_hi], hess_xw_h[q_b_hi]
     Hq[iT, iM] = -c_p
     Hq[iM, iT] = -c_p
     gwq[jQZ] = 1.0
     gwq[jTSP] = c_p * mvec
     xwq[iM, jTSP] = c_p * np.eye(n)
-    Ha, gwa, xwa = hess_xx_h[k0 + 7], jac_w_h[k0 + 7], hess_xw_h[k0 + 7]
+    Ha, gwa, xwa = hess_xx_h[bal_neg], jac_w_h[bal_neg], hess_xw_h[bal_neg]
     Ha[iT, iM] = c_p
     Ha[iM, iT] = c_p
     cross_om = c_p * (t_sp * m - s_t) / m ** 2
@@ -687,7 +713,7 @@ def derivatives_flat(xv: np.ndarray, wv: np.ndarray, n: int,
     xwa[iO, jTOA] = -c_p
     xwa[iO, jTSP] = c_p * mvec / m
     xwa[iM, jTSP] = -c_p * (o / m ** 2) * np.outer(np.ones(n), mvec)
-    xwa[2 + zi, 1 + n + zi] += c_p * (o / m - 1.0)
+    xwa[xm, wt] += c_p * (o / m - 1.0)
 
     # --- objective blocks ---
     hess_xx_j = ang * (d2 * np.outer(gq, gq) + d1 * Hq)
@@ -739,30 +765,27 @@ def derivatives_flat(xv: np.ndarray, wv: np.ndarray, n: int,
     jac_w_h[3, jMDES] = -1.0
     jac_w_h[5, jMDES] = -1.0
     # ventilation (bilinear): h = m v_i - m_i o
-    rows = 6 + n + zi
-    hess_xx_h[rows, iO, 2 + zi] = -1.0
-    hess_xx_h[rows, 2 + zi, iO] = -1.0
-    jac_w_h[rows, 1 + 2 * n + zi] = m
-    hess_xw_h[rows, iM, 1 + 2 * n + zi] = 1.0
+    hess_xx_h[vent, iO, xm] = -1.0
+    hess_xx_h[vent, xm, iO] = -1.0
+    jac_w_h[vent, wm] = m
+    hess_xw_h[vent, iM, wm] = 1.0
     # T_da lower bound: c_p m_i (T - T_sp_i) - Q_zone_i
-    rows = 6 + 2 * n + zi
-    hess_xx_h[rows, iT, 2 + zi] = c_p
-    hess_xx_h[rows, 2 + zi, iT] = c_p
-    jac_w_h[rows, 1 + zi] = -1.0
-    jac_w_h[rows, 1 + n + zi] = -c_p * mvec
-    hess_xw_h[rows, 2 + zi, 1 + n + zi] = -c_p
+    hess_xx_h[low, iT, xm] = c_p
+    hess_xx_h[low, xm, iT] = c_p
+    jac_w_h[low, wq] = -1.0
+    jac_w_h[low, wt] = -c_p * mvec
+    hess_xw_h[low, xm, wt] = -c_p
     # T_da upper bound: Q_zone_i - c_p m_i (37 - T_sp_i)
-    rows = 6 + 3 * n + zi
-    jac_w_h[rows, 1 + zi] = 1.0
-    jac_w_h[rows, 1 + n + zi] = c_p * mvec
-    hess_xw_h[rows, 2 + zi, 1 + n + zi] = c_p
-    jac_w_h[k0 + 1, jQBR] = -1.0
-    jac_w_h[k0 + 3, jQER] = -1.0
+    jac_w_h[high, wq] = 1.0
+    jac_w_h[high, wt] = c_p * mvec
+    hess_xw_h[high, xm, wt] = c_p
+    jac_w_h[q_h_hi, jQBR] = -1.0
+    jac_w_h[q_c_hi, jQER] = -1.0
     # rows -Q_b and (q_h - q_c - Q_ahu) negate the rows filled above
     for blocks in (hess_xx_h, jac_w_h, hess_xw_h):
-        blocks[k0 + 4] = -blocks[k0 + 5]
-        blocks[k0 + 6] = -blocks[k0 + 7]
-    jac_w_h[k0 + 5, jQBR] -= 1.0
+        blocks[q_b_lo] = -blocks[q_b_hi]
+        blocks[lay.balance] = -blocks[bal_neg]
+    jac_w_h[q_b_hi, jQBR] -= 1.0
 
     return ModelDerivatives(
         grad_x_j=grad_x_j, hess_xx_j=hess_xx_j, grad_w_j=grad_w_j,

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import hvac_model as hm
 from . import kernels, numkit
-from .baseline_opt import KktPoint, SolverConfig, _h_scale, _j_scale, _x_scale
+from .baseline_opt import KktPoint, Scaling, SolverConfig
 from .errors import EvaluationDomainError, RankDeficientError
 
 # relative threshold (vs. chiller rating) below which a chiller that is
@@ -161,10 +161,8 @@ def build_operator(anchor: KktPoint, w0: hm.ExogenousVector,
     shift map would not be unique and the analysis is out of scope).
     """
     cfg = cfg or SolverConfig()
-    n = w0.zones.count
-    par = w0.params
+    s = Scaling.of(w0)
     xv = anchor.x0.to_vector()
-    wv = w0.to_vector()
     lam = np.asarray(anchor.lam, dtype=float)
 
     # anchor consistency: the scaled KKT residuals must already be small
@@ -173,7 +171,7 @@ def build_operator(anchor: KktPoint, w0: hm.ExogenousVector,
         raise ValueError("anchor KKT residuals exceed tolerance; "
                          "re-solve the baseline before building an operator")
 
-    d = hm.derivatives_flat(xv, wv, n, par.c_p)
+    d = s.derivatives(xv)
     G, W_jac = _assemble_jacobians(d, lam, spec.indices)
 
     if verify:
@@ -187,14 +185,11 @@ def build_operator(anchor: KktPoint, w0: hm.ExogenousVector,
     # column scaling makes the rank decision unit-free without changing
     # the least-squares minimizer (it only reparametrizes x); A holds the
     # active constraint rows, S the stationarity block
-    sx = _x_scale(par, n)
-    sh = _h_scale(wv, n, par)
-    sj = _j_scale(par)
-    h = hm.constraints_flat(xv, wv, n, par.c_p, par.flow_floor)
-    act = np.where(np.abs(h / sh) <= cfg.act_tol)[0]
+    sx, sh, sj = s.x, s.h, s.j
+    act = np.where(np.abs(s.scaled_h(xv)) <= cfg.act_tol)[0]
     A = (d.jac_x_h[act] / sh[act, None]) * sx[None, :]
     S = (sx[:, None] * G[:sx.size] * sx[None, :]) / sj
-    rank_ok = _shift_rank_ok(A, S, xv, n, par, sx)
+    rank_ok = _shift_rank_ok(A, S, xv, s)
     if not rank_ok:
         raise RankDeficientError(
             "the linearized KKT map is rank deficient at the anchor "
@@ -209,7 +204,7 @@ def build_operator(anchor: KktPoint, w0: hm.ExogenousVector,
         rank_ok=rank_ok, shift_matrix=shift_matrix)
 
 
-def _shift_rank_ok(A, S, xv, n, par, sx) -> bool:
+def _shift_rank_ok(A, S, xv, s: Scaling) -> bool:
     """The shift is unique iff the stacked active-constraint and
     stationarity blocks have full column rank — except along the one
     cost-flat direction built into the heat split: moving AHU-coil heat
@@ -224,10 +219,11 @@ def _shift_rank_ok(A, S, xv, n, par, sx) -> bool:
         return True
     if null.shape[0] > 1:
         return False
-    gauge = np.zeros(n + 4)
-    gauge[0] = 1.0
-    gauge[2 + n] = par.c_p * float(np.sum(xv[2:2 + n]))
-    gauge_z = gauge / sx
+    lay = s.layout
+    gauge = np.zeros(lay.x_dim)
+    gauge[lay.t_sa] = 1.0
+    gauge[lay.q_h] = s.params.c_p * float(np.sum(xv[lay.m_sa]))
+    gauge_z = gauge / s.x
     gauge_z /= np.linalg.norm(gauge_z)
     return abs(null[0] @ gauge_z) > 1.0 - 1e-8
 
@@ -277,16 +273,13 @@ def verify_operator_fd(anchor: KktPoint, w0: hm.ExogenousVector,
                        seed: int = 0, G=None, W_jac=None) -> float:
     """Compare G and grad_w H against central differences of H along
     random directions; returns the worst relative error."""
-    n = w0.zones.count
-    par = w0.params
+    s = Scaling.of(w0)
+    n, par, wv, sx = s.layout.n, s.params, s.wv, s.x
     xv = anchor.x0.to_vector()
-    wv = w0.to_vector()
     lam = np.asarray(anchor.lam, dtype=float)
     if G is None or W_jac is None:
-        G, W_jac = _assemble_jacobians(hm.derivatives_flat(xv, wv, n, par.c_p),
-                                       lam, spec.indices)
+        G, W_jac = _assemble_jacobians(s.derivatives(xv), lam, spec.indices)
 
-    sx = _x_scale(par, n)
     rng = np.random.default_rng(seed)
     worst = 0.0
 
@@ -329,34 +322,15 @@ def _shift_vector(op: SensitivityOperator, dw) -> np.ndarray:
     return op.shift_matrix @ dw
 
 
-def _shifted_decision(op: SensitivityOperator, dx: np.ndarray) -> np.ndarray:
-    """Apply the shift with domain checks and the chiller off-snap."""
-    n = op.w0.zones.count
-    par = op.w0.params
-    xv0 = op.anchor.x0.to_vector()
-    xv = xv0 + dx
-    iA, iB = 2 + n, 3 + n
-    xv[iA] = max(xv[iA], 0.0)
-    if xv0[iB] == 0.0 and abs(xv[iB]) <= _CHILLER_SNAP_REL * par.Q_e_rated:
-        xv[iB] = 0.0
-    else:
-        xv[iB] = max(xv[iB], 0.0)
-    if np.any(xv[2:2 + n] < par.flow_floor):
-        raise EvaluationDomainError(_BELOW_FLOOR)
-    return xv
-
-
 def delta_cost(op: SensitivityOperator, w0: hm.ExogenousVector, dw) -> float:
-    """K(dw) = J(x0 + G+ d, w0 + dw) - J0, on the full nonlinear model."""
+    """K(dw) = J(x0 + G+ d, w0 + dw) - J0, on the full nonlinear model:
+    the one-row case of `_k_batch`."""
     dw = np.asarray(dw, dtype=float)
-    xv = _shifted_decision(op, _shift_vector(op, dw))
-    wv = w0.to_vector()
-    wv[list(op.spec.indices)] += dw
-    n = w0.zones.count
-    j1 = hm.objective_flat(xv, wv, n, w0.params.c_p)
-    if not np.isfinite(j1):
-        raise EvaluationDomainError(_NOT_FINITE)
-    return float(j1 - op.anchor.j0)
+    dx = _shift_vector(op, dw)
+    k, ok = _k_batch(op, w0, dw[None, :], dx[None, :], "C")
+    if not np.isfinite(k[0]):
+        raise EvaluationDomainError(_NOT_FINITE if ok[0] else _BELOW_FLOOR)
+    return float(k[0])
 
 
 def signed_shift_pair(op: SensitivityOperator, w0: hm.ExogenousVector,
@@ -507,7 +481,7 @@ def _k_batch(op: SensitivityOperator, w0: hm.ExogenousVector,
     `objective_flat`, which with 8 or more zones sums pairwise where the
     columns of an "F" array are summed one after another.
     """
-    n = w0.zones.count
+    lay = hm.layout(w0.zones.count)
     par = w0.params
     xv0 = op.anchor.x0.to_vector()
     wv0 = w0.to_vector()
@@ -519,7 +493,7 @@ def _k_batch(op: SensitivityOperator, w0: hm.ExogenousVector,
     W[:] = wv0
     W[:, idx] = wv0[idx] + dW
 
-    iA, iB = 2 + n, 3 + n
+    iA, iB = lay.q_h, lay.q_c
     X[:, iA] = np.maximum(X[:, iA], 0.0)
     if xv0[iB] == 0.0:
         snap = np.abs(X[:, iB]) <= _CHILLER_SNAP_REL * par.Q_e_rated
@@ -529,8 +503,8 @@ def _k_batch(op: SensitivityOperator, w0: hm.ExogenousVector,
 
     # every row goes through the kernel: dropping rows would copy X and W
     # into "C" layout and change the bits of the rows that stay
-    ok = (X[:, 2:2 + n] >= par.flow_floor).all(axis=1)
-    kvals = kernels.objective_batch(X, W, n, par.c_p) - op.anchor.j0
+    ok = (X[:, lay.m_sa] >= par.flow_floor).all(axis=1)
+    kvals = kernels.objective_batch(X, W, lay.n, par.c_p) - op.anchor.j0
     kvals[~ok] = np.nan
     return kvals, ok
 

@@ -148,6 +148,47 @@ def test_nominal_hour_needs_one_start(hot_hour, solve_cached, monkeypatch):
     assert kkt.j0 == solve_cached(hot_hour).j0
 
 
+def _count_polish(monkeypatch):
+    calls = []
+    real = baseline_opt._polish
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(baseline_opt, "_polish", counted)
+    return calls
+
+
+@pytest.mark.parametrize("hour_fixture",
+                         ["hot_hour", "moderate_hour", "cold_hour"])
+def test_one_polish_round_when_canonical_form_is_unchanged(
+        hour_fixture, request, monkeypatch):
+    """On these hours the first polish keeps the canonicalized SLSQP point
+    (it only recovers multipliers), so a second round would repeat it bit
+    for bit and does not run. Each hour takes one start."""
+    calls = _count_polish(monkeypatch)
+    _assert_certified(solve_baseline(request.getfixturevalue(hour_fixture)))
+    assert len(calls) == 1
+
+
+def test_second_polish_round_after_the_point_moves(zero_load_hour,
+                                                   solve_cached, monkeypatch):
+    """From the zero-load optimum with T_sa raised by 0.5 K, the first
+    polish moves the point back, so its canonical form differs from where
+    the round started and a second round polishes there."""
+    kkt = solve_cached(zero_load_hour)
+    xv = kkt.x0.to_vector()
+    xv[0] += 0.5
+    calls = _count_polish(monkeypatch)
+    out = baseline_opt._finalize(xv, baseline_opt.Scaling.of(zero_load_hour),
+                                 zero_load_hour, SolverConfig())
+    assert len(calls) == 2
+    assert not np.array_equal(calls[1][0], calls[0][0])
+    _assert_certified(out)
+    assert out.j0 == pytest.approx(kkt.j0, rel=1e-9)
+
+
 def test_failed_start_falls_through(hot_hour, solve_cached, monkeypatch):
     calls = _count_minimize(monkeypatch, fail=lambda call: call == 1)
     kkt = solve_baseline(hot_hour, SolverConfig())
@@ -167,7 +208,7 @@ def test_multistart_count_caps_starts(hot_hour, solve_cached, monkeypatch,
                        x_init=x_init)
     assert len(calls) == 3
     if warm:
-        sx = baseline_opt._x_scale(hot_hour.params, 5)
+        sx = baseline_opt.Scaling.of(hot_hour).x
         assert np.allclose(calls[0] * sx, x_init.to_vector())
 
 
@@ -201,10 +242,10 @@ def test_first_certified_start_matches_exhaustive_best():
             for hour in sc.synth_profile(day, 7, n_zones=n).hours[2::4]:
                 w = hm.ExogenousVector(t_oa=hour.t_oa, zones=hour.zones,
                                        params=par)
-                wv = w.to_vector()
+                scaling = baseline_opt.Scaling.of(w)
                 rng = np.random.default_rng(cfg.rng_seed)
-                starts = [_center_start(wv, n, par)] + [
-                    _random_start(rng, wv, n, par)
+                starts = [_center_start(scaling)] + [
+                    _random_start(rng, scaling)
                     for _ in range(cfg.multistart_count - 1)]
                 lazy = _outcome(w, cfg)
                 oracle = [_outcome(w, cfg, hm.DecisionVector.from_vector(s))

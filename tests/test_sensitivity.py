@@ -115,7 +115,7 @@ def test_fd_verification_catches_a_wrong_entry(moderate_hour, solve_cached,
         M[np.unravel_index(np.argmax(np.abs(M * col_scale)), M.shape)] *= 1 + 1e-3
         return M
 
-    sx = baseline_opt._x_scale(moderate_hour.params, moderate_hour.zones.count)
+    sx = baseline_opt.Scaling.of(moderate_hour).x
     for G, W_jac in ((scaled(op.G, sx), op.W_jac),
                      (op.G, scaled(op.W_jac, sw))):
         err = sn.verify_operator_fd(anchor, moderate_hour, spec, n_probes=4,
@@ -170,7 +170,7 @@ def test_predicted_shift_matches_resolve_direction(moderate_hour,
                            moderate_hour.zones.m_oa_min, params)
     dx_true = (solve_baseline(w1).x0.to_vector()
                - op.anchor.x0.to_vector())
-    sx = baseline_opt._x_scale(params, moderate_hour.zones.count)
+    sx = baseline_opt.Scaling.of(moderate_hour).x
     a, b = dx_pred / sx, dx_true / sx
     cos = a @ b / (np.linalg.norm(a) * np.linalg.norm(b))
     assert cos > 0.9
@@ -189,13 +189,18 @@ def test_k_is_exactly_zero_at_origin(moderate_hour, hot_hour, cold_hour,
 
 
 @pytest.mark.parametrize("mask", [("T_oa",), FAN_MASK])
-@pytest.mark.parametrize("hour_fixture", ["hot_hour", "moderate_hour",
-                                          "cold_hour"])
-def test_k_tracks_resolved_optimum(hour_fixture, mask, request,
-                                   solve_cached, params):
+@pytest.mark.parametrize("hour", ["hot_hour", "moderate_hour", "cold_hour"]
+                         + [f"n{n}_{day}" for n in (1, 3, 8)
+                            for day in sc.DAY_TYPES])
+def test_k_tracks_resolved_optimum(hour, mask, request, solve_cached):
     """K agrees with the re-solved optimal-cost change to within 10%
-    at alpha = 0.001 (first-order validity)."""
-    w = request.getfixturevalue(hour_fixture)
+    at alpha = 0.001 (first-order validity), on the 5-zone fixture hours
+    and on one hour per day type at 1, 3 and 8 zones."""
+    if hour.endswith("_hour"):
+        w = request.getfixturevalue(hour)
+    else:
+        n, day = hour[1:].split("_")
+        w = _scaled_hour(int(n), day, 4)
     anchor = solve_cached(w)
     spec = sn.uncertainty_spec(w, mask, 0.001)
     op = sn.build_operator(anchor, w, spec)
@@ -468,22 +473,26 @@ def _unblocked_sample(op, w, spec, n_samples, seed):
     return dW, kvals, ok
 
 
-def _sampler_hour(n):
+def _scaled_hour(n, day="moderate", k=3):
+    """Hour k of the seed-42 `day` profile at n zones, with the design
+    flow scaled by n/5."""
     base = hm.HvacParameters()
     par = hm.HvacParameters(zone_count=n, m_design=base.m_design * n / 5)
-    hour = sc.synth_profile("moderate", 42, n_zones=n).hours[3]
+    hour = sc.synth_profile(day, 42, n_zones=n).hours[k]
     return hm.ExogenousVector(t_oa=hour.t_oa, zones=hour.zones, params=par)
 
 
 def _blocked_sample(monkeypatch, op, w, spec, n_samples, seed):
     """sample_bound's result (or its domain error) and the rows, K and
-    mask of its blocked _k_batch calls, concatenated."""
+    mask of its blocked _k_batch calls, concatenated. The blocks are the
+    "F" calls; delta_cost's one-row "C" call for beta is not one."""
     calls = []
     k_batch = sn._k_batch
 
     def recording(op_, w_, dW, dX, order):
         kvals, ok = k_batch(op_, w_, dW, dX, order)
-        calls.append((dW.copy(), kvals, ok))
+        if order == "F":
+            calls.append((dW.copy(), kvals, ok))
         return kvals, ok
 
     monkeypatch.setattr(sn, "_k_batch", recording)
@@ -533,7 +542,7 @@ def test_blocked_sampler_matches_unblocked_rows(n, monkeypatch):
     rows, K and domain mask of one unblocked pass bit for bit, and the
     same beta, argmax and sample count; on 1 to 13 masked coordinates and
     sample counts on either side of a block."""
-    w = _sampler_hour(n)
+    w = _scaled_hour(n)
     anchor = solve_baseline(w)
     for mask in SAMPLER_MASKS:
         spec = sn.uncertainty_spec(w, mask, 0.05)
@@ -549,7 +558,7 @@ def test_blocked_sampler_matches_unblocked_below_the_floor(n, monkeypatch):
     skipped count and K on the other rows match one unblocked pass, both
     when the sampler returns (a few rows, so that some blocks have none,
     or about 5% skipped) and when it raises."""
-    w = _sampler_hour(n)
+    w = _scaled_hour(n)
     anchor = solve_baseline(w)
     spec = sn.uncertainty_spec(w, ("Q_zone_1",), 0.01)
     op = sn.build_operator(anchor, w, spec)
