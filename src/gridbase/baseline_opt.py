@@ -27,6 +27,11 @@ from .errors import InfeasibleHourError, NoConvergenceError
 
 PRNG_NAME = "PCG64"
 
+_FEAS_KEEP = 1e-11       # scaled h above which the polish adds a row
+_MAX_OUTER = 25          # polish rounds that add or drop active rows
+_NEWTON_MAX_ITER = 40    # Newton steps per polish round
+_NNLS_TOL = 1e-11        # relative stationarity residual NNLS may leave
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -151,7 +156,7 @@ def _canonicalize(xv: np.ndarray, s: Scaling) -> np.ndarray:
 # active-set Newton polish
 # ---------------------------------------------------------------------------
 
-def _polish(xv, s: Scaling, act_init, h0, feas_keep=1e-11, max_outer=25):
+def _polish(xv, s: Scaling, act_init, h0):
     """Refine (x, lambda) on the active-set KKT system; h0 is the scaled
     constraint vector `s.scaled_h(xv)`.
 
@@ -179,13 +184,13 @@ def _polish(xv, s: Scaling, act_init, h0, feas_keep=1e-11, max_outer=25):
     # and admits nonnegative stationarity multipliers needs no Newton
     # refinement — restarting Newton there can diverge when the active
     # rows are linearly dependent (degenerate corners)
-    if h0.max() <= feas_keep and (
+    if h0.max() <= _FEAS_KEEP and (
             not act or np.abs(h0[act]).max() <= 1e-12):
         lam_nn, mu_nn = _nnls_multipliers(xv, s, act)
         if lam_nn is not None:
             return xv, _assemble(lam_nn, mu_nn), h0
 
-    for _outer in range(max_outer):
+    for _outer in range(_MAX_OUTER):
         xv, lam_act, mu, ok = _newton_on_active(xv, s, act, lam_act, mu)
         if not ok:
             return xv, None, None
@@ -203,7 +208,7 @@ def _polish(xv, s: Scaling, act_init, h0, feas_keep=1e-11, max_outer=25):
                 continue
         h = s.scaled_h(xv)
         inactive = np.setdiff1d(np.arange(lay.h_dim), act + eq_rows)
-        if inactive.size and h[inactive].max() > feas_keep:
+        if inactive.size and h[inactive].max() > _FEAS_KEEP:
             worst = int(inactive[np.argmax(h[inactive])])
             act = sorted(act + [worst])
             lam_act = np.zeros(len(act))
@@ -214,7 +219,7 @@ def _polish(xv, s: Scaling, act_init, h0, feas_keep=1e-11, max_outer=25):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _newton_on_active(xv, s: Scaling, act, lam_act, mu, max_iter=40):
+def _newton_on_active(xv, s: Scaling, act, lam_act, mu):
     """Newton iteration on the equality-constrained KKT system for a fixed
     active set (plus the always-active balance equality)."""
     lay = s.layout
@@ -224,7 +229,7 @@ def _newton_on_active(xv, s: Scaling, act, lam_act, mu, max_iter=40):
     mdim = lay.x_dim
     sx, sh, sj = s.x, s.h, s.j
 
-    for _it in range(max_iter):
+    for _it in range(_NEWTON_MAX_ITER):
         d = s.derivatives(xv)
         lam_orig = np.zeros(lay.h_dim)
         for idx, row in enumerate(rows):
@@ -276,7 +281,7 @@ def _newton_on_active(xv, s: Scaling, act, lam_act, mu, max_iter=40):
     return xv, lam[:na], lam[na], err < 1e-9
 
 
-def _nnls_multipliers(xv, s: Scaling, act, tol=1e-11):
+def _nnls_multipliers(xv, s: Scaling, act):
     """Nonnegative multipliers for a fixed active set at a fixed point.
 
     Solves min ||grad J + sum lam_i grad h_i|| (scaled) subject to
@@ -290,7 +295,7 @@ def _nnls_multipliers(xv, s: Scaling, act, tol=1e-11):
     a_eq = (jac[eq_row] * sx) / sh[eq_row]
     M = np.column_stack([A.T, a_eq, -a_eq])
     z, resid = scipy_nnls(M, -gj)
-    if resid > tol * max(1.0, np.abs(gj).max()):
+    if resid > _NNLS_TOL * max(1.0, np.abs(gj).max()):
         return None, 0.0
     return z[:len(act)], float(z[-2] - z[-1])
 
@@ -369,14 +374,11 @@ def _center_start(s: Scaling):
 def _balance_duties(xv, s: Scaling):
     """Set (q_h, q_c) = (max(Q_ahu,0), max(-Q_ahu,0)), clipped to ratings."""
     xv = xv.copy()
-    lay, par = s.layout, s.params
-    c_p = par.c_p
-    T, o, mvec = xv[lay.t_sa], xv[lay.m_oa], xv[lay.m_sa]
-    t_sp = s.wv[lay.t_sp]
-    t_oa = s.wv[lay.t_oa]
-    m = mvec.sum()
-    s_t = (mvec * t_sp).sum()
-    q_ahu = c_p * (m * T - s_t + o * s_t / m - o * t_oa)
+    lay, par, wv = s.layout, s.params, s.wv
+    T = xv[lay.t_sa]
+    m, s_t, _ = hm.loads(T, xv[lay.q_h], xv[lay.m_sa], wv[lay.q_zone],
+                         wv[lay.t_sp], par.c_p)
+    q_ahu = hm.ahu_duty(T, xv[lay.m_oa], m, s_t, wv[lay.t_oa], par.c_p)
     xv[lay.q_h] = min(max(q_ahu, 0.0), par.Q_b_rated)
     xv[lay.q_c] = min(max(-q_ahu, 0.0), par.Q_e_rated)
     return xv

@@ -38,7 +38,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import kernels
 from .errors import DegenerateFlowError, InvalidCurveError
 
 J_PER_HR = 1.0 / 3600.0  # watts per (joule/hour)
@@ -175,10 +174,6 @@ class ExogenousVector:
         if self.zones.count != self.params.zone_count:
             raise ValueError("zone input length does not match zone_count")
 
-    @property
-    def dim(self) -> int:
-        return layout(self.zones.count).w_dim
-
     def labels(self) -> list:
         n = self.zones.count
         lab = ["T_oa"]
@@ -256,10 +251,6 @@ class DecisionVector:
     def __post_init__(self):
         object.__setattr__(self, "m_sa", np.asarray(self.m_sa, dtype=float))
 
-    @property
-    def dim(self) -> int:
-        return self.m_sa.size + 4
-
     def to_vector(self) -> np.ndarray:
         return np.concatenate([[self.t_sa, self.m_oa], self.m_sa,
                                [self.q_h, self.q_c]])
@@ -270,10 +261,6 @@ class DecisionVector:
         return DecisionVector(t_sa=float(vec[0]), m_oa=float(vec[1]),
                               m_sa=vec[2:-2].copy(),
                               q_h=float(vec[-2]), q_c=float(vec[-1]))
-
-
-def constraint_count(n_zones: int) -> int:
-    return layout(n_zones).h_dim
 
 
 def constraint_labels(n_zones: int) -> list:
@@ -445,32 +432,77 @@ def objective(x: DecisionVector, w: ExogenousVector) -> float:
 
 
 # ---------------------------------------------------------------------------
-# flat-array core (shared with the solver and the sensitivity engine)
+# flat-array core (shared with the solver, the sensitivity engine and the
+# batch kernel)
 # ---------------------------------------------------------------------------
+
+Values = namedtuple("Values", "m s_t q_b u f_pl gain p_fan r eta p_boiler "
+                              "p_chiller")
+
+
+def loads(T, a, mvec, q_zone, t_sp, c_p):
+    """Total flow m, S = sum m_i T_sp_i and boiler duty q_b, as `values`."""
+    m = mvec.sum(axis=-1)
+    s_t = (mvec * t_sp).sum(axis=-1)
+    return m, s_t, q_zone.sum(axis=-1) + c_p * s_t - c_p * m * T + a
+
+
+def values(T, a, b, mvec, q_zone, t_sp, par, c_p) -> Values:
+    """Loads and fan, boiler and chiller values of J from T_sa, q_h, q_c,
+    the zone arrays and the parameter tail `par`, elementwise. At a point
+    the zone arrays are 1-D and the rest scalar; on S rows the zone arrays
+    are (S, N) and the rest columns of S entries (`par` as its (20, S)
+    transpose). Sums run along the last axis, so a point has the bits of a
+    "C"-layout row. p_chiller keeps its standby term at q_c = 0."""
+    (dP, eta_tot, rho, m_des, cf1, cf2, cf3, cf4, qbr, eta_th,
+     cb1, cb2, cb3, qer, p_pump, cg1, cg2, cg3, _, _) = par
+    m, s_t, q_b = loads(T, a, mvec, q_zone, t_sp, c_p)
+    u = m / m_des
+    f_pl = cf1 + u * (cf2 + u * (cf3 + u * cf4))
+    gain = dP / (eta_tot * rho)
+    r = q_b / qbr
+    eta = cb1 + r * (cb2 + r * cb3)
+    return Values(m, s_t, q_b, u, f_pl, gain, gain * m_des * f_pl, r, eta,
+                  q_b / (eta_th * eta),
+                  cg1 * qer + cg2 * b + cg3 * b * b / qer + p_pump)
+
+
+def source_power(p_fan, p_chiller, p_boiler, ael, ang):
+    """J = alpha_el (P_fan + P_chiller) + alpha_ng P_boiler, elementwise."""
+    return ael * (p_fan + p_chiller) + ang * p_boiler
+
+
+def ahu_duty(T, o, m, s_t, t_oa, c_p):
+    """AHU coil duty Q_ahu = c_p (m T_sa - S + m_oa S / m - m_oa T_oa)."""
+    return c_p * (m * T - s_t + o * s_t / m - o * t_oa)
+
 
 def objective_flat(xv: np.ndarray, wv: np.ndarray, n: int,
                    c_p: float) -> float:
-    """Reported objective from flat arrays: the one-row case of
-    `kernels.objective_batch` (zero chiller power at q_c = 0)."""
-    return kernels.objective_batch(xv[None, :], wv[None, :], n, c_p)[0]
+    """Reported objective from flat arrays: J with zero chiller power at
+    q_c = 0 (off switch). Row i of `kernels.objective_batch` over
+    "C"-layout rows gives the same bits."""
+    lay = layout(n)
+    b = xv[lay.q_c]
+    v = values(xv[lay.t_sa], xv[lay.q_h], b, xv[lay.m_sa], wv[lay.q_zone],
+               wv[lay.t_sp], wv[lay.tail], c_p)
+    return source_power(v.p_fan, 0.0 if b == 0.0 else v.p_chiller,
+                        v.p_boiler, wv[lay.param["alpha_el"]],
+                        wv[lay.param["alpha_ng"]])
 
 
 def _constraint_rows(xv, m, s_t, q_b, wv, n, c_p, flow_floor):
-    """h(x, w) from the decision and the intermediates the objective
-    shares: total flow m, S = sum m_i T_sp_i and boiler duty q_b."""
+    """h(x, w) from the decision and the loads of `loads`."""
     lay = layout(n)
     T, o, mvec = xv[lay.t_sa], xv[lay.m_oa], xv[lay.m_sa]
     a, b = xv[lay.q_h], xv[lay.q_c]
-    t_oa = wv[lay.t_oa]
     q_zone = wv[lay.q_zone]
     t_sp = wv[lay.t_sp]
     v_min = wv[lay.m_oa_min]
     m_des = wv[lay.param["m_design"]]
     qbr = wv[lay.param["Q_b_rated"]]
     qer = wv[lay.param["Q_e_rated"]]
-
-    # Q_ahu = c_p (m T - S + o S / m - o T_oa)
-    q_ahu = c_p * (m * T - s_t + o * s_t / m - o * t_oa)
+    q_ahu = ahu_duty(T, o, m, s_t, wv[lay.t_oa], c_p)
 
     h = np.empty(lay.h_dim)
     h[lay.air] = (12.0 - T, T - 37.0, v_min.sum() - o, o - m_des, o - m,
@@ -491,11 +523,8 @@ def constraints_flat(xv: np.ndarray, wv: np.ndarray, n: int,
     """Ordered inequality vector h(x, w), h <= 0 feasible. Always returns
     values, even at infeasible points (the solver needs them)."""
     lay = layout(n)
-    mvec = xv[lay.m_sa]
-    m = mvec.sum()
-    s_t = (mvec * wv[lay.t_sp]).sum()
-    q_b = wv[lay.q_zone].sum() + c_p * s_t - c_p * m * xv[lay.t_sa] \
-        + xv[lay.q_h]
+    m, s_t, q_b = loads(xv[lay.t_sa], xv[lay.q_h], xv[lay.m_sa],
+                        wv[lay.q_zone], wv[lay.t_sp], c_p)
     return _constraint_rows(xv, m, s_t, q_b, wv, n, c_p, flow_floor)
 
 
@@ -505,49 +534,33 @@ def constraints(x: DecisionVector, w: ExogenousVector) -> np.ndarray:
 
 
 _FirstOrder = namedtuple("_FirstOrder",
-                         "j grad jac m s_t q_b gq fan boiler chiller")
+                         "j grad jac v gq f_plp fan1 etap d1 pc1")
 
 
 def _first_order(xv, wv, n, c_p) -> _FirstOrder:
-    """Smooth J, grad_x J and jac_x h, with the intermediate values that
-    `first_order_flat` and `derivatives_flat` both build on."""
+    """Smooth J, grad_x J and jac_x h, with the `values` and the curve
+    slopes that `first_order_flat` and `derivatives_flat` both build on."""
     lay = layout(n)
     T, o, mvec = xv[lay.t_sa], xv[lay.m_oa], xv[lay.m_sa]
     a, b = xv[lay.q_h], xv[lay.q_c]
     t_oa = wv[lay.t_oa]
-    q_zone = wv[lay.q_zone]
     t_sp = wv[lay.t_sp]
     v_min = wv[lay.m_oa_min]
+    par = wv[lay.tail]
     (dP, eta_tot, rho, m_des, cf1, cf2, cf3, cf4, qbr, eta_th,
-     cb1, cb2, cb3, qer, p_pump, cg1, cg2, cg3, ael, ang) = wv[lay.tail]
+     cb1, cb2, cb3, qer, p_pump, cg1, cg2, cg3, ael, ang) = par
     mdim = lay.x_dim
     iM = lay.m_sa
     iA, iB = lay.q_h, lay.q_c
 
-    m = mvec.sum()
-    s_t = (mvec * t_sp).sum()
-    q_b = q_zone.sum() + c_p * s_t - c_p * m * T + a
-
-    # --- fan curve ---
-    u = m / m_des
-    f_pl = cf1 + u * (cf2 + u * (cf3 + u * cf4))
+    v = values(T, a, b, mvec, wv[lay.q_zone], t_sp, par, c_p)
+    m, s_t, u, r, eta = v.m, v.s_t, v.u, v.r, v.eta
     f_plp = cf2 + u * (2.0 * cf3 + u * 3.0 * cf4)
-    gain = dP / (eta_tot * rho)
-    p_fan = gain * m_des * f_pl
-    fan1 = gain * f_plp               # dP_fan/dm_i, equal for all zones
-
-    # --- boiler curve ---
-    r = q_b / qbr
-    eta = cb1 + r * (cb2 + r * cb3)
+    fan1 = v.gain * f_plp             # dP_fan/dm_i, equal for all zones
     etap = cb2 + 2.0 * cb3 * r
-    p_boiler = q_b / (eta_th * eta)
     d1 = (eta - r * etap) / (eta_th * eta ** 2)          # dP_b/dQ_b
-
-    # --- chiller (smooth expanded form) ---
-    p_chiller = cg1 * qer + cg2 * b + cg3 * b * b / qer + p_pump
-    pc1 = cg2 + 2.0 * cg3 * b / qer
-
-    j = ael * (p_fan + p_chiller) + ang * p_boiler
+    pc1 = cg2 + 2.0 * cg3 * b / qer                      # dP_chiller/dq_c
+    j = source_power(v.p_fan, v.p_chiller, v.p_boiler, ael, ang)
 
     # --- gradients of Q_b and Q_ahu ---
     gq = np.zeros(mdim)
@@ -599,10 +612,7 @@ def _first_order(xv, wv, n, c_p) -> _FirstOrder:
     gbal[iB] -= 1.0
     jac[lay.balance] = gbal
     jac[lay.balance_neg] = -gbal
-    return _FirstOrder(j, grad, jac, m, s_t, q_b, gq,
-                       fan=(u, f_pl, f_plp, gain, p_fan, fan1),
-                       boiler=(r, eta, etap, p_boiler, d1),
-                       chiller=(p_chiller, pc1))
+    return _FirstOrder(j, grad, jac, v, gq, f_plp, fan1, etap, d1, pc1)
 
 
 def first_order_flat(xv: np.ndarray, wv: np.ndarray, n: int, c_p: float,
@@ -614,7 +624,7 @@ def first_order_flat(xv: np.ndarray, wv: np.ndarray, n: int, c_p: float,
     gradient and Jacobian are the `derivatives_flat` blocks.
     """
     core = _first_order(xv, wv, n, c_p)
-    h = _constraint_rows(xv, core.m, core.s_t, core.q_b, wv, n, c_p,
+    h = _constraint_rows(xv, core.v.m, core.v.s_t, core.v.q_b, wv, n, c_p,
                          flow_floor)
     return core.j, core.grad, h, core.jac
 
@@ -648,12 +658,9 @@ def derivatives_flat(xv: np.ndarray, wv: np.ndarray, n: int,
     expanded form (identical to the reported objective wherever q_c > 0).
     grad_x J and jac_x h are `first_order_flat`'s; this adds the
     second-order blocks and the blocks in w."""
-    core = _first_order(xv, wv, n, c_p)
-    grad_x_j, jac_x_h, m, s_t, gq = (core.grad, core.jac, core.m, core.s_t,
-                                     core.gq)
-    u, f_pl, f_plp, gain, p_fan, fan1 = core.fan
-    r, eta, etap, p_boiler, d1 = core.boiler
-    p_chiller, pc1 = core.chiller
+    _, grad_x_j, jac_x_h, v, gq, f_plp, fan1, etap, d1, pc1 = _first_order(
+        xv, wv, n, c_p)
+    m, s_t, _, u, f_pl, gain, p_fan, r, eta, p_boiler, p_chiller = v
     lay = layout(n)
     o, mvec, b = xv[lay.m_oa], xv[lay.m_sa], xv[lay.q_c]
     t_sp = wv[lay.t_sp]

@@ -22,7 +22,6 @@ from . import sensitivity as sn
 from .baseline_opt import SolverConfig, solve_baseline
 from .errors import GridbaseError, ProfileParseError
 
-J_PER_HR_TO_W = 1.0 / 3600.0
 DAY_TYPES = ("hot", "moderate", "cold")
 _DAY_CODE = {"hot": 1, "moderate": 2, "cold": 3}
 DEFAULT_SAMPLES = 10_000
@@ -101,7 +100,7 @@ def load_profile(path, params: hm.HvacParameters | None = None) -> DayProfile:
                 label = val
             elif key == "units":
                 if val == "J_per_hr":
-                    scale = J_PER_HR_TO_W
+                    scale = hm.J_PER_HR
                 elif val != "W":
                     raise ProfileParseError(
                         f"unknown units {val!r} (expected W or J_per_hr)",
@@ -134,6 +133,10 @@ def load_profile(path, params: hm.HvacParameters | None = None) -> DayProfile:
             vals = [float(c) for c in cells]
         except ValueError as exc:
             raise ProfileParseError(f"non-numeric cell: {exc}", line=lineno)
+        for name, val in zip(header, vals):
+            if not math.isfinite(val):
+                raise ProfileParseError(f"non-finite {name} cell {val}",
+                                        line=lineno)
         hour = int(vals[0])
         if hour != vals[0]:
             raise ProfileParseError("hour must be an integer", line=lineno)
@@ -258,7 +261,7 @@ def _run_hour(hour: ProfileHour, mask, alpha, cfg, params, n_samples,
             warnings.append("degenerate anchor: active constraint with "
                             "zero multiplier")
         spec = sn.uncertainty_spec(w, mask, alpha)
-        op = sn.build_operator(kkt, w, spec)
+        op = sn.build_operator(kkt, w, spec, cfg)
         pair = sn.signed_shift_pair(op, w, spec)
         qm = sn.quadratic_model(op, w, spec)
         holder = sn.holder_bound(qm, spec, "holder_paper_literal")

@@ -148,7 +148,7 @@ def test_registry_mutation_roundtrip(hot_hour):
 # ---------------------------------------------------------------------------
 
 def test_decision_dimensions():
-    assert hm.constraint_count(5) == 34
+    assert hm.layout(5).h_dim == 34
     assert len(hm.constraint_labels(5)) == 34
 
 

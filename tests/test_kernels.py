@@ -44,3 +44,15 @@ def test_python_backend_matches_scalar_objective():
                                           np.asarray(W, order=order), n,
                                           w.params.c_p)
             assert out == pytest.approx(ref, rel=1e-12, abs=0.0), (n, order)
+
+
+def test_objective_flat_is_a_c_layout_kernel_row():
+    # objective_flat and objective_batch are two callers of one value
+    # core; a point and a row of a "C" batch sum in the same order
+    for n in (1, 3, 5, 8, 13):
+        X, W, w = _random_batch(n, 64, seed=100 + n)
+        out = kernels.objective_batch(np.ascontiguousarray(X),
+                                      np.ascontiguousarray(W), n,
+                                      w.params.c_p)
+        for i in range(X.shape[0]):
+            assert hm.objective_flat(X[i], W[i], n, w.params.c_p) == out[i]

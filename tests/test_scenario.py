@@ -7,6 +7,7 @@ import pytest
 
 from gridbase import hvac_model as hm
 from gridbase import scenario as sc
+from gridbase.baseline_opt import SolverConfig
 from gridbase.errors import GridbaseError, ProfileParseError
 
 FIXTURE_SEED = 42
@@ -100,6 +101,22 @@ def test_load_profile_rejects_excess_ventilation(tmp_path):
     assert "ventilation" in str(err.value)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", ["hour", "T_oa_C", "T_sp_C_2", "Q_zone_1",
+                                    "m_oa_min_kg_s_2"])
+def test_load_profile_rejects_non_finite_cells(tmp_path, column, value):
+    lines = _valid_lines()
+    cells = lines[3].split(",")
+    cells[sc._header_fields(2).index(column)] = value
+    lines[3] = ",".join(cells)
+    path = tmp_path / "nonfinite.csv"
+    _write_lines(path, lines)
+    with pytest.raises(ProfileParseError) as err:
+        sc.load_profile(path)
+    assert err.value.line == 4
+    assert column in str(err.value)
+
+
 def test_day_profile_requires_increasing_hours(params):
     z = hm.ZoneInputs(np.zeros(5), np.full(5, 22.0), np.full(5, 0.05))
     h = sc.ProfileHour(9, 20.0, z)
@@ -177,6 +194,24 @@ def test_run_day_is_serial_by_default(day_profiles, moderate_results,
     serial = sc.run_day(day_profiles["moderate"], ("T_oa",), 0.01,
                         n_samples=256, seed=FIXTURE_SEED)
     assert [r.j0 for r in serial] == [r.j0 for r in moderate_results]
+
+
+def test_run_day_passes_cfg_to_build_operator(day_profiles, monkeypatch):
+    # the anchor check and the active rows of the operator use the
+    # caller's tolerances, as the solve does
+    cfg = SolverConfig(kkt_tol=2e-6, act_tol=2e-6)
+    seen = []
+    real = sc.sn.build_operator
+
+    def spy(anchor, w, spec, cfg=None, verify=True):
+        seen.append(cfg)
+        return real(anchor, w, spec, cfg, verify)
+
+    monkeypatch.setattr(sc.sn, "build_operator", spy)
+    prof = sc.DayProfile(label="one",
+                         hours=day_profiles["moderate"].hours[:2])
+    sc.run_day(prof, ("T_oa",), 0.01, cfg=cfg, n_samples=16, seed=0)
+    assert len(seen) == 2 and all(c is cfg for c in seen)
 
 
 def test_run_day_hot_day_has_no_heating(day_profiles):
