@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy.optimize import minimize
@@ -35,18 +36,15 @@ _NNLS_TOL = 1e-11        # relative stationarity residual NNLS may leave
 
 @dataclass(frozen=True)
 class SolverConfig:
-    kkt_tol: float = 1e-6
-    feas_tol: float = 1e-8
-    act_tol: float = 1e-6
-    multistart_count: int = 8   # maximum number of SLSQP starts
-    rng_seed: int = 0
-    max_iterations: int = 300
+    """The seed of the random starts. The tolerances and caps are fixed:
+    one certification policy, read as class constants."""
 
-    def __post_init__(self):
-        if min(self.kkt_tol, self.feas_tol, self.act_tol) <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.multistart_count < 1:
-            raise ValueError("multistart_count must be >= 1")
+    kkt_tol: ClassVar[float] = 1e-6
+    feas_tol: ClassVar[float] = 1e-8
+    act_tol: ClassVar[float] = 1e-6
+    multistart_count: ClassVar[int] = 8   # maximum number of SLSQP starts
+    max_iterations: ClassVar[int] = 300
+    rng_seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -67,6 +65,7 @@ class KktPoint:
 
 @dataclass(frozen=True)
 class KktResiduals:
+    j0: float
     stationarity_residual: float
     complementarity_residual: float
     feasibility_violation: float
@@ -322,11 +321,10 @@ def _snap_active_bounds(xv, s: Scaling, active):
 # verification
 # ---------------------------------------------------------------------------
 
-def verify_kkt(x: hm.DecisionVector, lam, w: hm.ExogenousVector,
-               cfg: SolverConfig | None = None) -> KktResiduals:
-    """Recompute the four KKT residual groups from the analytic model
+def verify_kkt(x: hm.DecisionVector, lam,
+               w: hm.ExogenousVector) -> KktResiduals:
+    """Recompute J and the four KKT residual groups from the analytic model
     gradient and constraint Jacobian, independently of any solver state."""
-    cfg = cfg or SolverConfig()
     s = Scaling.of(w)
     lay, sx, sh = s.layout, s.x, s.h
     lam = np.asarray(lam, dtype=float)
@@ -345,10 +343,12 @@ def verify_kkt(x: hm.DecisionVector, lam, w: hm.ExogenousVector,
     feas = max(0.0, (h / sh).max())
     dual = max(0.0, -lam.min()) if lam.size else 0.0
     h_scaled = h / sh
-    active = tuple(int(i) for i in np.where(np.abs(h_scaled) <= cfg.act_tol)[0])
+    active = tuple(int(i) for i in
+                   np.where(np.abs(h_scaled) <= SolverConfig.act_tol)[0])
     lam_scaled = lam * sh / s.j
     strict_ok = all(lam_scaled[i] > 1e-8 for i in active)
     return KktResiduals(
+        j0=float(j0),
         stationarity_residual=float(stat),
         complementarity_residual=float(comp),
         feasibility_violation=float(feas),
@@ -512,7 +512,7 @@ def solve_baseline(w: hm.ExogenousVector, cfg: SolverConfig | None = None,
         if max(h[ineq_rows].max(), abs(h[eq_row])) >= 1e-5:
             continue
         feasible = True
-        kkt = _finalize(xv, s, w, cfg)
+        kkt = _finalize(xv, s, w, cfg.rng_seed)
         if kkt is None:
             continue
         if (kkt.stationarity_residual <= cfg.kkt_tol
@@ -529,7 +529,7 @@ def solve_baseline(w: hm.ExogenousVector, cfg: SolverConfig | None = None,
         "baseline solve did not meet KKT tolerances", report=best_report)
 
 
-def _finalize(xv, s: Scaling, w, cfg):
+def _finalize(xv, s: Scaling, w, seed):
     start = _canonicalize(xv, s)
     h = s.scaled_h(start)
     # canonicalization can change the active set, so a second round
@@ -537,7 +537,7 @@ def _finalize(xv, s: Scaling, w, cfg):
     # skipped when that form is the point the first round started from,
     # where the round would repeat the first bit for bit
     for second_round in (False, True):
-        act = np.where(h >= -max(cfg.act_tol, 1e-7))[0]
+        act = np.where(h >= -SolverConfig.act_tol)[0]
         xv, lam, h = _polish(start, s, act, h)
         if lam is None:
             return None
@@ -548,19 +548,18 @@ def _finalize(xv, s: Scaling, w, cfg):
             break
         start, h = nxt, s.scaled_h(nxt)
     # verify_kkt's active set at xv, without its residuals
-    active = np.where(np.abs(h) <= cfg.act_tol)[0]
+    active = np.where(np.abs(h) <= SolverConfig.act_tol)[0]
     xv = _snap_active_bounds(xv, s, active)
     x0 = hm.DecisionVector.from_vector(xv)
-    res = verify_kkt(x0, lam, w, cfg)
-    j0 = hm.objective_flat(xv, s.wv, s.layout.n, s.params.c_p)
+    res = verify_kkt(x0, lam, w)
     return KktPoint(
-        x0=x0, lam=lam, j0=float(j0),
+        x0=x0, lam=lam, j0=res.j0,
         stationarity_residual=res.stationarity_residual,
         complementarity_residual=res.complementarity_residual,
         feasibility_violation=res.feasibility_violation,
         active_set=res.active_set,
         strict_complementarity_ok=res.strict_complementarity_ok,
-        seed=cfg.rng_seed,
+        seed=seed,
     )
 
 
@@ -568,12 +567,10 @@ def _finalize(xv, s: Scaling, w, cfg):
 # report
 # ---------------------------------------------------------------------------
 
-def kkt_report(kkt: KktPoint, w: hm.ExogenousVector,
-               cfg: SolverConfig | None = None) -> dict:
+def kkt_report(kkt: KktPoint, w: hm.ExogenousVector) -> dict:
     """JSON-ready report of a solved hour."""
     from . import __version__
-    cfg = cfg or SolverConfig()
-    labels = hm.constraint_labels(w.zones.count)
+    labels = hm.layout(w.zones.count).labels
     return {
         "version": __version__,
         "J0_W": kkt.j0,
@@ -595,11 +592,11 @@ def kkt_report(kkt: KktPoint, w: hm.ExogenousVector,
         "seed": kkt.seed,
         "prng": kkt.prng,
         "config": {
-            "kkt_tol": cfg.kkt_tol,
-            "feas_tol": cfg.feas_tol,
-            "act_tol": cfg.act_tol,
-            "multistart_count": cfg.multistart_count,
-            "max_iterations": cfg.max_iterations,
+            "kkt_tol": SolverConfig.kkt_tol,
+            "feas_tol": SolverConfig.feas_tol,
+            "act_tol": SolverConfig.act_tol,
+            "multistart_count": SolverConfig.multistart_count,
+            "max_iterations": SolverConfig.max_iterations,
         },
         "parameters": hm.dump_parameters(w.params),
     }

@@ -69,24 +69,22 @@ def _mask_list(text: str) -> list:
 def _cmd_solve(args) -> int:
     params = _load_params(args.params)
     w = _load_hour(args, params)
-    cfg = SolverConfig(rng_seed=args.seed)
-    kkt = solve_baseline(w, cfg)
-    _emit(kkt_report(kkt, w, cfg))
+    kkt = solve_baseline(w, SolverConfig(rng_seed=args.seed))
+    _emit(kkt_report(kkt, w))
     return EXIT_OK
 
 
 def _sensitivity_objects(args):
     params = _load_params(args.params)
     w = _load_hour(args, params)
-    cfg = SolverConfig(rng_seed=args.seed)
     spec = sn.uncertainty_spec(w, _mask_list(args.mask), args.alpha)
-    kkt = solve_baseline(w, cfg)
-    op = sn.build_operator(kkt, w, spec, cfg)
-    return w, cfg, kkt, spec, op
+    kkt = solve_baseline(w, SolverConfig(rng_seed=args.seed))
+    op = sn.build_operator(kkt, w, spec)
+    return w, kkt, spec, op
 
 
 def _cmd_sensitivity(args) -> int:
-    w, cfg, kkt, spec, op = _sensitivity_objects(args)
+    w, kkt, spec, op = _sensitivity_objects(args)
     report = sn.sensitivity_report(op, w, spec, n_samples=args.samples,
                                    seed=args.seed)
     report["parameters"] = hm.dump_parameters(w.params)
@@ -95,7 +93,7 @@ def _cmd_sensitivity(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    w, cfg, kkt, spec, op = _sensitivity_objects(args)
+    w, kkt, spec, op = _sensitivity_objects(args)
     if args.method == "sample":
         result = sn.sample_bound(op, w, spec, args.samples, args.seed)
     else:
@@ -123,9 +121,8 @@ def _cmd_bound(args) -> int:
 def _cmd_run_day(args) -> int:
     params = _load_params(args.params)
     profile = sc.load_profile(args.profile, params)
-    cfg = SolverConfig(rng_seed=args.seed)
     results = sc.run_day(profile, _mask_list(args.mask), args.alpha,
-                         cfg=cfg, params=params, n_samples=args.samples,
+                         params=params, n_samples=args.samples,
                          seed=args.seed, max_workers=args.threads)
     sc.export_results(results, args.out, args.format)
     summary = {
@@ -182,16 +179,15 @@ def _cmd_validate(args) -> int:
     tsp = np.array([23.0, 23.5, 22.5, 24.0, 23.0])
     v = np.array([0.10, 0.08, 0.12, 0.07, 0.09])
     w = hm.make_exogenous(34.0, q, tsp, v, params)
-    cfg = SolverConfig()
-    kkt = solve_baseline(w, cfg)
-    res = verify_kkt(kkt.x0, kkt.lam, w, cfg)
+    kkt = solve_baseline(w)
+    res = verify_kkt(kkt.x0, kkt.lam, w)
     check("baseline KKT residuals within tolerance",
-          res.stationarity_residual <= cfg.kkt_tol
-          and res.complementarity_residual <= cfg.kkt_tol
-          and res.feasibility_violation <= cfg.feas_tol)
+          res.stationarity_residual <= SolverConfig.kkt_tol
+          and res.complementarity_residual <= SolverConfig.kkt_tol
+          and res.feasibility_violation <= SolverConfig.feas_tol)
 
     spec = sn.uncertainty_spec(w, ["T_oa", "Q_zone_1", "c_f_2"], 0.01)
-    op = sn.build_operator(kkt, w, spec, cfg)
+    op = sn.build_operator(kkt, w, spec)
     err = sn.verify_operator_fd(kkt, w, spec, n_probes=50, seed=0)
     check("KKT-map Jacobians match finite differences", err <= 1e-6,
           f"max relative error {err:.3e}")

@@ -34,7 +34,7 @@ from __future__ import annotations
 import functools
 import json
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -91,11 +91,7 @@ class HvacParameters:
         object.__setattr__(self, "c_g", tuple(float(c) for c in self.c_g))
 
 
-_PARAM_FILE_KEYS = (
-    "zone_count", "c_p", "delta_P", "eta_tot", "rho_air", "m_design", "c_f",
-    "Q_b_rated", "eta_thermal", "c_b", "Q_e_rated", "P_pump", "c_g",
-    "alpha_el", "alpha_ng", "flow_floor",
-)
+_PARAM_FILE_KEYS = tuple(f.name for f in fields(HvacParameters))
 
 
 def load_parameters(path) -> HvacParameters:

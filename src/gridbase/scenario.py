@@ -216,21 +216,21 @@ def synth_profile(day_type: str, seed: int, n_zones: int = 5,
 # batched runs
 # ---------------------------------------------------------------------------
 
-def run_day(profile: DayProfile, mask, alpha: float,
-            cfg: SolverConfig | None = None,
+def run_day(profile: DayProfile, mask, alpha: float, *,
             params: hm.HvacParameters | None = None,
             n_samples: int = DEFAULT_SAMPLES, seed: int = 0,
             max_workers: int | None = None) -> list:
     """Solve and analyze every hour; output order matches input order.
 
-    Hours run in turn unless `max_workers` > 1 asks for threads, which
-    do not help: the work holds the interpreter lock. Per-hour sampling
-    seeds are seed XOR hour_index, so results do not depend on worker
-    count or scheduling. Hours that fail record the error in their
+    `seed` seeds every hour's random solver starts; the per-hour
+    sampling seeds are seed XOR hour_index. Hours run in turn unless
+    `max_workers` > 1 asks for threads, which do not help: the work holds
+    the interpreter lock. Results do not depend on worker count or
+    scheduling. Hours that fail record the error in their
     warnings; if every hour fails, the last error is re-raised with a
     day-level summary.
     """
-    cfg = cfg or SolverConfig()
+    cfg = SolverConfig(rng_seed=seed)
     params = params or hm.HvacParameters()
     workers = max_workers or 1
 
@@ -261,12 +261,12 @@ def _run_hour(hour: ProfileHour, mask, alpha, cfg, params, n_samples,
             warnings.append("degenerate anchor: active constraint with "
                             "zero multiplier")
         spec = sn.uncertainty_spec(w, mask, alpha)
-        op = sn.build_operator(kkt, w, spec, cfg)
+        op = sn.build_operator(kkt, w, spec)
         pair = sn.signed_shift_pair(op, w, spec)
         qm = sn.quadratic_model(op, w, spec)
         holder = sn.holder_bound(qm, spec, "holder_paper_literal")
         sample = sn.sample_bound(op, w, spec, n_samples, seed)
-        labels = hm.constraint_labels(hour.zones.count)
+        labels = hm.layout(hour.zones.count).labels
         return HourResult(
             hour_index=hour.hour_index,
             j0=kkt.j0,

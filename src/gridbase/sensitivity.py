@@ -152,22 +152,22 @@ def _assemble_jacobians(d: hm.ModelDerivatives, lam, mask_idx):
 
 
 def build_operator(anchor: KktPoint, w0: hm.ExogenousVector,
-                   spec: UncertaintySpec,
-                   cfg: SolverConfig | None = None,
+                   spec: UncertaintySpec, *,
                    verify: bool = True) -> SensitivityOperator:
     """Assemble and check G = grad_x H and grad_w H at the anchor.
 
-    Raises RankDeficientError when G^T G is numerically singular (the
-    shift map would not be unique and the analysis is out of scope).
+    Raises RankDeficientError when the stacked active constraint rows and
+    stationarity block of G leave a null direction other than the
+    cost-flat gauge (see `_shift_rank_ok`): the shift map would not be
+    unique and the analysis is out of scope.
     """
-    cfg = cfg or SolverConfig()
     s = Scaling.of(w0)
     xv = anchor.x0.to_vector()
     lam = np.asarray(anchor.lam, dtype=float)
 
     # anchor consistency: the scaled KKT residuals must already be small
     if max(anchor.stationarity_residual,
-           anchor.complementarity_residual) > cfg.kkt_tol:
+           anchor.complementarity_residual) > SolverConfig.kkt_tol:
         raise ValueError("anchor KKT residuals exceed tolerance; "
                          "re-solve the baseline before building an operator")
 
@@ -186,7 +186,7 @@ def build_operator(anchor: KktPoint, w0: hm.ExogenousVector,
     # the least-squares minimizer (it only reparametrizes x); A holds the
     # active constraint rows, S the stationarity block
     sx, sh, sj = s.x, s.h, s.j
-    act = np.where(np.abs(s.scaled_h(xv)) <= cfg.act_tol)[0]
+    act = np.where(np.abs(s.scaled_h(xv)) <= SolverConfig.act_tol)[0]
     A = (d.jac_x_h[act] / sh[act, None]) * sx[None, :]
     S = (sx[:, None] * G[:sx.size] * sx[None, :]) / sj
     rank_ok = _shift_rank_ok(A, S, xv, s)
@@ -261,9 +261,7 @@ def _shift_map(A, B, S, Ds, sx):
 
     if Z.shape[1]:
         SZ = S @ Z
-        sv = np.linalg.svd(SZ, compute_uv=False)
-        rcond = numkit.RANK_RTOL if sv.size and sv[0] > 0 else None
-        Y, *_ = np.linalg.lstsq(SZ, Ds - S @ Zc, rcond=rcond)
+        Y, *_ = np.linalg.lstsq(SZ, Ds - S @ Zc, rcond=numkit.RANK_RTOL)
         Zc = Zc + Z @ Y
     return sx[:, None] * Zc
 

@@ -182,7 +182,7 @@ def test_second_polish_round_after_the_point_moves(zero_load_hour,
     xv[0] += 0.5
     calls = _count_polish(monkeypatch)
     out = baseline_opt._finalize(xv, baseline_opt.Scaling.of(zero_load_hour),
-                                 zero_load_hour, SolverConfig())
+                                 zero_load_hour, 0)
     assert len(calls) == 2
     assert not np.array_equal(calls[1][0], calls[0][0])
     _assert_certified(out)
@@ -204,9 +204,8 @@ def test_multistart_count_caps_starts(hot_hour, solve_cached, monkeypatch,
     x_init = solve_cached(hot_hour).x0 if warm else None
     calls = _count_minimize(monkeypatch, fail=lambda call: True)
     with pytest.raises(InfeasibleHourError):
-        solve_baseline(hot_hour, SolverConfig(multistart_count=3),
-                       x_init=x_init)
-    assert len(calls) == 3
+        solve_baseline(hot_hour, x_init=x_init)
+    assert len(calls) == SolverConfig.multistart_count == 8
     if warm:
         sx = baseline_opt.Scaling.of(hot_hour).x
         assert np.allclose(calls[0] * sx, x_init.to_vector())
@@ -336,8 +335,14 @@ def test_report_structure(hot_hour, solve_cached):
     assert "parameters" in doc and "version" in doc
 
 
-def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(kkt_tol=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(multistart_count=0)
+def test_solver_config_validation(hot_hour, solve_cached):
+    """The seed is the one setting; the tolerances and caps are fixed, and
+    the report's config block states them."""
+    fixed = {"kkt_tol": 1e-6, "feas_tol": 1e-8, "act_tol": 1e-6,
+             "multistart_count": 8, "max_iterations": 300}
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == ["rng_seed"]
+    for name, value in fixed.items():
+        assert getattr(SolverConfig(), name) == value
+        with pytest.raises(TypeError):
+            SolverConfig(**{name: value})
+    assert kkt_report(solve_cached(hot_hour), hot_hour)["config"] == fixed

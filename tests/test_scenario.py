@@ -7,7 +7,6 @@ import pytest
 
 from gridbase import hvac_model as hm
 from gridbase import scenario as sc
-from gridbase.baseline_opt import SolverConfig
 from gridbase.errors import GridbaseError, ProfileParseError
 
 FIXTURE_SEED = 42
@@ -196,22 +195,21 @@ def test_run_day_is_serial_by_default(day_profiles, moderate_results,
     assert [r.j0 for r in serial] == [r.j0 for r in moderate_results]
 
 
-def test_run_day_passes_cfg_to_build_operator(day_profiles, monkeypatch):
-    # the anchor check and the active rows of the operator use the
-    # caller's tolerances, as the solve does
-    cfg = SolverConfig(kkt_tol=2e-6, act_tol=2e-6)
+def test_run_day_seeds_solver_starts(day_profiles, monkeypatch):
+    # run_day's seed also seeds the solver's random starts, as --seed does
+    seed = 7
     seen = []
-    real = sc.sn.build_operator
+    real = sc.solve_baseline
 
-    def spy(anchor, w, spec, cfg=None, verify=True):
+    def spy(w, cfg=None, x_init=None):
         seen.append(cfg)
-        return real(anchor, w, spec, cfg, verify)
+        return real(w, cfg, x_init)
 
-    monkeypatch.setattr(sc.sn, "build_operator", spy)
+    monkeypatch.setattr(sc, "solve_baseline", spy)
     prof = sc.DayProfile(label="one",
                          hours=day_profiles["moderate"].hours[:2])
-    sc.run_day(prof, ("T_oa",), 0.01, cfg=cfg, n_samples=16, seed=0)
-    assert len(seen) == 2 and all(c is cfg for c in seen)
+    sc.run_day(prof, ("T_oa",), 0.01, n_samples=16, seed=seed)
+    assert len(seen) == 2 and all(c.rng_seed == seed for c in seen)
 
 
 def test_run_day_hot_day_has_no_heating(day_profiles):

@@ -11,7 +11,7 @@ from gridbase import numkit
 from gridbase import scenario as sc
 from gridbase import sensitivity as sn
 from gridbase.baseline_opt import solve_baseline
-from gridbase.errors import EvaluationDomainError
+from gridbase.errors import EvaluationDomainError, RankDeficientError
 
 FAN_MASK = ("c_f_1", "c_f_2", "c_f_3", "c_f_4")
 WIDE_MASK = ("T_oa", "Q_zone_1", "Q_zone_2", "Q_zone_3", "Q_zone_4",
@@ -135,6 +135,45 @@ def test_build_rejects_sloppy_anchor(moderate_hour, solve_cached):
     spec = sn.uncertainty_spec(moderate_hour, ("T_oa",), 0.01)
     with pytest.raises(ValueError):
         sn.build_operator(bad, moderate_hour, spec)
+
+
+def _null_space_block(s, xv, null):
+    """A stationarity block S = I - P, with P the projector onto the named
+    directions of the scaled x: "gauge" (the normalized cost-flat (T_sa,
+    q_h) direction) or "m_oa" (the outdoor-air flow axis)."""
+    lay = s.layout
+    gauge = np.zeros(lay.x_dim)
+    gauge[lay.t_sa] = 1.0
+    gauge[lay.q_h] = s.params.c_p * xv[lay.m_sa].sum()
+    gauge /= s.x
+    axes = {"gauge": gauge, "m_oa": np.eye(lay.x_dim)[lay.m_oa]}
+    S = np.eye(lay.x_dim)
+    if null:
+        q, _ = np.linalg.qr(np.column_stack([axes[k] for k in null]))
+        S -= q @ q.T
+    return S
+
+
+@pytest.mark.parametrize("null, unique", [
+    ((), True), (("gauge",), True), (("m_oa",), False),
+    (("gauge", "m_oa"), False)], ids=["none", "gauge", "m_oa", "both"])
+def test_shift_rank_ok_allows_only_the_gauge(null, unique, moderate_hour,
+                                             solve_cached):
+    """With no active rows, the shift is unique iff the stationarity block
+    is nonsingular or singular along the cost-flat gauge alone."""
+    s = baseline_opt.Scaling.of(moderate_hour)
+    xv = solve_cached(moderate_hour).x0.to_vector()
+    A = np.zeros((0, s.layout.x_dim))
+    assert sn._shift_rank_ok(A, _null_space_block(s, xv, null), xv, s) \
+        == unique
+
+
+def test_rank_deficient_shift_raises(moderate_hour, solve_cached,
+                                     monkeypatch):
+    monkeypatch.setattr(sn, "_shift_rank_ok", lambda *args: False)
+    spec = sn.uncertainty_spec(moderate_hour, ("T_oa",), 0.01)
+    with pytest.raises(RankDeficientError):
+        sn.build_operator(solve_cached(moderate_hour), moderate_hour, spec)
 
 
 # ---------------------------------------------------------------------------
