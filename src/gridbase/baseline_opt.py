@@ -48,23 +48,9 @@ class SolverConfig:
 
 
 @dataclass(frozen=True)
-class KktPoint:
-    """Verified nominal optimum with multipliers and scaled residuals."""
-
-    x0: hm.DecisionVector
-    lam: np.ndarray
-    j0: float
-    stationarity_residual: float
-    complementarity_residual: float
-    feasibility_violation: float
-    active_set: tuple
-    strict_complementarity_ok: bool
-    seed: int
-    prng: str = PRNG_NAME
-
-
-@dataclass(frozen=True)
 class KktResiduals:
+    """`verify_kkt`'s report: J and the scaled KKT residuals at a point."""
+
     j0: float
     stationarity_residual: float
     complementarity_residual: float
@@ -72,6 +58,25 @@ class KktResiduals:
     dual_violation: float
     active_set: tuple
     strict_complementarity_ok: bool
+
+    @property
+    def certified(self) -> bool:
+        """The one certification rule: stationarity and complementarity
+        within kkt_tol, feasibility within feas_tol, no negative multiplier."""
+        return (self.stationarity_residual <= SolverConfig.kkt_tol
+                and self.complementarity_residual <= SolverConfig.kkt_tol
+                and self.feasibility_violation <= SolverConfig.feas_tol
+                and self.dual_violation == 0.0)
+
+
+@dataclass(frozen=True)
+class KktPoint(KktResiduals):
+    """A nominal optimum with its multipliers and its `verify_kkt` report."""
+
+    x0: hm.DecisionVector
+    lam: np.ndarray
+    seed: int
+    prng: str = PRNG_NAME
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +412,7 @@ def solve_baseline(w: hm.ExogenousVector, cfg: SolverConfig | None = None,
 
     Starts run in order (x_init if given, the center start, then random
     starts from default_rng(cfg.rng_seed)), at most cfg.multistart_count
-    of them; the first that certifies to kkt_tol/feas_tol is returned, so
+    of them; the first whose report is `certified` is returned, so
     rng_seed only matters once the earlier starts fail.
 
     Deterministic given (w, cfg, x_init). Raises InfeasibleHourError when
@@ -515,9 +520,7 @@ def solve_baseline(w: hm.ExogenousVector, cfg: SolverConfig | None = None,
         kkt = _finalize(xv, s, w, cfg.rng_seed)
         if kkt is None:
             continue
-        if (kkt.stationarity_residual <= cfg.kkt_tol
-                and kkt.complementarity_residual <= cfg.kkt_tol
-                and kkt.feasibility_violation <= cfg.feas_tol):
+        if kkt.certified:
             return kkt
         if best_report is None or (kkt.stationarity_residual
                                    < best_report.stationarity_residual):
@@ -551,16 +554,8 @@ def _finalize(xv, s: Scaling, w, seed):
     active = np.where(np.abs(h) <= SolverConfig.act_tol)[0]
     xv = _snap_active_bounds(xv, s, active)
     x0 = hm.DecisionVector.from_vector(xv)
-    res = verify_kkt(x0, lam, w)
-    return KktPoint(
-        x0=x0, lam=lam, j0=res.j0,
-        stationarity_residual=res.stationarity_residual,
-        complementarity_residual=res.complementarity_residual,
-        feasibility_violation=res.feasibility_violation,
-        active_set=res.active_set,
-        strict_complementarity_ok=res.strict_complementarity_ok,
-        seed=seed,
-    )
+    return KktPoint(**vars(verify_kkt(x0, lam, w)), x0=x0, lam=lam,
+                    seed=seed)
 
 
 # ---------------------------------------------------------------------------

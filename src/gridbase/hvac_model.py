@@ -74,6 +74,9 @@ class HvacParameters:
     flow_floor: float = 1e-3                 # kg/s
 
     def __post_init__(self):
+        for f in fields(self):
+            if not np.isfinite(getattr(self, f.name)).all():
+                raise ValueError(f"{f.name} must be finite")
         if self.zone_count < 1:
             raise ValueError("zone_count must be >= 1")
         for name in ("c_p", "delta_P", "rho_air", "m_design",
@@ -106,6 +109,8 @@ def load_parameters(path) -> HvacParameters:
         if key in ("c_f", "c_b", "c_g"):
             kwargs[key] = tuple(float(v) for v in value)
         elif key == "zone_count":
+            if not float(value).is_integer():
+                raise ValueError(f"zone_count must be whole, got {value!r}")
             kwargs[key] = int(value)
         else:
             kwargs[key] = float(value)

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import hvac_model as hm
 from . import kernels, numkit
-from .baseline_opt import KktPoint, Scaling, SolverConfig
+from .baseline_opt import KktPoint, Scaling
 from .errors import EvaluationDomainError, RankDeficientError
 
 # relative threshold (vs. chiller rating) below which a chiller that is
@@ -104,7 +104,6 @@ class SensitivityOperator:
     spec: UncertaintySpec
     G: np.ndarray          # (m + n) x m
     W_jac: np.ndarray      # (m + n) x p_masked
-    rank_ok: bool
     shift_matrix: np.ndarray   # m x p_masked, dx = shift_matrix @ dw
 
 
@@ -156,19 +155,18 @@ def build_operator(anchor: KktPoint, w0: hm.ExogenousVector,
                    verify: bool = True) -> SensitivityOperator:
     """Assemble and check G = grad_x H and grad_w H at the anchor.
 
-    Raises RankDeficientError when the stacked active constraint rows and
-    stationarity block of G leave a null direction other than the
-    cost-flat gauge (see `_shift_rank_ok`): the shift map would not be
-    unique and the analysis is out of scope.
+    Raises ValueError unless the anchor is `certified`; the shift keeps
+    the anchor's `active_set` rows active. Raises RankDeficientError when
+    those rows and the stationarity block of G leave a null direction
+    other than the cost-flat gauge (see `_shift_rank_ok`): the shift map
+    would not be unique and the analysis is out of scope.
     """
     s = Scaling.of(w0)
     xv = anchor.x0.to_vector()
     lam = np.asarray(anchor.lam, dtype=float)
 
-    # anchor consistency: the scaled KKT residuals must already be small
-    if max(anchor.stationarity_residual,
-           anchor.complementarity_residual) > SolverConfig.kkt_tol:
-        raise ValueError("anchor KKT residuals exceed tolerance; "
+    if not anchor.certified:
+        raise ValueError("anchor is not a certified KKT point; "
                          "re-solve the baseline before building an operator")
 
     d = s.derivatives(xv)
@@ -186,11 +184,10 @@ def build_operator(anchor: KktPoint, w0: hm.ExogenousVector,
     # the least-squares minimizer (it only reparametrizes x); A holds the
     # active constraint rows, S the stationarity block
     sx, sh, sj = s.x, s.h, s.j
-    act = np.where(np.abs(s.scaled_h(xv)) <= SolverConfig.act_tol)[0]
+    act = np.array(anchor.active_set, dtype=int)
     A = (d.jac_x_h[act] / sh[act, None]) * sx[None, :]
     S = (sx[:, None] * G[:sx.size] * sx[None, :]) / sj
-    rank_ok = _shift_rank_ok(A, S, xv, s)
-    if not rank_ok:
+    if not _shift_rank_ok(A, S, xv, s):
         raise RankDeficientError(
             "the linearized KKT map is rank deficient at the anchor "
             "beyond its built-in cost-flat direction; the primal shift "
@@ -201,7 +198,7 @@ def build_operator(anchor: KktPoint, w0: hm.ExogenousVector,
     shift_matrix = _shift_map(A, B, S, Ds, sx)
     return SensitivityOperator(
         anchor=anchor, w0=w0, spec=spec, G=G, W_jac=W_jac,
-        rank_ok=rank_ok, shift_matrix=shift_matrix)
+        shift_matrix=shift_matrix)
 
 
 def _shift_rank_ok(A, S, xv, s: Scaling) -> bool:
@@ -547,7 +544,8 @@ def sensitivity_report(op: SensitivityOperator, w0: hm.ExogenousVector,
         },
         "K_plus": pair["K_plus"],
         "K_minus": pair["K_minus"],
-        "rank_ok": op.rank_ok,
+        # build_operator raises RankDeficientError on any other outcome
+        "rank_ok": True,
     }
     if not op.anchor.strict_complementarity_ok:
         report["warning"] = ("anchor is degenerate (a constraint is active "

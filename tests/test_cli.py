@@ -168,6 +168,24 @@ def test_bad_mask_exits_before_solving(capsys, profile_path, monkeypatch,
     assert solves == []
 
 
+@pytest.mark.parametrize("doc", [
+    {"delta_P": float("nan")}, {"alpha_el": float("inf")},
+    {"zone_count": 5.7},
+], ids=["nan", "infinity", "fractional-zone-count"])
+def test_bad_params_file_exits_before_solving(capsys, profile_path, tmp_path,
+                                              monkeypatch, doc):
+    solves = []
+    monkeypatch.setattr(cli, "solve_baseline",
+                        lambda *args, **kw: solves.append(args))
+    pfile = tmp_path / "bad.json"
+    pfile.write_text(json.dumps(doc))
+    code, _, err = _run(capsys, "solve", "--profile", profile_path,
+                        "--hour", "12", "--params", str(pfile))
+    assert code == 2
+    assert next(iter(doc)) in err
+    assert solves == []
+
+
 def test_infeasible_hour_is_domain_error(capsys, tmp_path):
     prof = sc.synth_profile("cold", seed=0)
     z = prof.hours[0].zones

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -102,6 +104,33 @@ def test_parameters_unknown_key_rejected(tmp_path):
     path = tmp_path / "p.json"
     path.write_text(json.dumps({"not_a_parameter": 1.0}))
     with pytest.raises(ValueError, match="not_a_parameter"):
+        hm.load_parameters(path)
+
+
+_FINITE_TARGETS = [
+    (f.name, None) for f in dataclasses.fields(hm.HvacParameters)
+    if isinstance(f.default, float)] + [
+    (curve, i) for curve in ("c_f", "c_b", "c_g")
+    for i in range(len(getattr(hm.HvacParameters, curve)))]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name, index", _FINITE_TARGETS)
+def test_parameters_reject_non_finite(params, name, index, value):
+    if index is None:
+        bad = value
+    else:
+        bad = list(getattr(params, name))
+        bad[index] = value
+    with pytest.raises(ValueError, match=name):
+        dataclasses.replace(params, **{name: bad})
+
+
+@pytest.mark.parametrize("count", [5.7, math.inf, math.nan])
+def test_parameters_file_rejects_non_integral_zone_count(tmp_path, count):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"zone_count": count}))
+    with pytest.raises(ValueError, match="zone_count"):
         hm.load_parameters(path)
 
 

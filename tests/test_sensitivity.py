@@ -129,12 +129,41 @@ def test_fd_verification_catches_a_wrong_entry(moderate_hour, solve_cached,
                                  seed=0, G=op.G, W_jac=op.W_jac) <= 1e-6
 
 
-def test_build_rejects_sloppy_anchor(moderate_hour, solve_cached):
+@pytest.mark.parametrize("field, value", [
+    pytest.param("stationarity_residual", 1.0, id="stationarity"),
+    pytest.param("complementarity_residual", 1.0, id="complementarity"),
+    pytest.param("feasibility_violation", 1e-6, id="feasibility"),
+    pytest.param("dual_violation", 1.0, id="dual"),
+])
+def test_build_rejects_sloppy_anchor(moderate_hour, solve_cached, field,
+                                     value):
+    """Each field of the `certified` rule alone rejects the anchor."""
     kkt = solve_cached(moderate_hour)
-    bad = dataclasses.replace(kkt, stationarity_residual=1.0)
+    bad = dataclasses.replace(kkt, **{field: value})
+    assert not bad.certified
     spec = sn.uncertainty_spec(moderate_hour, ("T_oa",), 0.01)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not a certified KKT point"):
         sn.build_operator(bad, moderate_hour, spec)
+
+
+@pytest.mark.parametrize("hour_fixture",
+                         ["hot_hour", "moderate_hour", "cold_hour"])
+def test_anchor_is_its_verify_kkt_report(hour_fixture, request,
+                                         solve_cached):
+    """The solver's anchor is `verify_kkt`'s report at (x0, lam) plus the
+    point, and its active set holds the rows whose scaled h is within
+    act_tol at x0: the rows `build_operator` keeps active."""
+    w = request.getfixturevalue(hour_fixture)
+    kkt = solve_cached(w)
+    base = dataclasses.fields(baseline_opt.KktResiduals)
+    own = dataclasses.fields(baseline_opt.KktPoint)[len(base):]
+    assert [f.name for f in own] == ["x0", "lam", "seed", "prng"]
+    res = baseline_opt.verify_kkt(kkt.x0, kkt.lam, w)
+    for f in base:
+        assert getattr(kkt, f.name) == getattr(res, f.name), f.name
+    h = baseline_opt.Scaling.of(w).scaled_h(kkt.x0.to_vector())
+    rows = np.where(np.abs(h) <= baseline_opt.SolverConfig.act_tol)[0]
+    assert kkt.active_set == tuple(int(i) for i in rows)
 
 
 def _null_space_block(s, xv, null):
