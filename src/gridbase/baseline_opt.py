@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
@@ -71,11 +71,12 @@ class KktResiduals:
 
 @dataclass(frozen=True)
 class KktPoint(KktResiduals):
-    """A nominal optimum with its multipliers and its `verify_kkt` report."""
+    """An optimum, its multipliers, its `verify_kkt` report and its hour."""
 
     x0: hm.DecisionVector
     lam: np.ndarray
     seed: int
+    scaling: Scaling = field(compare=False, repr=False)
     prng: str = PRNG_NAME
 
 
@@ -86,8 +87,8 @@ class KktPoint(KktResiduals):
 @dataclass(frozen=True)
 class Scaling:
     """One hour's flat w and layout, with the diagonal scales of x, h and J
-    that the solver, `verify_kkt` and the sensitivity checks share.
-    `Scaling.of(w)` builds it."""
+    that the solver, `verify_kkt` and the sensitivity stages share.
+    `Scaling.of(w)` builds it; a solved hour's `KktPoint` carries it."""
 
     wv: np.ndarray
     params: hm.HvacParameters
@@ -115,6 +116,14 @@ class Scaling:
         j = par.alpha_el * (hm.fan_power(md, par) + 0.5 * qer) \
             + par.alpha_ng * 0.5 * qbr / par.eta_thermal
         return cls(wv, par, lay, x, h, j)
+
+    def check(self, w: hm.ExogenousVector) -> "Scaling":
+        """Return self if w is this hour (equal parameters and a byte-equal
+        flat vector), else raise ValueError."""
+        if w.params != self.params \
+                or w.to_vector().tobytes() != self.wv.tobytes():
+            raise ValueError("w0 is not the hour the anchor was solved for")
+        return self
 
     def first_order(self, xv):
         return hm.first_order_flat(xv, self.wv, self.layout.n,
@@ -330,12 +339,14 @@ def verify_kkt(x: hm.DecisionVector, lam,
                w: hm.ExogenousVector) -> KktResiduals:
     """Recompute J and the four KKT residual groups from the analytic model
     gradient and constraint Jacobian, independently of any solver state."""
-    s = Scaling.of(w)
+    return _residuals(x.to_vector(), lam, Scaling.of(w))
+
+
+def _residuals(xv, lam, s: Scaling) -> KktResiduals:
     lay, sx, sh = s.layout, s.x, s.h
     lam = np.asarray(lam, dtype=float)
     if lam.size != lay.h_dim:
         raise ValueError(f"expected {lay.h_dim} multipliers, got {lam.size}")
-    xv = x.to_vector()
     if xv.size != lay.x_dim:
         raise ValueError(
             f"expected {lay.x_dim} decision entries, got {xv.size}")
@@ -517,7 +528,7 @@ def solve_baseline(w: hm.ExogenousVector, cfg: SolverConfig | None = None,
         if max(h[ineq_rows].max(), abs(h[eq_row])) >= 1e-5:
             continue
         feasible = True
-        kkt = _finalize(xv, s, w, cfg.rng_seed)
+        kkt = _finalize(xv, s, cfg.rng_seed)
         if kkt is None:
             continue
         if kkt.certified:
@@ -532,7 +543,7 @@ def solve_baseline(w: hm.ExogenousVector, cfg: SolverConfig | None = None,
         "baseline solve did not meet KKT tolerances", report=best_report)
 
 
-def _finalize(xv, s: Scaling, w, seed):
+def _finalize(xv, s: Scaling, seed):
     start = _canonicalize(xv, s)
     h = s.scaled_h(start)
     # canonicalization can change the active set, so a second round
@@ -553,9 +564,8 @@ def _finalize(xv, s: Scaling, w, seed):
     # verify_kkt's active set at xv, without its residuals
     active = np.where(np.abs(h) <= SolverConfig.act_tol)[0]
     xv = _snap_active_bounds(xv, s, active)
-    x0 = hm.DecisionVector.from_vector(xv)
-    return KktPoint(**vars(verify_kkt(x0, lam, w)), x0=x0, lam=lam,
-                    seed=seed)
+    return KktPoint(**vars(_residuals(xv, lam, s)), scaling=s, lam=lam,
+                    x0=hm.DecisionVector.from_vector(xv), seed=seed)
 
 
 # ---------------------------------------------------------------------------

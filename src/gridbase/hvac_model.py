@@ -31,6 +31,7 @@ in J/hr convert at exactly 1 J/hr = 1/3600 W.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 from collections import namedtuple
@@ -98,23 +99,37 @@ _PARAM_FILE_KEYS = tuple(f.name for f in fields(HvacParameters))
 
 
 def load_parameters(path) -> HvacParameters:
-    """Read a flat JSON parameter file; absent keys keep nominal defaults."""
+    """Read a flat JSON parameter file; absent keys keep nominal defaults.
+    Raises ValueError naming the key of a value that is not a number (a
+    list of numbers for the curves)."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError("a parameter file must hold one JSON object")
     unknown = set(raw) - set(_PARAM_FILE_KEYS)
     if unknown:
         raise ValueError(f"unknown parameter keys: {sorted(unknown)}")
     kwargs = {}
     for key, value in raw.items():
         if key in ("c_f", "c_b", "c_g"):
-            kwargs[key] = tuple(float(v) for v in value)
+            if not isinstance(value, list):
+                raise ValueError(f"{key} must be a list of numbers")
+            kwargs[key] = tuple(_number(key, v) for v in value)
         elif key == "zone_count":
-            if not float(value).is_integer():
+            if not _number(key, value).is_integer():
                 raise ValueError(f"zone_count must be whole, got {value!r}")
             kwargs[key] = int(value)
         else:
-            kwargs[key] = float(value)
+            kwargs[key] = _number(key, value)
     return HvacParameters(**kwargs)
+
+
+def _number(key: str, value) -> float:
+    """A JSON number as a float; ValueError naming `key` otherwise."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):
+            return float(value)
+    raise ValueError(f"{key} must be a number, got {value!r}")
 
 
 def dump_parameters(params: HvacParameters) -> dict:

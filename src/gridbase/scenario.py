@@ -228,8 +228,11 @@ def run_day(profile: DayProfile, mask, alpha: float, *,
     the interpreter lock. Results do not depend on worker count or
     scheduling. Hours that fail record the error in their
     warnings; if every hour fails, the last error is re-raised with a
-    day-level summary.
+    day-level summary. A bad mask, alpha or sample count raises
+    ValueError (KeyError for an unknown label) before any hour is solved.
     """
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
     cfg = SolverConfig(rng_seed=seed)
     params = params or hm.HvacParameters()
     workers = max_workers or 1
@@ -256,11 +259,11 @@ def _run_hour(hour: ProfileHour, mask, alpha, cfg, params, n_samples,
     try:
         w = hm.ExogenousVector(t_oa=hour.t_oa, zones=hour.zones,
                                params=params)
+        spec = sn.uncertainty_spec(w, mask, alpha)
         kkt = solve_baseline(w, cfg)
         if not kkt.strict_complementarity_ok:
             warnings.append("degenerate anchor: active constraint with "
                             "zero multiplier")
-        spec = sn.uncertainty_spec(w, mask, alpha)
         op = sn.build_operator(kkt, w, spec)
         pair = sn.signed_shift_pair(op, w, spec)
         qm = sn.quadratic_model(op, w, spec)

@@ -16,7 +16,8 @@ is evaluated on the full nonlinear model. Analytic worst-case bounds over
 the uncertainty box |dw| <= Delta come from the Hoelder inequality applied
 to a finite-difference quadratic model of K; a deterministic Monte-Carlo
 sweep (box samples plus sign-pattern vertices) serves as the sampled
-counterpart.
+counterpart. The operator and the K stages read the hour from the
+anchor's `Scaling` and raise ValueError for a w0 of any other hour.
 """
 
 from __future__ import annotations
@@ -55,11 +56,11 @@ class UncertaintySpec:
     indices: tuple         # positions of the masked coordinates in w
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
+        if not (np.isfinite(self.alpha) and self.alpha >= 0):
+            raise ValueError("alpha must be finite and >= 0")
         d = np.asarray(self.delta, dtype=float)
-        if np.any(d < 0):
-            raise ValueError("delta must be nonnegative")
+        if not (np.isfinite(d).all() and (d >= 0).all()):
+            raise ValueError("delta must be finite and nonnegative")
         if len(set(self.indices)) < len(self.indices):
             raise ValueError(f"indices {self.indices} repeat a coordinate")
         off = np.setdiff1d(np.arange(d.size), np.asarray(self.indices, int))
@@ -100,7 +101,6 @@ def uncertainty_spec(w0: hm.ExogenousVector, mask, alpha: float,
 @dataclass(frozen=True)
 class SensitivityOperator:
     anchor: KktPoint
-    w0: hm.ExogenousVector
     spec: UncertaintySpec
     G: np.ndarray          # (m + n) x m
     W_jac: np.ndarray      # (m + n) x p_masked
@@ -161,7 +161,7 @@ def build_operator(anchor: KktPoint, w0: hm.ExogenousVector,
     other than the cost-flat gauge (see `_shift_rank_ok`): the shift map
     would not be unique and the analysis is out of scope.
     """
-    s = Scaling.of(w0)
+    s = anchor.scaling.check(w0)
     xv = anchor.x0.to_vector()
     lam = np.asarray(anchor.lam, dtype=float)
 
@@ -197,8 +197,7 @@ def build_operator(anchor: KktPoint, w0: hm.ExogenousVector,
     Ds = -(sx[:, None] * W_jac[:sx.size]) / sj
     shift_matrix = _shift_map(A, B, S, Ds, sx)
     return SensitivityOperator(
-        anchor=anchor, w0=w0, spec=spec, G=G, W_jac=W_jac,
-        shift_matrix=shift_matrix)
+        anchor=anchor, spec=spec, G=G, W_jac=W_jac, shift_matrix=shift_matrix)
 
 
 def _shift_rank_ok(A, S, xv, s: Scaling) -> bool:
@@ -268,7 +267,7 @@ def verify_operator_fd(anchor: KktPoint, w0: hm.ExogenousVector,
                        seed: int = 0, G=None, W_jac=None) -> float:
     """Compare G and grad_w H against central differences of H along
     random directions; returns the worst relative error."""
-    s = Scaling.of(w0)
+    s = anchor.scaling.check(w0)
     n, par, wv, sx = s.layout.n, s.params, s.wv, s.x
     xv = anchor.x0.to_vector()
     lam = np.asarray(anchor.lam, dtype=float)
@@ -320,19 +319,19 @@ def _shift_vector(op: SensitivityOperator, dw) -> np.ndarray:
 def delta_cost(op: SensitivityOperator, w0: hm.ExogenousVector, dw) -> float:
     """K(dw) = J(x0 + G+ d, w0 + dw) - J0, on the full nonlinear model:
     the one-row case of `_k_batch`."""
+    op.anchor.scaling.check(w0)
     dw = np.asarray(dw, dtype=float)
     dx = _shift_vector(op, dw)
-    k, ok = _k_batch(op, w0, dw[None, :], dx[None, :], "C")
+    k, ok = _k_batch(op, dw[None, :], dx[None, :], "C")
     if not np.isfinite(k[0]):
         raise EvaluationDomainError(_NOT_FINITE if ok[0] else _BELOW_FLOOR)
     return float(k[0])
 
 
 def signed_shift_pair(op: SensitivityOperator, w0: hm.ExogenousVector,
-                      spec: UncertaintySpec | None = None) -> dict:
+                      spec: UncertaintySpec) -> dict:
     """K at the deterministic +/- alpha*|w0| scenario pair."""
-    spec = spec or op.spec
-    wv = w0.to_vector()
+    wv = op.anchor.scaling.check(w0).wv
     idx = list(spec.indices)
     dw = spec.delta[idx] * np.where(np.sign(wv[idx]) < 0, -1.0, 1.0)
     return {"K_plus": delta_cost(op, w0, dw),
@@ -344,8 +343,7 @@ def signed_shift_pair(op: SensitivityOperator, w0: hm.ExogenousVector,
 # ---------------------------------------------------------------------------
 
 def quadratic_model(op: SensitivityOperator, w0: hm.ExogenousVector,
-                    spec: UncertaintySpec | None = None,
-                    fd_scale: float = 1e-4,
+                    spec: UncertaintySpec, fd_scale: float = 1e-4,
                     k_func=None) -> QuadraticModel:
     """Central-difference gradient and Hessian of K at dw = 0.
 
@@ -354,9 +352,8 @@ def quadratic_model(op: SensitivityOperator, w0: hm.ExogenousVector,
     domain errors of `delta_cost`. `k_func` replaces K row by row (test
     seam for functions with known derivatives).
     """
-    spec = spec or op.spec
     idx = list(spec.indices)
-    w_masked = w0.to_vector()[idx]
+    w_masked = op.anchor.scaling.check(w0).wv[idx]
     steps = numkit.default_fd_steps(w_masked, scale=fd_scale)
     dW = numkit.fd_stencil(np.zeros(len(idx)), steps)
     if k_func is not None:
@@ -365,7 +362,7 @@ def quadratic_model(op: SensitivityOperator, w0: hm.ExogenousVector,
         # one matvec per row, the product delta_cost forms; a gemm over
         # all rows is not bound to round each row the same way
         dX = np.array([op.shift_matrix @ d for d in dW])
-        kvals, ok = _k_batch(op, w0, dW, dX, "C")
+        kvals, ok = _k_batch(op, dW, dX, "C")
         bad = ~np.isfinite(kvals)
         if bad.any():
             first = int(np.argmax(bad))
@@ -411,6 +408,7 @@ def sample_bound(op: SensitivityOperator, w0: hm.ExogenousVector,
     when the whole sample has: a one-row "F" block sums like
     `objective_flat`, which would change that row's bits.
     """
+    op.anchor.scaling.check(w0)
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     d = spec.masked_delta
@@ -437,7 +435,7 @@ def sample_bound(op: SensitivityOperator, w0: hm.ExogenousVector,
             rows = slice(total * b // n_blocks, total * (b + 1) // n_blocks)
             part = dW[rows]
             kvals[rows], ok[rows] = _k_batch(
-                op, w0, part, part @ op.shift_matrix.T, "F")
+                op, part, part @ op.shift_matrix.T, "F")
         skipped = int(np.count_nonzero(~ok))
     if skipped > 0.1 * total:
         raise EvaluationDomainError(
@@ -466,8 +464,8 @@ def _vertex_signs(p: int) -> np.ndarray:
     return signs
 
 
-def _k_batch(op: SensitivityOperator, w0: hm.ExogenousVector,
-             dW: np.ndarray, dX: np.ndarray, order: str):
+def _k_batch(op: SensitivityOperator, dW: np.ndarray, dX: np.ndarray,
+             order: str):
     """K on each row of dW, whose primal shift is that row of dX, and the
     mask of rows inside the model domain (K is NaN on the others).
 
@@ -476,10 +474,9 @@ def _k_batch(op: SensitivityOperator, w0: hm.ExogenousVector,
     `objective_flat`, which with 8 or more zones sums pairwise where the
     columns of an "F" array are summed one after another.
     """
-    lay = hm.layout(w0.zones.count)
-    par = w0.params
+    s = op.anchor.scaling
+    lay, par, wv0 = s.layout, s.params, s.wv
     xv0 = op.anchor.x0.to_vector()
-    wv0 = w0.to_vector()
     idx = list(op.spec.indices)
 
     X = np.empty(dX.shape, order=order)

@@ -181,8 +181,7 @@ def test_second_polish_round_after_the_point_moves(zero_load_hour,
     xv = kkt.x0.to_vector()
     xv[0] += 0.5
     calls = _count_polish(monkeypatch)
-    out = baseline_opt._finalize(xv, baseline_opt.Scaling.of(zero_load_hour),
-                                 zero_load_hour, 0)
+    out = baseline_opt._finalize(xv, kkt.scaling, 0)
     assert len(calls) == 2
     assert not np.array_equal(calls[1][0], calls[0][0])
     _assert_certified(out)

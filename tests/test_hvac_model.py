@@ -134,6 +134,23 @@ def test_parameters_file_rejects_non_integral_zone_count(tmp_path, count):
         hm.load_parameters(path)
 
 
+@pytest.mark.parametrize("text, named", [
+    ('[1, 2]', "JSON object"), ('{"delta_P": null}', "delta_P"),
+    ('{"eta_tot": "0.7"}', "eta_tot"), ('{"alpha_el": true}', "alpha_el"),
+    ('{"Q_b_rated": 1' + "0" * 400 + '}', "Q_b_rated"),
+    ('{"zone_count": null}', "zone_count"), ('{"c_f": 5}', "c_f"),
+    ('{"c_b": [0.97, null, -0.0333]}', "c_b"),
+], ids=["list", "null", "string", "bool", "overflow", "null-zone-count",
+        "number-curve", "null-coefficient"])
+def test_parameters_file_rejects_non_numbers(tmp_path, text, named):
+    """A value that is not a JSON number (a list of them for a curve) is a
+    ValueError naming its key, not a TypeError or OverflowError."""
+    path = tmp_path / "p.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=named):
+        hm.load_parameters(path)
+
+
 # ---------------------------------------------------------------------------
 # registry vector
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gridbase import baseline_opt
 from gridbase import hvac_model as hm
 from gridbase import scenario as sc
 from gridbase.errors import GridbaseError, ProfileParseError
@@ -210,6 +211,19 @@ def test_run_day_seeds_solver_starts(day_profiles, monkeypatch):
                          hours=day_profiles["moderate"].hours[:2])
     sc.run_day(prof, ("T_oa",), 0.01, n_samples=16, seed=seed)
     assert len(seen) == 2 and all(c.rng_seed == seed for c in seen)
+
+
+def test_run_day_builds_one_scaling_per_hour(day_profiles, monkeypatch):
+    """Each solved hour builds its `Scaling` once, in the solve; the
+    certificate carries it to the operator and the K stages."""
+    built = []
+    of = baseline_opt.Scaling.of
+    monkeypatch.setattr(baseline_opt.Scaling, "of",
+                        staticmethod(lambda w: built.append(w) or of(w)))
+    for day in sc.DAY_TYPES:
+        sc.run_day(day_profiles[day], ("T_oa",), 0.05, n_samples=16)
+    assert len(built) == sum(len(p.hours) for p in day_profiles.values())
+    assert len(built) == 21
 
 
 def test_run_day_hot_day_has_no_heating(day_profiles):

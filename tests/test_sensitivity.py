@@ -62,6 +62,16 @@ def test_spec_rejects_repeated_labels(moderate_hour):
                            delta=np.r_[0.18, np.zeros(33)], indices=(0, 0))
 
 
+@pytest.mark.parametrize("alpha, override", [
+    (math.nan, None), (math.inf, None), (0.01, math.inf), (0.01, math.nan)],
+    ids=["nan-alpha", "inf-alpha", "inf-delta", "nan-delta"])
+def test_spec_rejects_non_finite(moderate_hour, alpha, override):
+    """A NaN or infinite box has no bound; it is refused with the spec."""
+    overrides = None if override is None else {"T_oa": override}
+    with pytest.raises(ValueError, match="must be finite"):
+        sn.uncertainty_spec(moderate_hour, ("T_oa",), alpha, overrides)
+
+
 # ---------------------------------------------------------------------------
 # the KKT map and its Jacobians
 # ---------------------------------------------------------------------------
@@ -157,13 +167,73 @@ def test_anchor_is_its_verify_kkt_report(hour_fixture, request,
     kkt = solve_cached(w)
     base = dataclasses.fields(baseline_opt.KktResiduals)
     own = dataclasses.fields(baseline_opt.KktPoint)[len(base):]
-    assert [f.name for f in own] == ["x0", "lam", "seed", "prng"]
+    assert [f.name for f in own] == ["x0", "lam", "seed", "scaling", "prng"]
     res = baseline_opt.verify_kkt(kkt.x0, kkt.lam, w)
     for f in base:
         assert getattr(kkt, f.name) == getattr(res, f.name), f.name
     h = baseline_opt.Scaling.of(w).scaled_h(kkt.x0.to_vector())
     rows = np.where(np.abs(h) <= baseline_opt.SolverConfig.act_tol)[0]
     assert kkt.active_set == tuple(int(i) for i in rows)
+
+
+def _other_hours(w):
+    """Hours the anchor of w was not solved for: a hot hour (34 C outdoor
+    air, doubled loads) with w's parameters, and w with c_p or the flow
+    floor changed, which the flat vector does not hold."""
+    hot = hm.make_exogenous(34.0, w.zones.q_zone * 2.0, w.zones.t_sp,
+                            w.zones.m_oa_min, w.params)
+    return {"hot": hot,
+            "c_p": dataclasses.replace(
+                w, params=dataclasses.replace(w.params, c_p=1006.0)),
+            "flow_floor": dataclasses.replace(
+                w, params=dataclasses.replace(w.params, flow_floor=2e-3))}
+
+
+_STAGES = {
+    "build_operator": lambda op, spec, w: sn.build_operator(
+        op.anchor, w, spec),
+    "verify_operator_fd": lambda op, spec, w: sn.verify_operator_fd(
+        op.anchor, w, spec, n_probes=1),
+    "delta_cost": lambda op, spec, w: sn.delta_cost(op, w, np.zeros(1)),
+    "signed_shift_pair": lambda op, spec, w: sn.signed_shift_pair(
+        op, w, spec),
+    "quadratic_model": lambda op, spec, w: sn.quadratic_model(op, w, spec),
+    "sample_bound": lambda op, spec, w: sn.sample_bound(op, w, spec, 16, 0),
+}
+
+
+@pytest.mark.parametrize("other", ["hot", "c_p", "flow_floor"])
+@pytest.mark.parametrize("stage", list(_STAGES))
+def test_stage_refuses_another_hours_w0(stage, other, moderate_hour,
+                                        solve_cached):
+    """The anchor carries the hour it was solved for; the operator and
+    every K stage refuse a w0 of another hour instead of mixing the two."""
+    op, spec = _operator(solve_cached, moderate_hour)
+    with pytest.raises(ValueError, match="not the hour the anchor"):
+        _STAGES[stage](op, spec, _other_hours(moderate_hour)[other])
+
+
+def test_rebuilt_hour_is_accepted(moderate_hour, solve_cached):
+    """An equal hour built anew (new arrays, new parameter object) is the
+    anchor's hour: every stage accepts it and returns the same bits."""
+    z, par = moderate_hour.zones, moderate_hour.params
+    twin = hm.make_exogenous(moderate_hour.t_oa, z.q_zone.copy(),
+                             z.t_sp.copy(), z.m_oa_min.copy(),
+                             dataclasses.replace(par))
+    assert twin.params is not par
+    op, spec = _operator(solve_cached, moderate_hour)
+    op2 = sn.build_operator(op.anchor, twin, spec)
+    assert np.array_equal(op2.shift_matrix, op.shift_matrix)
+    for stage, run in _STAGES.items():
+        got, want = run(op2, spec, twin), run(op, spec, moderate_hour)
+        if stage == "quadratic_model":
+            got, want = np.r_[got.g, got.H_K.ravel()], \
+                np.r_[want.g, want.H_K.ravel()]
+        elif stage == "sample_bound":
+            got, want = got.beta, want.beta
+        elif stage == "build_operator":
+            got, want = got.shift_matrix, want.shift_matrix
+        assert np.array_equal(got, want), stage
 
 
 def _null_space_block(s, xv, null):
@@ -337,7 +407,7 @@ def test_k_batch_is_nan_exactly_below_the_floor(moderate_hour, solve_cached):
     below = np.array([False, False, True, False, True, False])
     dX = np.array([op.shift_matrix @ d for d in dW])
     for order in ("C", "F"):
-        kvals, ok = sn._k_batch(op, moderate_hour, dW, dX, order)
+        kvals, ok = sn._k_batch(op, dW, dX, order)
         np.testing.assert_array_equal(ok, ~below)
         np.testing.assert_array_equal(np.isnan(kvals), below)
         for d, k in zip(dW[~below], kvals[~below]):
@@ -524,7 +594,7 @@ def test_vertex_rows_follow_itertools_order(p, moderate_hour, solve_cached):
     assert np.array_equal(np.array(rows), expected)
 
 
-def _unblocked_sample(op, w, spec, n_samples, seed):
+def _unblocked_sample(op, spec, n_samples, seed):
     """Reference for the sampler's rows and K, built the direct way:
     np.where vertices in itertools.product order, rng.uniform draws, one
     vstack and one _k_batch call over every row."""
@@ -537,7 +607,7 @@ def _unblocked_sample(op, w, spec, n_samples, seed):
     draws = np.random.default_rng(seed).uniform(
         -1.0, 1.0, size=(n_draws, d.size)) * d[None, :]
     dW = np.vstack([vertices, draws])
-    kvals, ok = sn._k_batch(op, w, dW, dW @ op.shift_matrix.T, "F")
+    kvals, ok = sn._k_batch(op, dW, dW @ op.shift_matrix.T, "F")
     return dW, kvals, ok
 
 
@@ -557,8 +627,8 @@ def _blocked_sample(monkeypatch, op, w, spec, n_samples, seed):
     calls = []
     k_batch = sn._k_batch
 
-    def recording(op_, w_, dW, dX, order):
-        kvals, ok = k_batch(op_, w_, dW, dX, order)
+    def recording(op_, dW, dX, order):
+        kvals, ok = k_batch(op_, dW, dX, order)
         if order == "F":
             calls.append((dW.copy(), kvals, ok))
         return kvals, ok
@@ -577,7 +647,7 @@ def _blocked_sample(monkeypatch, op, w, spec, n_samples, seed):
 def _assert_matches_unblocked(monkeypatch, op, w, spec, n_samples, seed):
     res, rows, kvals, ok, n_calls = _blocked_sample(
         monkeypatch, op, w, spec, n_samples, seed)
-    dW, k_ref, ok_ref = _unblocked_sample(op, w, spec, n_samples, seed)
+    dW, k_ref, ok_ref = _unblocked_sample(op, spec, n_samples, seed)
     assert n_calls == -(-dW.shape[0] // sn._BLOCK_ROWS)
     assert np.array_equal(rows, dW)
     assert np.array_equal(kvals, k_ref, equal_nan=True)
