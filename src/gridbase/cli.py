@@ -23,20 +23,10 @@ EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    return obj
-
-
 def _emit(doc: dict) -> None:
-    json.dump(_jsonable(doc), sys.stdout, indent=2, sort_keys=True)
+    """Print `doc` as JSON; numpy scalars and arrays as plain numbers."""
+    json.dump(doc, sys.stdout, indent=2, sort_keys=True,
+              default=lambda obj: obj.tolist())
     sys.stdout.write("\n")
 
 
@@ -55,6 +45,13 @@ def _load_hour(args, params) -> hm.ExogenousVector:
                                       params=params)
     raise ProfileParseError(
         f"hour {args.hour} not present in {args.profile}")
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of a count >= 1, so a bad one stops before any solve."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return int(text)
 
 
 def _mask_list(text: str) -> list:
@@ -250,7 +247,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mask", required=True,
                        help="comma-separated exogenous labels")
         p.add_argument("--alpha", type=float, required=True)
-        p.add_argument("--samples", type=int, default=sc.DEFAULT_SAMPLES)
+        p.add_argument("--samples", type=_positive_int,
+                       default=sc.DEFAULT_SAMPLES)
         add_common(p)
 
     p = sub.add_parser("sensitivity", help="sensitivity report for one hour")
@@ -269,7 +267,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--samples", type=int, default=sc.DEFAULT_SAMPLES)
+    p.add_argument("--samples", type=_positive_int,
+                   default=sc.DEFAULT_SAMPLES)
     p.add_argument("--threads", type=int, default=None,
                    help="worker threads (default: 1)")
     add_common(p)
@@ -295,13 +294,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ProfileParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, KeyError) as exc:
+    except (FileNotFoundError, ProfileParseError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except GridbaseError as exc:

@@ -300,7 +300,8 @@ class Layout:
     the shared instance from `layout(n)`. `param` maps a parameter label
     to its w position, and h's row blocks follow `labels`: `air`
     (T_sa_min .. m_sa_total_max), the zone blocks, `duty` (q_h_nonneg ..
-    Q_b_max), then the balance row and its negation."""
+    Q_b_max), then the balance row and its negation. `index` maps the
+    name of a zone block to its positions as an index array."""
 
     def __init__(self, n: int):
         self.n = n
@@ -322,6 +323,9 @@ class Layout:
         self.duty = slice(6 + 4 * n, 12 + 4 * n)
         self.balance, self.balance_neg = 12 + 4 * n, 13 + 4 * n
         self.h_dim = 14 + 4 * n
+        self.index = {k: np.arange(n) + getattr(self, k).start for k in (
+            "m_sa", "q_zone", "t_sp", "m_oa_min", "floor", "ventilation",
+            "t_da_low", "t_da_high")}
 
 
 @functools.lru_cache(maxsize=None)
@@ -458,18 +462,19 @@ Values = namedtuple("Values", "m s_t q_b u f_pl gain p_fan r eta p_boiler "
 
 def loads(T, a, mvec, q_zone, t_sp, c_p):
     """Total flow m, S = sum m_i T_sp_i and boiler duty q_b, as `values`."""
-    m = mvec.sum(axis=-1)
-    s_t = (mvec * t_sp).sum(axis=-1)
-    return m, s_t, q_zone.sum(axis=-1) + c_p * s_t - c_p * m * T + a
+    m = mvec.sum(axis=0)
+    s_t = (mvec * t_sp).sum(axis=0)
+    return m, s_t, q_zone.sum(axis=0) + c_p * s_t - c_p * m * T + a
 
 
 def values(T, a, b, mvec, q_zone, t_sp, par, c_p) -> Values:
     """Loads and fan, boiler and chiller values of J from T_sa, q_h, q_c,
     the zone arrays and the parameter tail `par`, elementwise. At a point
-    the zone arrays are 1-D and the rest scalar; on S rows the zone arrays
-    are (S, N) and the rest columns of S entries (`par` as its (20, S)
-    transpose). Sums run along the last axis, so a point has the bits of a
-    "C"-layout row. p_chiller keeps its standby term at q_c = 0."""
+    the zone arrays are 1-D and the rest scalar; on S rows every entry is
+    a column of S, read through the transpose of the (S, m) and (S, p)
+    rows: the zone arrays are (N, S) and `par` is (20, S). Zone sums run
+    along the first axis, so a point has the bits of a "C"-layout row.
+    p_chiller keeps its standby term at q_c = 0."""
     (dP, eta_tot, rho, m_des, cf1, cf2, cf3, cf4, qbr, eta_th,
      cb1, cb2, cb3, qer, p_pump, cg1, cg2, cg3, _, _) = par
     m, s_t, q_b = loads(T, a, mvec, q_zone, t_sp, c_p)
@@ -508,20 +513,23 @@ def objective_flat(xv: np.ndarray, wv: np.ndarray, n: int,
 
 
 def _constraint_rows(xv, m, s_t, q_b, wv, n, c_p, flow_floor):
-    """h(x, w) from the decision and the loads of `loads`."""
+    """h(x, w) from the decision and the loads of `loads`, elementwise like
+    `_first_order` (on S rows, a view (n_h, S) of the returned (S, n_h))."""
     lay = layout(n)
-    T, o, mvec = xv[lay.t_sa], xv[lay.m_oa], xv[lay.m_sa]
-    a, b = xv[lay.q_h], xv[lay.q_c]
-    q_zone = wv[lay.q_zone]
-    t_sp = wv[lay.t_sp]
-    v_min = wv[lay.m_oa_min]
-    m_des = wv[lay.param["m_design"]]
-    qbr = wv[lay.param["Q_b_rated"]]
-    qer = wv[lay.param["Q_e_rated"]]
-    q_ahu = ahu_duty(T, o, m, s_t, wv[lay.t_oa], c_p)
+    x, w = xv.T, wv.T
+    T, o, mvec = x[lay.t_sa], x[lay.m_oa], x[lay.m_sa]
+    a, b = x[lay.q_h], x[lay.q_c]
+    q_zone = w[lay.q_zone]
+    t_sp = w[lay.t_sp]
+    v_min = w[lay.m_oa_min]
+    m_des = w[lay.param["m_design"]]
+    qbr = w[lay.param["Q_b_rated"]]
+    qer = w[lay.param["Q_e_rated"]]
+    q_ahu = ahu_duty(T, o, m, s_t, w[lay.t_oa], c_p)
 
-    h = np.empty(lay.h_dim)
-    h[lay.air] = (12.0 - T, T - 37.0, v_min.sum() - o, o - m_des, o - m,
+    out = np.empty(xv.shape[:-1] + (lay.h_dim,))
+    h = out.T
+    h[lay.air] = (12.0 - T, T - 37.0, v_min.sum(0) - o, o - m_des, o - m,
                   m - m_des)
     h[lay.floor] = flow_floor - mvec
     h[lay.ventilation] = m * v_min - mvec * o
@@ -531,7 +539,7 @@ def _constraint_rows(xv, m, s_t, q_b, wv, n, c_p, flow_floor):
     bal = a - b - q_ahu
     h[lay.balance] = bal
     h[lay.balance_neg] = -bal
-    return h
+    return out
 
 
 def constraints_flat(xv: np.ndarray, wv: np.ndarray, n: int,
@@ -555,21 +563,26 @@ _FirstOrder = namedtuple("_FirstOrder",
 
 def _first_order(xv, wv, n, c_p) -> _FirstOrder:
     """Smooth J, grad_x J and jac_x h, with the `values` and the curve
-    slopes that `first_order_flat` and `derivatives_flat` both build on."""
+    slopes that `first_order_flat` and `derivatives_flat` both build on.
+    Elementwise like `values`: on S rows every entry is a column of S and
+    the arrays hold their components first (`gq` (m, S), `jac` a view
+    (n_h, m, S) of the returned (S, n_h, m)); a point stays scalar."""
     lay = layout(n)
-    T, o, mvec = xv[lay.t_sa], xv[lay.m_oa], xv[lay.m_sa]
-    a, b = xv[lay.q_h], xv[lay.q_c]
-    t_oa = wv[lay.t_oa]
-    t_sp = wv[lay.t_sp]
-    v_min = wv[lay.m_oa_min]
-    par = wv[lay.tail]
+    x, w = xv.T, wv.T
+    T, o, mvec = x[lay.t_sa], x[lay.m_oa], x[lay.m_sa]
+    a, b = x[lay.q_h], x[lay.q_c]
+    t_oa = w[lay.t_oa]
+    t_sp = w[lay.t_sp]
+    v_min = w[lay.m_oa_min]
+    par = w[lay.tail]
     (dP, eta_tot, rho, m_des, cf1, cf2, cf3, cf4, qbr, eta_th,
      cb1, cb2, cb3, qer, p_pump, cg1, cg2, cg3, ael, ang) = par
     mdim = lay.x_dim
+    rows = xv.shape[:-1]
     iM = lay.m_sa
     iA, iB = lay.q_h, lay.q_c
 
-    v = values(T, a, b, mvec, wv[lay.q_zone], t_sp, par, c_p)
+    v = values(T, a, b, mvec, w[lay.q_zone], t_sp, par, c_p)
     m, s_t, u, r, eta = v.m, v.s_t, v.u, v.r, v.eta
     f_plp = cf2 + u * (2.0 * cf3 + u * 3.0 * cf4)
     fan1 = v.gain * f_plp             # dP_fan/dm_i, equal for all zones
@@ -579,11 +592,11 @@ def _first_order(xv, wv, n, c_p) -> _FirstOrder:
     j = source_power(v.p_fan, v.p_chiller, v.p_boiler, ael, ang)
 
     # --- gradients of Q_b and Q_ahu ---
-    gq = np.zeros(mdim)
+    gq = np.zeros((mdim,) + rows)
     gq[0] = -c_p * m
     gq[iM] = c_p * (t_sp - T)
     gq[iA] = 1.0
-    ga = np.zeros(mdim)
+    ga = np.zeros((mdim,) + rows)
     ga[0] = c_p * m
     ga[1] = c_p * (s_t / m - t_oa)
     ga[iM] = c_p * (T - t_sp + o * (t_sp * m - s_t) / m ** 2)
@@ -595,10 +608,10 @@ def _first_order(xv, wv, n, c_p) -> _FirstOrder:
     q_h_lo, q_h_hi, q_c_lo, q_c_hi, q_b_lo, q_b_hi = range(lay.duty.start,
                                                            lay.duty.stop)
     # index arrays: zone flows in x, and the zone row blocks of h
-    zi = np.arange(n)
-    xm, floor, vent, low, high = (zi + block.start for block in (
-        iM, lay.floor, lay.ventilation, lay.t_da_low, lay.t_da_high))
-    jac = np.zeros((lay.h_dim, mdim))
+    xm, floor, vent, low, high = (lay.index[k] for k in (
+        "m_sa", "floor", "ventilation", "t_da_low", "t_da_high"))
+    out = np.zeros(rows + (lay.h_dim, mdim))
+    jac = out.T.swapaxes(0, 1)
     jac[0, 0] = -1.0
     jac[1, 0] = 1.0
     jac[2, 1] = -1.0
@@ -628,7 +641,7 @@ def _first_order(xv, wv, n, c_p) -> _FirstOrder:
     gbal[iB] -= 1.0
     jac[lay.balance] = gbal
     jac[lay.balance_neg] = -gbal
-    return _FirstOrder(j, grad, jac, v, gq, f_plp, fan1, etap, d1, pc1)
+    return _FirstOrder(j, grad.T, out, v, gq, f_plp, fan1, etap, d1, pc1)
 
 
 def first_order_flat(xv: np.ndarray, wv: np.ndarray, n: int, c_p: float,
@@ -637,7 +650,9 @@ def first_order_flat(xv: np.ndarray, wv: np.ndarray, n: int, c_p: float,
 
     J_smooth keeps the chiller standby term at q_c = 0, where the reported
     `objective_flat` drops it. h equals `constraints_flat`, and the
-    gradient and Jacobian are the `derivatives_flat` blocks.
+    gradient and Jacobian are the `derivatives_flat` blocks. On S rows,
+    (S, m) and (S, p), each result gains a leading axis of S, and row i
+    has the bits of the call at that row's point.
     """
     core = _first_order(xv, wv, n, c_p)
     h = _constraint_rows(xv, core.v.m, core.v.s_t, core.v.q_b, wv, n, c_p,
@@ -711,9 +726,9 @@ def derivatives_flat(xv: np.ndarray, wv: np.ndarray, n: int,
                                                  lay.duty.stop)
     bal_neg = lay.balance_neg
     # index arrays: zone entries of x and w, and the zone row blocks of h
-    zi = np.arange(n)
-    xm, wq, wt, wm, vent, low, high = (zi + block.start for block in (
-        iM, jQZ, jTSP, jVMIN, lay.ventilation, lay.t_da_low, lay.t_da_high))
+    xm, wq, wt, wm, vent, low, high = (lay.index[k] for k in (
+        "m_sa", "q_zone", "t_sp", "m_oa_min", "ventilation", "t_da_low",
+        "t_da_high"))
 
     # --- Q_b and Q_ahu blocks, written in place as the rows
     # Q_b - Q_b_rated and -(q_h - q_c - Q_ahu) ---

@@ -20,9 +20,10 @@ def objective_batch(X, W, n_zones, c_p):
     X = np.asarray(X, dtype=float)
     W = np.asarray(W, dtype=float)
     lay = hm.layout(n_zones)
-    b = X[:, lay.q_c]
-    v = hm.values(X[:, lay.t_sa], X[:, lay.q_h], b, X[:, lay.m_sa],
-                  W[:, lay.q_zone], W[:, lay.t_sp], W[:, lay.tail].T, c_p)
+    x, w = X.T, W.T
+    b = x[lay.q_c]
+    v = hm.values(x[lay.t_sa], x[lay.q_h], b, x[lay.m_sa], w[lay.q_zone],
+                  w[lay.t_sp], w[lay.tail], c_p)
     return hm.source_power(v.p_fan, np.where(b == 0.0, 0.0, v.p_chiller),
-                           v.p_boiler, W[:, lay.param["alpha_el"]],
-                           W[:, lay.param["alpha_ng"]])
+                           v.p_boiler, w[lay.param["alpha_el"]],
+                           w[lay.param["alpha_ng"]])

@@ -304,7 +304,8 @@ _CSV_COLUMNS = ("hour", "J0_W", "K_plus_W", "K_minus_W", "rel_plus",
 
 def export_results(results, path, format: str = "csv") -> None:
     """Write HourResults as CSV (fixed column set) or JSON; numbers carry
-    17 significant digits so re-parsing is exact."""
+    17 significant digits so re-parsing is exact. JSON holds every field
+    and writes a failed hour's figures (NaN) as null."""
     results = list(results)
     if not results:
         raise ValueError("no results to export")
@@ -320,28 +321,19 @@ def export_results(results, path, format: str = "csv") -> None:
                     _fmt(r.beta_sample),
                 ])
     elif format == "json":
-        rows = []
-        for r in results:
-            rows.append({
-                "hour_index": r.hour_index,
-                "j0": r.j0,
-                "x0": None if r.x0 is None else {
-                    "t_sa": r.x0.t_sa, "m_oa": r.x0.m_oa,
-                    "m_sa": list(r.x0.m_sa),
-                    "q_h": r.x0.q_h, "q_c": r.x0.q_c,
-                },
-                "lambda_max": r.lambda_max,
-                "active_set_labels": list(r.active_set_labels),
-                "k_plus": r.k_plus,
-                "k_minus": r.k_minus,
-                "relative_plus": r.relative_plus,
-                "relative_minus": r.relative_minus,
-                "beta_holder": r.beta_holder,
-                "beta_sample": r.beta_sample,
-                "warnings": list(r.warnings),
-            })
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(rows, fh, indent=2, allow_nan=True)
+            json.dump([_json_value(r) for r in results], fh, indent=2,
+                      allow_nan=False)
             fh.write("\n")
     else:
         raise ValueError(f"unknown format {format!r}")
+
+
+def _json_value(v):
+    """An HourResult or its field for `json.dump`; a non-finite float (a
+    failed hour's figure) becomes null."""
+    if isinstance(v, (HourResult, hm.DecisionVector)):
+        return {k: _json_value(u) for k, u in vars(v).items()}
+    if isinstance(v, np.ndarray):
+        return list(v)
+    return None if isinstance(v, float) and not math.isfinite(v) else v

@@ -205,6 +205,26 @@ def test_non_finite_alpha_exits_before_solving(capsys, profile_path,
     assert solves == []
 
 
+@pytest.mark.parametrize("command", [
+    ("sensitivity",), ("bound", "--method", "sample"),
+    ("bound", "--method", "holder")], ids=["sensitivity", "bound-sample",
+                                           "bound-holder"])
+def test_zero_samples_exits_before_solving(capsys, profile_path, monkeypatch,
+                                           command):
+    """--samples must be >= 1 on every subcommand, checked by the parser;
+    `bound --method holder`, which draws no samples, refuses 0 too."""
+    solves = []
+    monkeypatch.setattr(cli, "solve_baseline",
+                        lambda *args, **kw: solves.append(args))
+    for samples in ("0", "-3"):
+        code, _, err = _run(capsys, *command, "--profile", profile_path,
+                            "--hour", "12", "--mask", "T_oa",
+                            "--alpha", "0.01", "--samples", samples)
+        assert code == 2
+        assert "--samples: must be >= 1" in err
+    assert solves == []
+
+
 @pytest.mark.parametrize("flags", [
     ("--mask", "T_oa,T_oa"), ("--mask", "T_surface"), ("--alpha", "-1"),
     ("--alpha", "nan"), ("--samples", "0"),

@@ -294,6 +294,31 @@ def test_export_json_schema(tmp_path, moderate_results):
         assert row["x0"]["m_sa"] == list(r.x0.m_sa)
 
 
+def test_export_json_is_strict_with_a_failed_hour(tmp_path, day_profiles):
+    """A failed hour's NaN figures are written as null, so a parser that
+    refuses NaN and Infinity reads the file; CSV keeps writing nan."""
+    z = hm.ZoneInputs(np.array([9e7, 0, 0, 0, 0.0]), np.full(5, 22.0),
+                      np.full(5, 0.05))
+    hours = day_profiles["moderate"].hours[:1] + (sc.ProfileHour(20, 20.0, z),)
+    results = sc.run_day(sc.DayProfile(label="mixed", hours=hours),
+                         ("T_oa",), 0.01, n_samples=64, seed=0)
+    path = tmp_path / "out.json"
+    sc.export_results(results, path, format="json")
+
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    ok, failed = json.loads(path.read_text(), parse_constant=refuse)
+    assert ok["j0"] == results[0].j0
+    assert failed["x0"] is None and failed["warnings"]
+    for key in ("j0", "lambda_max", "k_plus", "k_minus", "relative_plus",
+                "relative_minus", "beta_holder", "beta_sample"):
+        assert failed[key] is None
+    sc.export_results(results, tmp_path / "out.csv")
+    assert (tmp_path / "out.csv").read_text().splitlines()[2].startswith(
+        "20,nan,nan")
+
+
 def test_export_rejects_empty_and_unknown_format(tmp_path,
                                                  moderate_results):
     with pytest.raises(ValueError):

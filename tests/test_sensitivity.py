@@ -85,6 +85,36 @@ def test_kkt_map_near_zero_at_anchor(moderate_hour, solve_cached):
     assert np.abs(H[9:]).max() <= 1e-6 * abs(kkt.j0)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_rows_have_the_bits_of_points(n):
+    """first_order_flat and kkt_map on S rows give, row by row, the bits of
+    the one-point call: the FD self-check stacks its points on this."""
+    rng = np.random.default_rng(n)
+    par = hm.HvacParameters(zone_count=n)
+    lay = hm.layout(n)
+    w = hm.make_exogenous(rng.uniform(-5.0, 35.0), rng.uniform(-6e3, 3e3, n),
+                          rng.uniform(21.0, 24.0, n),
+                          rng.uniform(0.03, 0.1, n), par)
+    S = 16
+    W = w.to_vector() * (1.0 + 1e-3 * rng.standard_normal((S, lay.w_dim)))
+    X = np.empty((S, lay.x_dim))
+    X[:, lay.t_sa] = rng.uniform(12.0, 37.0, S)
+    X[:, lay.m_oa] = rng.uniform(0.0, 1.0, S)
+    X[:, lay.m_sa] = rng.uniform(0.01, 0.6, (S, n))
+    X[:, lay.q_h:] = rng.uniform(0.0, 5e4, (S, 2))
+    X[::3, lay.q_c] = 0.0          # chiller off on some rows
+    lam = np.abs(rng.standard_normal(lay.h_dim))
+    args = (n, par.c_p, par.flow_floor)
+    rows = hm.first_order_flat(X, W, *args)
+    H = sn.kkt_map(X, W, lam, *args)
+    assert H.shape == (S, lay.x_dim + lay.h_dim)
+    for i in range(S):
+        point = hm.first_order_flat(X[i], W[i], *args)
+        for got, want in zip(rows, point):
+            assert np.array_equal(got[i], want)
+        assert np.array_equal(H[i], sn.kkt_map(X[i], W[i], lam, *args))
+
+
 def test_inactive_rows_of_g_are_zero(moderate_hour, solve_cached):
     kkt = solve_cached(moderate_hour)
     op, _ = _operator(solve_cached, moderate_hour)
@@ -109,6 +139,58 @@ def test_fd_verification_tight(moderate_hour, hot_hour, cold_hour,
         spec = sn.uncertainty_spec(w, ("T_oa",) + FAN_MASK, 0.01)
         err = sn.verify_operator_fd(anchor, w, spec, n_probes=20, seed=1)
         assert err <= 1e-6
+
+
+def _fd_check_by_point(anchor, w, spec, n_probes, seed):
+    """The FD self-check one kkt_map call per point, as a reference."""
+    xv, wv = anchor.x0.to_vector(), w.to_vector()
+    lam, par = anchor.lam, w.params
+    sx = baseline_opt.Scaling.of(w).x
+    G, W_jac = sn._assemble_jacobians(
+        hm.derivatives_flat(xv, wv, 5, par.c_p), lam, spec.indices)
+    idx = list(spec.indices)
+
+    def H(x, v):
+        return sn.kkt_map(x, v, lam, 5, par.c_p, par.flow_floor)
+
+    def err(fd, ana):
+        return np.abs(fd - ana).max() / max(1.0, np.abs(ana).max())
+
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n_probes):
+        v = rng.standard_normal(xv.size)
+        v /= np.abs(v).max()
+        dx = 1e-6 * sx * v
+        worst = max(worst, err((H(xv + dx, wv) - H(xv - dx, wv)) / 2e-6,
+                               G @ (sx * v)))
+        if not idx:
+            continue
+        u = rng.standard_normal(len(idx))
+        u /= np.abs(u).max()
+        sw = np.maximum(1.0, np.abs(wv[idx]))
+        dw = np.zeros(wv.size)
+        dw[idx] = 1e-6 * sw * u
+        worst = max(worst, err((H(xv, wv + dw) - H(xv, wv - dw)) / 2e-6,
+                               W_jac @ (sw * u)))
+    return worst
+
+
+@pytest.mark.parametrize("mask", [("T_oa",) + FAN_MASK, ()],
+                         ids=["masked", "empty-mask"])
+@pytest.mark.parametrize("n_probes", [4, 20])
+def test_fd_check_is_the_per_point_loop(moderate_hour, hot_hour, cold_hour,
+                                        solve_cached, mask, n_probes):
+    """One kkt_map call on all probe points returns the very float of one
+    call per point, so no hour's decision changes; with an empty mask
+    only the x-probes run."""
+    for w in (moderate_hour, hot_hour, cold_hour):
+        anchor = solve_cached(w)
+        spec = sn.uncertainty_spec(w, mask, 0.01)
+        got = sn.verify_operator_fd(anchor, w, spec, n_probes=n_probes,
+                                    seed=1)
+        assert got == _fd_check_by_point(anchor, w, spec, n_probes, 1)
+        assert 0.0 < got <= 1e-6
 
 
 def test_fd_verification_catches_a_wrong_entry(moderate_hour, solve_cached,
