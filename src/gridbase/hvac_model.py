@@ -513,8 +513,7 @@ def objective_flat(xv: np.ndarray, wv: np.ndarray, n: int,
 
 
 def _constraint_rows(xv, m, s_t, q_b, wv, n, c_p, flow_floor):
-    """h(x, w) from the decision and the loads of `loads`, elementwise like
-    `_first_order` (on S rows, a view (n_h, S) of the returned (S, n_h))."""
+    """h(x, w) from x and its `loads`, elementwise like `_first_order`."""
     lay = layout(n)
     x, w = xv.T, wv.T
     T, o, mvec = x[lay.t_sa], x[lay.m_oa], x[lay.m_sa]

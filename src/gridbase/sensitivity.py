@@ -296,11 +296,12 @@ def verify_operator_fd(anchor: KktPoint, w0: hm.ExogenousVector,
             X += [xv, xv]
             W += [wv + dw, wv - dw]
             ana.append(W_jac @ (sw * u))
-    H = kkt_map(np.array(X), np.array(W), lam, n, par.c_p, par.flow_floor)
+    H = kkt_map(np.reshape(X, (-1, xv.size)), np.reshape(W, (-1, wv.size)),
+                lam, n, par.c_p, par.flow_floor)
     fd = (H[0::2] - H[1::2]) / (2 * t)
-    ana = np.array(ana)
+    ana = np.reshape(ana, fd.shape)
     scale = np.maximum(1.0, np.abs(ana).max(axis=1))
-    return float((np.abs(fd - ana).max(axis=1) / scale).max())
+    return float((np.abs(fd - ana).max(axis=1) / scale).max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -178,19 +178,19 @@ def _fd_check_by_point(anchor, w, spec, n_probes, seed):
 
 @pytest.mark.parametrize("mask", [("T_oa",) + FAN_MASK, ()],
                          ids=["masked", "empty-mask"])
-@pytest.mark.parametrize("n_probes", [4, 20])
+@pytest.mark.parametrize("n_probes", [0, 4, 20])
 def test_fd_check_is_the_per_point_loop(moderate_hour, hot_hour, cold_hour,
                                         solve_cached, mask, n_probes):
     """One kkt_map call on all probe points returns the very float of one
     call per point, so no hour's decision changes; with an empty mask
-    only the x-probes run."""
+    only the x-probes run, and no probes check nothing (0.0)."""
     for w in (moderate_hour, hot_hour, cold_hour):
         anchor = solve_cached(w)
         spec = sn.uncertainty_spec(w, mask, 0.01)
         got = sn.verify_operator_fd(anchor, w, spec, n_probes=n_probes,
                                     seed=1)
         assert got == _fd_check_by_point(anchor, w, spec, n_probes, 1)
-        assert 0.0 < got <= 1e-6
+        assert got <= 1e-6 and (got > 0.0) == (n_probes > 0)
 
 
 def test_fd_verification_catches_a_wrong_entry(moderate_hour, solve_cached,
