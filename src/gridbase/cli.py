@@ -269,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--samples", type=_positive_int,
                    default=sc.DEFAULT_SAMPLES)
-    p.add_argument("--threads", type=int, default=None,
+    p.add_argument("--threads", type=_positive_int, default=None,
                    help="worker threads (default: 1)")
     add_common(p)
     p.set_defaults(func=_cmd_run_day)

@@ -498,18 +498,19 @@ def ahu_duty(T, o, m, s_t, t_oa, c_p):
     return c_p * (m * T - s_t + o * s_t / m - o * t_oa)
 
 
-def objective_flat(xv: np.ndarray, wv: np.ndarray, n: int,
-                   c_p: float) -> float:
+def objective_flat(xv: np.ndarray, wv: np.ndarray, n: int, c_p: float):
     """Reported objective from flat arrays: J with zero chiller power at
-    q_c = 0 (off switch). Row i of `kernels.objective_batch` over
-    "C"-layout rows gives the same bits."""
+    q_c = 0 (off switch). Elementwise like `first_order_flat`: on S rows,
+    (S, m) and (S, p), it returns the S values, and a row of a "C"-layout
+    batch has the bits of the call at that row's point."""
     lay = layout(n)
-    b = xv[lay.q_c]
-    v = values(xv[lay.t_sa], xv[lay.q_h], b, xv[lay.m_sa], wv[lay.q_zone],
-               wv[lay.t_sp], wv[lay.tail], c_p)
-    return source_power(v.p_fan, 0.0 if b == 0.0 else v.p_chiller,
-                        v.p_boiler, wv[lay.param["alpha_el"]],
-                        wv[lay.param["alpha_ng"]])
+    x, w = xv.T, wv.T
+    b = x[lay.q_c]
+    v = values(x[lay.t_sa], x[lay.q_h], b, x[lay.m_sa], w[lay.q_zone],
+               w[lay.t_sp], w[lay.tail], c_p)
+    return source_power(v.p_fan, np.where(b == 0.0, 0.0, v.p_chiller),
+                        v.p_boiler, w[lay.param["alpha_el"]],
+                        w[lay.param["alpha_ng"]])
 
 
 def _constraint_rows(xv, m, s_t, q_b, wv, n, c_p, flow_floor):
@@ -668,13 +669,12 @@ class ModelDerivatives:
     """Analytic derivative blocks of J and every constraint row.
 
     Shapes (m = N + 4 decisions, p = 3N + 21 exogenous, n = 4N + 14 rows):
-    grad_x_j (m,), hess_xx_j (m, m), grad_w_j (p,), hess_xw_j (m, p),
+    grad_x_j (m,), hess_xx_j (m, m), hess_xw_j (m, p),
     jac_x_h (n, m), hess_xx_h (n, m, m), jac_w_h (n, p), hess_xw_h (n, m, p).
     """
 
     grad_x_j: np.ndarray
     hess_xx_j: np.ndarray
-    grad_w_j: np.ndarray
     hess_xw_j: np.ndarray
     jac_x_h: np.ndarray
     hess_xx_h: np.ndarray
@@ -690,7 +690,7 @@ def derivatives_flat(xv: np.ndarray, wv: np.ndarray, n: int,
     second-order blocks and the blocks in w."""
     _, grad_x_j, jac_x_h, v, gq, f_plp, fan1, etap, d1, pc1 = _first_order(
         xv, wv, n, c_p)
-    m, s_t, _, u, f_pl, gain, p_fan, r, eta, p_boiler, p_chiller = v
+    m, s_t, u, gain, r, eta = v.m, v.s_t, v.u, v.gain, v.r, v.eta
     lay = layout(n)
     o, mvec, b = xv[lay.m_oa], xv[lay.m_sa], xv[lay.q_c]
     t_sp = wv[lay.t_sp]
@@ -757,25 +757,6 @@ def derivatives_flat(xv: np.ndarray, wv: np.ndarray, n: int,
     hess_xx_j[iM, iM] += ael * fan2
     hess_xx_j[iB, iB] += ael * pc2
 
-    grad_w_j = np.zeros(pdim)
-    grad_w_j[jQZ] = ang * d1
-    grad_w_j[jTSP] = ang * d1 * c_p * mvec
-    grad_w_j[jDP] = ael * p_fan / dP
-    grad_w_j[jETATOT] = -ael * p_fan / eta_tot
-    grad_w_j[jRHO] = -ael * p_fan / rho
-    grad_w_j[jMDES] = ael * gain * (f_pl - u * f_plp)
-    grad_w_j[jCF1:jCF4 + 1] = ael * gain * m_des * np.array([1.0, u, u ** 2, u ** 3])
-    grad_w_j[jQBR] = ang * r ** 2 * etap / (eta_th * eta ** 2)
-    grad_w_j[jETATH] = -ang * p_boiler / eta_th
-    grad_w_j[jCB1:jCB3 + 1] = -ang * (p_boiler / eta) * rk
-    grad_w_j[jQER] = ael * (cg1 - cg3 * b ** 2 / qer ** 2)
-    grad_w_j[jPPUMP] = ael
-    grad_w_j[jCG1] = ael * qer
-    grad_w_j[jCG2] = ael * b
-    grad_w_j[jCG3] = ael * b ** 2 / qer
-    grad_w_j[jAEL] = p_fan + p_chiller
-    grad_w_j[jANG] = p_boiler
-
     hess_xw_j = np.zeros((mdim, pdim))
     hess_xw_j[:, jQZ] = (ang * d2) * gq[:, None]
     hess_xw_j[:, jTSP] = (ang * d2 * c_p) * np.outer(gq, mvec)
@@ -825,7 +806,7 @@ def derivatives_flat(xv: np.ndarray, wv: np.ndarray, n: int,
     jac_w_h[q_b_hi, jQBR] -= 1.0
 
     return ModelDerivatives(
-        grad_x_j=grad_x_j, hess_xx_j=hess_xx_j, grad_w_j=grad_w_j,
-        hess_xw_j=hess_xw_j, jac_x_h=jac_x_h, hess_xx_h=hess_xx_h,
-        jac_w_h=jac_w_h, hess_xw_h=hess_xw_h,
+        grad_x_j=grad_x_j, hess_xx_j=hess_xx_j, hess_xw_j=hess_xw_j,
+        jac_x_h=jac_x_h, hess_xx_h=hess_xx_h, jac_w_h=jac_w_h,
+        hess_xw_h=hess_xw_h,
     )

@@ -17,7 +17,8 @@ the uncertainty box |dw| <= Delta come from the Hoelder inequality applied
 to a finite-difference quadratic model of K; a deterministic Monte-Carlo
 sweep (box samples plus sign-pattern vertices) serves as the sampled
 counterpart. The operator and the K stages read the hour from the
-anchor's `Scaling` and raise ValueError for a w0 of any other hour.
+anchor's `Scaling` and raise ValueError for a w0 of any other hour; the
+K stages also refuse a spec whose coordinates are not the operator's.
 """
 
 from __future__ import annotations
@@ -308,34 +309,52 @@ def verify_operator_fd(anchor: KktPoint, w0: hm.ExogenousVector,
 # shift map and cost change
 # ---------------------------------------------------------------------------
 
-def _shift_vector(op: SensitivityOperator, dw) -> np.ndarray:
+def _stage_scaling(op: SensitivityOperator, w0: hm.ExogenousVector,
+                   spec: UncertaintySpec | None = None) -> Scaling:
+    """The anchor's `Scaling`, after checking that w0 is the anchor's hour
+    and that `spec`, which gives a K stage its stencil or box, moves the
+    coordinates of `op`'s shift. Another box on them is allowed."""
+    s = op.anchor.scaling.check(w0)
+    if spec is not None and spec.indices != op.spec.indices:
+        raise ValueError(
+            f"spec mask {list(spec.mask)} moves other coordinates than the "
+            f"operator's mask {list(op.spec.mask)}")
+    return s
+
+
+def _k_rows(op: SensitivityOperator, dW: np.ndarray) -> np.ndarray:
+    """K on each row of dW with the bits of a one-row evaluation: every
+    row gets its own matvec for the shift (a gemm over all rows is not
+    bound to round each row the same way) and one "C" `_k_batch` call
+    evaluates them all. Raises EvaluationDomainError for the first row
+    outside the model domain."""
+    dX = np.array([op.shift_matrix @ d for d in dW])
+    kvals, ok = _k_batch(op, dW, dX, "C")
+    bad = ~np.isfinite(kvals)
+    if bad.any():
+        first = int(np.argmax(bad))
+        raise EvaluationDomainError(_NOT_FINITE if ok[first] else _BELOW_FLOOR)
+    return kvals
+
+
+def delta_cost(op: SensitivityOperator, w0: hm.ExogenousVector, dw) -> float:
+    """K(dw) = J(x0 + G+ d, w0 + dw) - J0, on the full nonlinear model."""
+    _stage_scaling(op, w0)
     dw = np.asarray(dw, dtype=float)
     if dw.size != len(op.spec.indices):
         raise ValueError(
             f"dw must have {len(op.spec.indices)} masked entries")
-    return op.shift_matrix @ dw
-
-
-def delta_cost(op: SensitivityOperator, w0: hm.ExogenousVector, dw) -> float:
-    """K(dw) = J(x0 + G+ d, w0 + dw) - J0, on the full nonlinear model:
-    the one-row case of `_k_batch`."""
-    op.anchor.scaling.check(w0)
-    dw = np.asarray(dw, dtype=float)
-    dx = _shift_vector(op, dw)
-    k, ok = _k_batch(op, dw[None, :], dx[None, :], "C")
-    if not np.isfinite(k[0]):
-        raise EvaluationDomainError(_NOT_FINITE if ok[0] else _BELOW_FLOOR)
-    return float(k[0])
+    return float(_k_rows(op, dw[None, :])[0])
 
 
 def signed_shift_pair(op: SensitivityOperator, w0: hm.ExogenousVector,
                       spec: UncertaintySpec) -> dict:
     """K at the deterministic +/- alpha*|w0| scenario pair."""
-    wv = op.anchor.scaling.check(w0).wv
+    wv = _stage_scaling(op, w0, spec).wv
     idx = list(spec.indices)
     dw = spec.delta[idx] * np.where(np.sign(wv[idx]) < 0, -1.0, 1.0)
-    return {"K_plus": delta_cost(op, w0, dw),
-            "K_minus": delta_cost(op, w0, -dw)}
+    k_plus, k_minus = _k_rows(op, np.array([dw, -dw]))
+    return {"K_plus": float(k_plus), "K_minus": float(k_minus)}
 
 
 # ---------------------------------------------------------------------------
@@ -353,21 +372,13 @@ def quadratic_model(op: SensitivityOperator, w0: hm.ExogenousVector,
     seam for functions with known derivatives).
     """
     idx = list(spec.indices)
-    w_masked = op.anchor.scaling.check(w0).wv[idx]
+    w_masked = _stage_scaling(op, w0, spec).wv[idx]
     steps = numkit.default_fd_steps(w_masked, scale=fd_scale)
     dW = numkit.fd_stencil(np.zeros(len(idx)), steps)
     if k_func is not None:
         kvals = np.array([k_func(d) for d in dW], dtype=float)
     else:
-        # one matvec per row, the product delta_cost forms; a gemm over
-        # all rows is not bound to round each row the same way
-        dX = np.array([op.shift_matrix @ d for d in dW])
-        kvals, ok = _k_batch(op, dW, dX, "C")
-        bad = ~np.isfinite(kvals)
-        if bad.any():
-            first = int(np.argmax(bad))
-            raise EvaluationDomainError(
-                _NOT_FINITE if ok[first] else _BELOW_FLOOR)
+        kvals = _k_rows(op, dW)
     g, H = numkit.fd_derivatives(kvals, steps)
     return QuadraticModel(g=g, H_K=H, fd_step_used=float(fd_scale))
 
@@ -406,9 +417,9 @@ def sample_bound(op: SensitivityOperator, w0: hm.ExogenousVector,
     evaluated in equal blocks of at most `_BLOCK_ROWS` (2048) rows, each
     with its own shift product and kernel call. A block has one row only
     when the whole sample has: a one-row "F" block sums like
-    `objective_flat`, which would change that row's bits.
+    `objective_flat` at a point, which would change that row's bits.
     """
-    op.anchor.scaling.check(w0)
+    _stage_scaling(op, w0, spec)
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     d = spec.masked_delta
@@ -443,8 +454,8 @@ def sample_bound(op: SensitivityOperator, w0: hm.ExogenousVector,
 
     best = int(np.nanargmax(np.abs(kvals)))
     argmax_dw = dW[best].copy()
-    beta = (abs(float(kvals[best])) if k_func is not None
-            else abs(delta_cost(op, w0, argmax_dw)))
+    beta = abs(float(kvals[best] if k_func is not None
+                     else _k_rows(op, argmax_dw[None, :])[0]))
     return BoundResult(beta=beta, method="monte_carlo", samples=total,
                        argmax_dw=argmax_dw, seed=seed)
 
@@ -471,8 +482,9 @@ def _k_batch(op: SensitivityOperator, dW: np.ndarray, dX: np.ndarray,
 
     `order` is the memory layout of X and W. The numpy kernel reads
     columns, so "F" is fastest; "C" gives each row the bits of
-    `objective_flat`, which with 8 or more zones sums pairwise where the
-    columns of an "F" array are summed one after another.
+    `objective_flat` at that row's point, which with 8 or more zones
+    sums pairwise where the columns of an "F" array are summed one after
+    another.
     """
     s = op.anchor.scaling
     lay, par, wv0 = s.layout, s.params, s.wv

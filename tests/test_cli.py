@@ -227,9 +227,10 @@ def test_zero_samples_exits_before_solving(capsys, profile_path, monkeypatch,
 
 @pytest.mark.parametrize("flags", [
     ("--mask", "T_oa,T_oa"), ("--mask", "T_surface"), ("--alpha", "-1"),
-    ("--alpha", "nan"), ("--samples", "0"),
+    ("--alpha", "nan"), ("--samples", "0"), ("--threads", "0"),
+    ("--threads", "-1"),
 ], ids=["repeated-label", "unknown-label", "negative-alpha", "nan-alpha",
-        "zero-samples"])
+        "zero-samples", "zero-threads", "negative-threads"])
 def test_run_day_bad_input_exits_before_solving(capsys, profile_path,
                                                 tmp_path, monkeypatch, flags):
     solves = []

@@ -47,8 +47,8 @@ def test_python_backend_matches_scalar_objective():
 
 
 def test_objective_flat_is_a_c_layout_kernel_row():
-    # objective_flat and objective_batch are two callers of one value
-    # core; a point and a row of a "C" batch sum in the same order
+    # objective_batch is objective_flat on rows; a point and a row of a
+    # "C" batch sum in the same order
     for n in (1, 3, 5, 8, 13):
         X, W, w = _random_batch(n, 64, seed=100 + n)
         out = kernels.objective_batch(np.ascontiguousarray(X),

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -295,6 +296,24 @@ def test_stage_refuses_another_hours_w0(stage, other, moderate_hour,
         _STAGES[stage](op, spec, _other_hours(moderate_hour)[other])
 
 
+@pytest.mark.parametrize("mask", [("Q_zone_1",), ("T_oa", "Q_zone_1")])
+@pytest.mark.parametrize("stage", ["signed_shift_pair", "quadratic_model",
+                                   "sample_bound"])
+def test_k_stage_refuses_a_spec_for_other_coordinates(stage, mask,
+                                                      moderate_hour,
+                                                      solve_cached):
+    """A K stage takes its stencil or box from the spec and the shift
+    from the operator; a spec that moves other coordinates than the
+    operator's is refused with both masks named, instead of returning
+    another coordinate's numbers (one mask) or failing in a matmul (two)."""
+    op, _ = _operator(solve_cached, moderate_hour)
+    spec = sn.uncertainty_spec(moderate_hour, mask, 0.05)
+    with pytest.raises(ValueError, match=re.escape(
+            f"spec mask {list(mask)} moves other coordinates than the "
+            f"operator's mask ['T_oa']")):
+        _STAGES[stage](op, spec, moderate_hour)
+
+
 def test_rebuilt_hour_is_accepted(moderate_hour, solve_cached):
     """An equal hour built anew (new arrays, new parameter object) is the
     anchor's hour: every stage accepts it and returns the same bits."""
@@ -360,22 +379,6 @@ def test_rank_deficient_shift_raises(moderate_hour, solve_cached,
 # ---------------------------------------------------------------------------
 # shift map
 # ---------------------------------------------------------------------------
-
-def test_shift_is_linear_and_odd(moderate_hour, solve_cached):
-    op, _ = _operator(solve_cached, moderate_hour)
-    dw = np.array([0.05])
-    dx = sn._shift_vector(op, dw)
-    np.testing.assert_allclose(sn._shift_vector(op, 3.0 * dw), 3.0 * dx,
-                               rtol=1e-13)
-    np.testing.assert_allclose(sn._shift_vector(op, -dw), -dx, rtol=1e-13)
-    assert np.all(sn._shift_vector(op, np.zeros(1)) == 0.0)
-
-
-def test_shift_rejects_wrong_size(moderate_hour, solve_cached):
-    op, _ = _operator(solve_cached, moderate_hour)
-    with pytest.raises(ValueError):
-        sn._shift_vector(op, np.zeros(3))
-
 
 def test_predicted_shift_matches_resolve_direction(moderate_hour,
                                                    solve_cached, params):
@@ -458,6 +461,12 @@ def test_k_error_shrinks_superlinearly(moderate_hour, solve_cached, params):
         return  # prediction exact to solver precision; nothing to rate
     order = math.log(errs[0] / errs[2]) / math.log(sizes[0] / sizes[2])
     assert order >= 1.5
+
+
+def test_delta_cost_rejects_wrong_size(moderate_hour, solve_cached):
+    op, _ = _operator(solve_cached, moderate_hour)
+    with pytest.raises(ValueError, match="dw must have 1 masked entries"):
+        sn.delta_cost(op, moderate_hour, np.zeros(3))
 
 
 def test_signed_pair_signs(hot_hour, solve_cached):
@@ -660,9 +669,8 @@ def test_vertex_rows_follow_itertools_order(p, moderate_hour, solve_cached):
     """The first 2^min(p, 12) sampled rows are the sign vertices in the
     order of itertools.product((1.0, -1.0), ...); coordinates past the
     twelfth stay at +delta."""
-    op, _ = _operator(solve_cached, moderate_hour)
-    spec = sn.uncertainty_spec(moderate_hour, (WIDE_MASK + ("T_sp_1",))[:p],
-                               0.05)
+    op, spec = _operator(solve_cached, moderate_hour,
+                         mask=(WIDE_MASK + ("T_sp_1",))[:p], alpha=0.05)
     d = spec.masked_delta
     n_sign = min(p, 12)
     expected = np.empty((2 ** n_sign, p))
@@ -705,7 +713,7 @@ def _scaled_hour(n, day="moderate", k=3):
 def _blocked_sample(monkeypatch, op, w, spec, n_samples, seed):
     """sample_bound's result (or its domain error) and the rows, K and
     mask of its blocked _k_batch calls, concatenated. The blocks are the
-    "F" calls; delta_cost's one-row "C" call for beta is not one."""
+    "F" calls; the one-row "C" call for beta at the argmax is not one."""
     calls = []
     k_batch = sn._k_batch
 
@@ -754,6 +762,25 @@ SAMPLER_MASKS = (
      "Q_e_rated", "P_pump", "c_g_1", "c_g_2", "c_g_3", "alpha_el",
      "alpha_ng"),
 )
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 8, 10])
+def test_signed_pair_has_the_bits_of_delta_cost(n):
+    """signed_shift_pair evaluates both scenarios in one two-row call; each
+    K has the bits of delta_cost at that scenario, with one coordinate
+    masked and with thirteen."""
+    w = _scaled_hour(n)
+    anchor = solve_baseline(w)
+    wv = w.to_vector()
+    for mask in SAMPLER_MASKS[:2]:
+        spec = sn.uncertainty_spec(w, mask, 0.05)
+        op = sn.build_operator(anchor, w, spec)
+        idx = list(spec.indices)
+        dw = spec.masked_delta * np.where(wv[idx] < 0, -1.0, 1.0)
+        pair = sn.signed_shift_pair(op, w, spec)
+        assert np.array_equal(
+            [pair["K_plus"], pair["K_minus"]],
+            [sn.delta_cost(op, w, dw), sn.delta_cost(op, w, -dw)]), mask
 
 
 @pytest.mark.parametrize("n", [1, 3, 5, 8, 10])
