@@ -87,7 +87,8 @@ class KktPoint(KktResiduals):
 @dataclass(frozen=True)
 class Scaling:
     """One hour's flat w and layout, with the diagonal scales of x, h and J
-    that the solver, `verify_kkt` and the sensitivity stages share.
+    that the solver, `verify_kkt` and the sensitivity stages share, and
+    the values (lo, hi) of its simple-bound rows (`hm.simple_bounds`).
     `Scaling.of(w)` builds it; a solved hour's `KktPoint` carries it."""
 
     wv: np.ndarray
@@ -96,6 +97,8 @@ class Scaling:
     x: np.ndarray
     h: np.ndarray
     j: float
+    lo: np.ndarray
+    hi: np.ndarray
 
     @classmethod
     def of(cls, w: hm.ExogenousVector) -> "Scaling":
@@ -115,7 +118,8 @@ class Scaling:
         h[lay.balance] = h[lay.balance_neg] = max(qbr, qer)
         j = par.alpha_el * (hm.fan_power(md, par) + 0.5 * qer) \
             + par.alpha_ng * 0.5 * qbr / par.eta_thermal
-        return cls(wv, par, lay, x, h, j)
+        return cls(wv, par, lay, x, h, j,
+                   *hm.simple_bounds(wv, lay.n, par.flow_floor))
 
     def check(self, w: hm.ExogenousVector) -> "Scaling":
         """Return self if w is this hour (equal parameters and a byte-equal
@@ -148,7 +152,7 @@ def _canonicalize(xv: np.ndarray, s: Scaling) -> np.ndarray:
     """Move along the cost-flat (T_sa, q_h) direction to the deterministic
     minimum-q_h endpoint, and strip any common heat/cool mode."""
     xv = xv.copy()
-    lay, c_p = s.layout, s.params.c_p
+    lay, c_p, lo = s.layout, s.params.c_p, s.lo
     iT, iA, iB = lay.t_sa, lay.q_h, lay.q_c
     common = min(xv[iA], xv[iB])
     if common > 0.0:
@@ -156,12 +160,12 @@ def _canonicalize(xv: np.ndarray, s: Scaling) -> np.ndarray:
         xv[iB] -= common
     m = xv[lay.m_sa].sum()
     # slide t <= 0 with dT_sa = t, dq_h = c_p * m * t (J and Q_b invariant)
-    t = max(12.0 - xv[iT], -xv[iA] / (c_p * m))
+    t = max(lo[iT] - xv[iT], (lo[iA] - xv[iA]) / (c_p * m))
     if t < 0.0:
         xv[iT] += t
         xv[iA] += c_p * m * t
         if abs(xv[iA]) < 1e-9 * max(1.0, abs(c_p * m * t)):
-            xv[iA] = max(xv[iA], 0.0)
+            xv[iA] = max(xv[iA], lo[iA])
     return xv
 
 
@@ -314,20 +318,13 @@ def _nnls_multipliers(xv, s: Scaling, act):
 
 
 def _snap_active_bounds(xv, s: Scaling, active):
-    """Set variables sitting on simple bounds to the exact bound value."""
-    xv = xv.copy()
-    lay, par = s.layout, s.params
-    simple = {
-        "T_sa_min": (lay.t_sa, 12.0), "T_sa_max": (lay.t_sa, 37.0),
-        "m_oa_min_total": (lay.m_oa, s.wv[lay.m_oa_min].sum()),
-        "m_oa_max": (lay.m_oa, par.m_design),
-        "q_h_nonneg": (lay.q_h, 0.0), "q_h_max": (lay.q_h, par.Q_b_rated),
-        "q_c_nonneg": (lay.q_c, 0.0), "q_c_max": (lay.q_c, par.Q_e_rated),
-    }
-    for row in active:
-        if lay.labels[row] in simple:
-            i, val = simple[lay.labels[row]]
-            xv[i] = val
+    """Set variables sitting on active simple-bound rows to the exact bound
+    value; an active upper row wins over an active lower row."""
+    lay, xv = s.layout, xv.copy()
+    low = np.isin(lay.lower, active)
+    xv[low] = s.lo[low]
+    up = lay.upper_x[np.isin(lay.upper, active)]
+    xv[up] = s.hi[up]
     return xv
 
 
@@ -379,11 +376,12 @@ def _residuals(xv, lam, s: Scaling) -> KktResiduals:
 # ---------------------------------------------------------------------------
 
 def _center_start(s: Scaling):
-    lay, md = s.layout, s.params.m_design
+    """T_sa and m_oa at the midpoints of their bounds, even zone flows."""
+    lay = s.layout
     xv = np.zeros(lay.x_dim)
-    xv[lay.t_sa] = 24.5
-    xv[lay.m_oa] = 0.5 * (s.wv[lay.m_oa_min].sum() + md)
-    xv[lay.m_sa] = md / (lay.n + 1)
+    for i in (lay.t_sa, lay.m_oa):
+        xv[i] = 0.5 * (s.lo[i] + s.hi[i])
+    xv[lay.m_sa] = s.params.m_design / (lay.n + 1)
     return _balance_duties(xv, s)
 
 
@@ -395,21 +393,20 @@ def _balance_duties(xv, s: Scaling):
     m, s_t, _ = hm.loads(T, xv[lay.q_h], xv[lay.m_sa], wv[lay.q_zone],
                          wv[lay.t_sp], par.c_p)
     q_ahu = hm.ahu_duty(T, xv[lay.m_oa], m, s_t, wv[lay.t_oa], par.c_p)
-    xv[lay.q_h] = min(max(q_ahu, 0.0), par.Q_b_rated)
-    xv[lay.q_c] = min(max(-q_ahu, 0.0), par.Q_e_rated)
+    xv[lay.q_h] = min(max(q_ahu, s.lo[lay.q_h]), s.hi[lay.q_h])
+    xv[lay.q_c] = min(max(-q_ahu, s.lo[lay.q_c]), s.hi[lay.q_c])
     return xv
 
 
 def _random_start(rng, s: Scaling):
-    lay, par = s.layout, s.params
-    v_sum = s.wv[lay.m_oa_min].sum()
-    md = par.m_design
+    lay, lo, hi = s.layout, s.lo, s.hi
+    v_sum, md = lo[lay.m_oa], hi[lay.m_oa]
     xv = np.zeros(lay.x_dim)
-    xv[lay.t_sa] = rng.uniform(12.0, 37.0)
+    xv[lay.t_sa] = rng.uniform(lo[lay.t_sa], hi[lay.t_sa])
     xv[lay.m_oa] = rng.uniform(v_sum, md)
     frac = rng.uniform(0.3, 1.0, lay.n)
     total = rng.uniform(max(1.2 * v_sum, 0.3 * md), 0.95 * md)
-    xv[lay.m_sa] = np.maximum(frac / frac.sum() * total, par.flow_floor * 2)
+    xv[lay.m_sa] = np.maximum(frac / frac.sum() * total, 2.0 * lo[lay.m_sa])
     return _balance_duties(xv, s)
 
 
@@ -432,23 +429,22 @@ def solve_baseline(w: hm.ExogenousVector, cfg: SolverConfig | None = None,
     """
     cfg = cfg or SolverConfig()
     par = w.params
+    s = Scaling.of(w)
+    lay, sx, sh, sj = s.layout, s.x, s.h, s.j
 
-    v_sum = w.zones.m_oa_min.sum()
-    if v_sum > par.m_design:
+    v_sum, md = s.lo[lay.m_oa], s.hi[lay.m_oa]
+    if v_sum > md:
         raise InfeasibleHourError(
             f"total required ventilation {v_sum:.4g} kg/s exceeds design "
-            f"flow {par.m_design:.4g} kg/s")
+            f"flow {md:.4g} kg/s")
     q_zone = w.zones.q_zone
-    t_sp = w.zones.t_sp
-    cap = par.c_p * par.m_design * (37.0 - t_sp)
+    cap = par.c_p * md * (hm.T_SUPPLY_MAX - w.zones.t_sp)
     if np.any(q_zone > cap):
         bad = int(np.argmax(q_zone - cap))
         raise InfeasibleHourError(
             f"zone {bad + 1} heating load exceeds the discharge-temperature "
             f"window at design flow")
 
-    s = Scaling.of(w)
-    lay, sx, sh, sj = s.layout, s.x, s.h, s.j
     eq_row = lay.balance
     ineq_rows = np.setdiff1d(np.arange(lay.h_dim), [eq_row, lay.balance_neg])
 
@@ -488,12 +484,7 @@ def solve_baseline(w: hm.ExogenousVector, cfg: SolverConfig | None = None,
         _, _, _, jac = _eval(z)
         return (jac[eq_row] * sx / sh[eq_row])[None, :]
 
-    lo, hi = np.empty(lay.x_dim), np.empty(lay.x_dim)
-    lo[lay.t_sa], hi[lay.t_sa] = 12.0, 37.0
-    lo[lay.m_oa], hi[lay.m_oa] = 0.0, par.m_design
-    lo[lay.m_sa], hi[lay.m_sa] = par.flow_floor, par.m_design
-    lo[lay.q_h], hi[lay.q_h] = 0.0, par.Q_b_rated
-    lo[lay.q_c], hi[lay.q_c] = 0.0, par.Q_e_rated
+    lo, hi = hm.x_box(s.wv, lay.n, par.flow_floor)
     lo, hi = lo / sx, hi / sx
     bounds = list(zip(lo, hi))
 
@@ -525,7 +516,9 @@ def solve_baseline(w: hm.ExogenousVector, cfg: SolverConfig | None = None,
             continue
         xv = res.x * sx
         h = s.scaled_h(xv)
-        if max(h[ineq_rows].max(), abs(h[eq_row])) >= 1e-5:
+        # written as the feasible case: any comparison with a NaN is False
+        if not (np.isfinite(xv).all() and h[ineq_rows].max() < 1e-5
+                and abs(h[eq_row]) < 1e-5):
             continue
         feasible = True
         kkt = _finalize(xv, s, cfg.rng_seed)

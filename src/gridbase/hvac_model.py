@@ -25,6 +25,12 @@ Exogenous vector (p = 1 + 3N + 20 entries)::
 c_p (a physical constant of air), the flow floor and the zone count are
 deliberately not exposed as uncertain coordinates.
 
+Supply and zone discharge air keep to the window [T_SUPPLY_MIN,
+T_SUPPLY_MAX]. `simple_bounds` maps each simple-bound row of h to its x
+entry and value. The solver's box `x_box` is not those rows in two places:
+m_oa >= 0, not the summed ventilation minima, and m_sa <= m_design, which
+no row states.
+
 All quantities are SI: watts, kg/s, degrees Celsius.  Rated values quoted
 in J/hr convert at exactly 1 J/hr = 1/3600 W.
 """
@@ -42,6 +48,7 @@ import numpy as np
 from .errors import DegenerateFlowError, InvalidCurveError
 
 J_PER_HR = 1.0 / 3600.0  # watts per (joule/hour)
+T_SUPPLY_MIN, T_SUPPLY_MAX = 12.0, 37.0  # supply/discharge window, degC
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +308,9 @@ class Layout:
     to its w position, and h's row blocks follow `labels`: `air`
     (T_sa_min .. m_sa_total_max), the zone blocks, `duty` (q_h_nonneg ..
     Q_b_max), then the balance row and its negation. `index` maps the
-    name of a zone block to its positions as an index array."""
+    name of a zone block to its positions as an index array. `lower`,
+    `upper`, `upper_x` and `upper_w` place the simple-bound rows (see
+    `simple_bounds`)."""
 
     def __init__(self, n: int):
         self.n = n
@@ -326,6 +335,11 @@ class Layout:
         self.index = {k: np.arange(n) + getattr(self, k).start for k in (
             "m_sa", "q_zone", "t_sp", "m_oa_min", "floor", "ventilation",
             "t_da_low", "t_da_high")}
+        self.lower = np.r_[0, 2, self.index["floor"], 6 + 4 * n, 8 + 4 * n]
+        self.upper = np.array([1, 3, 7 + 4 * n, 9 + 4 * n])
+        self.upper_x = np.array([self.t_sa, self.m_oa, self.q_h, self.q_c])
+        self.upper_w = np.array([self.param[k] for k in (
+            "m_design", "Q_b_rated", "Q_e_rated")])
 
 
 @functools.lru_cache(maxsize=None)
@@ -513,6 +527,30 @@ def objective_flat(xv: np.ndarray, wv: np.ndarray, n: int, c_p: float):
                         w[lay.param["alpha_ng"]])
 
 
+def simple_bounds(wv, n, flow_floor):
+    """(lo, hi): simple-bound row `lower[i]` of `layout(n)` is lo[i] - x[i]
+    for each x entry i, and row `upper[k]` is x[i] - hi[i] for i =
+    `upper_x[k]`; hi[i] is T_SUPPLY_MAX for T_sa_max and the w entry
+    `upper_w[k - 1]` for the others. hi is inf at the m_sa, which no row
+    caps. Elementwise: a point's w gives (m,) arrays, (S, p) rows (m, S)."""
+    lay, w = layout(n), wv.T
+    lo = np.zeros((lay.x_dim,) + wv.shape[:-1])
+    hi = np.full_like(lo, np.inf)
+    lo[lay.t_sa], hi[lay.t_sa] = T_SUPPLY_MIN, T_SUPPLY_MAX
+    lo[lay.m_oa], lo[lay.m_sa] = w[lay.m_oa_min].sum(0), flow_floor
+    hi[lay.upper_x[1:]] = w[lay.upper_w]
+    return lo, hi
+
+
+def x_box(wv, n, flow_floor):
+    """The solver's box of x at a point: `simple_bounds` with m_oa >= 0
+    and m_sa <= m_design."""
+    lay = layout(n)
+    lo, hi = simple_bounds(wv, n, flow_floor)
+    lo[lay.m_oa], hi[lay.m_sa] = 0.0, wv[lay.param["m_design"]]
+    return lo, hi
+
+
 def _constraint_rows(xv, m, s_t, q_b, wv, n, c_p, flow_floor):
     """h(x, w) from x and its `loads`, elementwise like `_first_order`."""
     lay = layout(n)
@@ -524,18 +562,18 @@ def _constraint_rows(xv, m, s_t, q_b, wv, n, c_p, flow_floor):
     v_min = w[lay.m_oa_min]
     m_des = w[lay.param["m_design"]]
     qbr = w[lay.param["Q_b_rated"]]
-    qer = w[lay.param["Q_e_rated"]]
     q_ahu = ahu_duty(T, o, m, s_t, w[lay.t_oa], c_p)
+    lo, hi = simple_bounds(wv, n, flow_floor)
 
     out = np.empty(xv.shape[:-1] + (lay.h_dim,))
     h = out.T
-    h[lay.air] = (12.0 - T, T - 37.0, v_min.sum(0) - o, o - m_des, o - m,
-                  m - m_des)
-    h[lay.floor] = flow_floor - mvec
+    h[lay.lower] = lo - x
+    h[lay.upper] = x[lay.upper_x] - hi[lay.upper_x]
+    h[4], h[5] = o - m, m - m_des
     h[lay.ventilation] = m * v_min - mvec * o
     h[lay.t_da_low] = c_p * mvec * (T - t_sp) - q_zone
-    h[lay.t_da_high] = q_zone - c_p * mvec * (37.0 - t_sp)
-    h[lay.duty] = (-a, a - qbr, -b, b - qer, -q_b, q_b - qbr)
+    h[lay.t_da_high] = q_zone - c_p * mvec * (T_SUPPLY_MAX - t_sp)
+    h[lay.duty.start + 4], h[lay.duty.start + 5] = -q_b, q_b - qbr
     bal = a - b - q_ahu
     h[lay.balance] = bal
     h[lay.balance_neg] = -bal
@@ -605,34 +643,26 @@ def _first_order(xv, wv, n, c_p) -> _FirstOrder:
     grad[iM] += ael * fan1
     grad[iB] += ael * pc1
 
-    q_h_lo, q_h_hi, q_c_lo, q_c_hi, q_b_lo, q_b_hi = range(lay.duty.start,
-                                                           lay.duty.stop)
+    q_b_lo, q_b_hi = lay.duty.start + 4, lay.duty.start + 5
     # index arrays: zone flows in x, and the zone row blocks of h
-    xm, floor, vent, low, high = (lay.index[k] for k in (
-        "m_sa", "floor", "ventilation", "t_da_low", "t_da_high"))
+    xm, vent, low, high = (lay.index[k] for k in (
+        "m_sa", "ventilation", "t_da_low", "t_da_high"))
     out = np.zeros(rows + (lay.h_dim, mdim))
+    out[..., lay.lower, np.arange(mdim)] = -1.0
+    out[..., lay.upper, lay.upper_x] = 1.0
     jac = out.T.swapaxes(0, 1)
-    jac[0, 0] = -1.0
-    jac[1, 0] = 1.0
-    jac[2, 1] = -1.0
-    jac[3, 1] = 1.0
     jac[4, 1] = 1.0
     jac[4, iM] = -1.0
     jac[5, iM] = 1.0
-    jac[floor, xm] = -1.0
     # ventilation (bilinear): h = m v_i - m_i o
     jac[vent[:, None], xm[None, :]] = v_min[:, None]
     jac[vent, xm] -= o
     jac[vent, lay.m_oa] = -mvec
     # T_da bounds: c_p m_i (T - T_sp_i) - Q_zone_i and
-    # Q_zone_i - c_p m_i (37 - T_sp_i)
+    # Q_zone_i - c_p m_i (T_SUPPLY_MAX - T_sp_i)
     jac[low, lay.t_sa] = c_p * mvec
     jac[low, xm] = c_p * (T - t_sp)
-    jac[high, xm] = -c_p * (37.0 - t_sp)
-    jac[q_h_lo, iA] = -1.0
-    jac[q_h_hi, iA] = 1.0
-    jac[q_c_lo, iB] = -1.0
-    jac[q_c_hi, iB] = 1.0
+    jac[high, xm] = -c_p * (T_SUPPLY_MAX - t_sp)
     jac[q_b_lo] = -gq
     jac[q_b_hi] = gq
     # AHU balance rows: +/- (q_h - q_c - Q_ahu)
@@ -721,8 +751,7 @@ def derivatives_flat(xv: np.ndarray, wv: np.ndarray, n: int,
     hess_xx_h = np.zeros((lay.h_dim, mdim, mdim))
     jac_w_h = np.zeros((lay.h_dim, pdim))
     hess_xw_h = np.zeros((lay.h_dim, mdim, pdim))
-    _, q_h_hi, _, q_c_hi, q_b_lo, q_b_hi = range(lay.duty.start,
-                                                 lay.duty.stop)
+    q_b_lo, q_b_hi = lay.duty.start + 4, lay.duty.start + 5
     bal_neg = lay.balance_neg
     # index arrays: zone entries of x and w, and the zone row blocks of h
     xm, wq, wt, wm, vent, low, high = (lay.index[k] for k in (
@@ -780,7 +809,7 @@ def derivatives_flat(xv: np.ndarray, wv: np.ndarray, n: int,
 
     # --- constraint blocks (jac_x h comes with the first order) ---
     jac_w_h[2, jVMIN] = 1.0
-    jac_w_h[3, jMDES] = -1.0
+    jac_w_h[lay.upper[1:], lay.upper_w] = -1.0
     jac_w_h[5, jMDES] = -1.0
     # ventilation (bilinear): h = m v_i - m_i o
     hess_xx_h[vent, iO, xm] = -1.0
@@ -793,12 +822,10 @@ def derivatives_flat(xv: np.ndarray, wv: np.ndarray, n: int,
     jac_w_h[low, wq] = -1.0
     jac_w_h[low, wt] = -c_p * mvec
     hess_xw_h[low, xm, wt] = -c_p
-    # T_da upper bound: Q_zone_i - c_p m_i (37 - T_sp_i)
+    # T_da upper bound: Q_zone_i - c_p m_i (T_SUPPLY_MAX - T_sp_i)
     jac_w_h[high, wq] = 1.0
     jac_w_h[high, wt] = c_p * mvec
     hess_xw_h[high, xm, wt] = c_p
-    jac_w_h[q_h_hi, jQBR] = -1.0
-    jac_w_h[q_c_hi, jQER] = -1.0
     # rows -Q_b and (q_h - q_c - Q_ahu) negate the rows filled above
     for blocks in (hess_xx_h, jac_w_h, hess_xw_h):
         blocks[q_b_lo] = -blocks[q_b_hi]

@@ -497,13 +497,10 @@ def _k_batch(op: SensitivityOperator, dW: np.ndarray, dX: np.ndarray,
     W[:] = wv0
     W[:, idx] = wv0[idx] + dW
 
-    iA, iB = lay.q_h, lay.q_c
-    X[:, iA] = np.maximum(X[:, iA], 0.0)
-    if xv0[iB] == 0.0:
-        snap = np.abs(X[:, iB]) <= _CHILLER_SNAP_REL * par.Q_e_rated
-        X[:, iB] = np.where(snap, 0.0, np.maximum(X[:, iB], 0.0))
-    else:
-        X[:, iB] = np.maximum(X[:, iB], 0.0)
+    duty = [lay.q_h, lay.q_c]
+    X[:, duty] = np.maximum(X[:, duty], s.lo[duty])
+    if xv0[lay.q_c] == 0.0:
+        X[X[:, lay.q_c] <= _CHILLER_SNAP_REL * par.Q_e_rated, lay.q_c] = 0.0
 
     # every row goes through the kernel: dropping rows would copy X and W
     # into "C" layout and change the bits of the rows that stay

@@ -1,4 +1,5 @@
 import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -345,3 +346,78 @@ def test_solver_config_validation(hot_hour, solve_cached):
         with pytest.raises(TypeError):
             SolverConfig(**{name: value})
     assert kkt_report(solve_cached(hot_hour), hot_hour)["config"] == fixed
+
+
+def _row(lay, label):
+    return lay.labels.index(label)
+
+
+@pytest.mark.parametrize("n", [1, 5])
+def test_snap_sets_exact_bound_values(n):
+    """Each variable on an active simple-bound row lands on the row's exact
+    value: m_oa on the summed ventilation minima, not on the SLSQP box's 0.
+    Entries on no active bound row, and rows that bound no single entry,
+    leave x untouched."""
+    par = _scaled_params(n)
+    rng = np.random.default_rng(n)
+    w = hm.make_exogenous(20.0, rng.uniform(-3000.0, 3000.0, n),
+                          rng.uniform(20.0, 26.0, n),
+                          rng.uniform(0.02, 0.1, n), par)
+    s = baseline_opt.Scaling.of(w)
+    lay = s.layout
+    xv = np.concatenate([[20.0, 0.7], rng.uniform(0.1, 0.5, n),
+                         [1500.0, 2500.0]])
+    before = xv.copy()
+    snap = baseline_opt._snap_active_bounds
+
+    low = snap(xv, s, [_row(lay, k) for k in (
+        "T_sa_min", "m_oa_min_total", "q_h_nonneg", "q_c_nonneg")])
+    assert low[lay.t_sa] == 12.0
+    assert low[lay.m_oa] == s.wv[lay.m_oa_min].sum() != 0.0
+    assert low[lay.q_h] == 0.0 and low[lay.q_c] == 0.0
+    assert np.array_equal(low[lay.m_sa], xv[lay.m_sa])
+
+    high = snap(xv, s, [_row(lay, k) for k in (
+        "T_sa_max", "m_oa_max", "q_h_max", "q_c_max")])
+    assert high[lay.t_sa] == 37.0
+    assert high[lay.m_oa] == par.m_design
+    assert high[lay.q_h] == par.Q_b_rated
+    assert high[lay.q_c] == par.Q_e_rated
+    assert np.array_equal(high[lay.m_sa], xv[lay.m_sa])
+
+    other = [k for k, label in enumerate(lay.labels) if label in (
+        "m_ra_nonneg", "m_sa_total_max", "Q_b_nonneg", "Q_b_max",
+        "ahu_balance_pos", "ahu_balance_neg") or label.startswith(
+        ("ventilation_", "T_da_"))]
+    assert np.array_equal(snap(xv, s, other), xv)
+    assert np.array_equal(xv, before)
+
+
+def test_snap_covers_the_floor_rows():
+    """The snap reads every simple-bound row from the layout's map, so an
+    active m_sa_floor_i row puts that zone's flow on the floor exactly."""
+    w = hm.make_exogenous(20.0, np.zeros(3), np.full(3, 22.0),
+                          np.full(3, 0.05), _scaled_params(3))
+    s = baseline_opt.Scaling.of(w)
+    lay = s.layout
+    xv = np.array([20.0, 0.7, 0.3, 0.001 + 1e-12, 0.4, 100.0, 0.0])
+    out = baseline_opt._snap_active_bounds(
+        xv, s, [_row(lay, "m_sa_floor_2")])
+    assert out[lay.index["m_sa"][1]] == w.params.flow_floor
+    out[lay.index["m_sa"][1]] = xv[lay.index["m_sa"][1]]
+    assert np.array_equal(out, xv)
+
+
+def test_non_finite_slsqp_point_is_not_feasible(hot_hour, monkeypatch):
+    """A NaN compares False with any tolerance, so a start whose SLSQP
+    point holds a NaN must count as not feasible: with every start ending
+    there the hour is infeasible, not a NoConvergenceError without a
+    report."""
+    def nan_point(fun, z0, **kwargs):
+        x = np.array(z0, dtype=float)
+        x[0] = np.nan
+        return types.SimpleNamespace(x=x)
+
+    monkeypatch.setattr(baseline_opt, "minimize", nan_point)
+    with pytest.raises(InfeasibleHourError):
+        solve_baseline(hot_hour)

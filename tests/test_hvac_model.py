@@ -272,6 +272,65 @@ def test_constraint_rows_sign_convention(hot_hour):
     assert h[-1] == -h[-2]
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_simple_bound_rows_are_the_box(n):
+    """Each simple-bound row is lo[i] - x[i] or x[i] - hi[i], bit for bit,
+    with jac_x h row -e_i or +e_i, at a point and on S rows. The solver's
+    box is those values except m_oa >= 0 and m_sa <= m_design."""
+    base = hm.HvacParameters()
+    par = hm.HvacParameters(zone_count=n, m_design=base.m_design * n / 5)
+    lay = hm.layout(n)
+    labels = np.array(lay.labels)
+    assert list(labels[lay.lower]) == (
+        ["T_sa_min", "m_oa_min_total"]
+        + [f"m_sa_floor_{i + 1}" for i in range(n)]
+        + ["q_h_nonneg", "q_c_nonneg"])
+    assert list(labels[lay.upper]) == ["T_sa_max", "m_oa_max", "q_h_max",
+                                       "q_c_max"]
+    rng = np.random.default_rng(n)
+    S = 6
+    W = np.array([hm.make_exogenous(
+        rng.uniform(-5.0, 38.0), rng.uniform(-6000.0, 4000.0, n),
+        rng.uniform(20.0, 26.0, n), rng.uniform(0.02, 0.1, n),
+        par).to_vector() for _ in range(S)])
+    X = np.column_stack([
+        rng.uniform(12.0, 37.0, S), rng.uniform(0.2, 1.5, S),
+        rng.uniform(0.0, 0.6, (S, n)), rng.uniform(0.0, 5000.0, S),
+        rng.uniform(0.0, 30000.0, S)])
+    X[0, lay.t_sa], X[1, lay.q_h] = 12.0, 0.0   # on a bound
+    up_x = lay.upper_x
+    lo, hi = hm.simple_bounds(W, n, par.flow_floor)
+    _, _, h_rows, jac_rows = hm.first_order_flat(
+        X, W, n, par.c_p, par.flow_floor)
+    assert np.array_equal(h_rows[:, lay.lower], lo.T - X)
+    assert np.array_equal(h_rows[:, lay.upper], X[:, up_x] - hi.T[:, up_x])
+    eye = np.eye(lay.x_dim)
+    assert np.array_equal(jac_rows[:, lay.lower], np.broadcast_to(
+        -eye, (S,) + eye.shape))
+    assert np.array_equal(jac_rows[:, lay.upper], np.broadcast_to(
+        eye[up_x], (S, up_x.size, lay.x_dim)))
+    for xv, wv, lo_row, hi_row in zip(X, W, lo.T, hi.T):
+        lo, hi = hm.simple_bounds(wv, n, par.flow_floor)
+        assert np.array_equal(lo, lo_row) and np.array_equal(hi, hi_row)
+        assert list(lo) == [12.0, wv[lay.m_oa_min].sum()] \
+            + [par.flow_floor] * n + [0.0, 0.0]
+        assert list(hi[up_x]) == [37.0, par.m_design, par.Q_b_rated,
+                                  par.Q_e_rated]
+        assert np.isinf(hi[lay.m_sa]).all()
+        h = hm.constraints_flat(xv, wv, n, par.c_p, par.flow_floor)
+        jac = hm.derivatives_flat(xv, wv, n, par.c_p).jac_x_h
+        assert np.array_equal(h[lay.lower], lo - xv)
+        assert np.array_equal(h[lay.upper], xv[up_x] - hi[up_x])
+        assert np.array_equal(jac[lay.lower], -eye)
+        assert np.array_equal(jac[lay.upper], eye[up_x])
+        box_lo, box_hi = hm.x_box(wv, n, par.flow_floor)
+        moved_lo = np.flatnonzero(box_lo != lo)
+        moved_hi = np.flatnonzero(box_hi != hi)
+        assert list(moved_lo) == [lay.m_oa] and box_lo[lay.m_oa] == 0.0
+        assert list(moved_hi) == list(lay.index["m_sa"])
+        assert (box_hi[lay.m_sa] == par.m_design).all()
+
+
 # ---------------------------------------------------------------------------
 # analytic derivatives vs finite differences
 # ---------------------------------------------------------------------------
