@@ -32,6 +32,7 @@ _FEAS_KEEP = 1e-11       # scaled h above which the polish adds a row
 _MAX_OUTER = 25          # polish rounds that add or drop active rows
 _NEWTON_MAX_ITER = 40    # Newton steps per polish round
 _NNLS_TOL = 1e-11        # relative stationarity residual NNLS may leave
+_MEMO_POINTS = 65        # evaluated points a Scaling keeps
 
 
 @dataclass(frozen=True)
@@ -99,6 +100,8 @@ class Scaling:
     j: float
     lo: np.ndarray
     hi: np.ndarray
+    _memo: dict = field(default_factory=dict, init=False, compare=False,
+                        repr=False)
 
     @classmethod
     def of(cls, w: hm.ExogenousVector) -> "Scaling":
@@ -129,19 +132,34 @@ class Scaling:
             raise ValueError("w0 is not the hour the anchor was solved for")
         return self
 
-    def first_order(self, xv):
-        return hm.first_order_flat(xv, self.wv, self.layout.n,
-                                   self.params.c_p, self.params.flow_floor)
+    def evaluate(self, xv):
+        """(raw, scaled) at xv: raw is `first_order_flat`'s (J, grad_x J,
+        h, jac_x h), scaled is (J / j, grad_x J * x / j, h / h,
+        jac_x h * x / h), the problem SLSQP sees. Each point is evaluated
+        and scaled once while kept (up to _MEMO_POINTS points, cleared
+        when full); the arrays are read-only."""
+        key = xv.tobytes()
+        hit = self._memo.get(key)
+        if hit is None:
+            raw = hm.first_order_flat(xv, self.wv, self.layout.n,
+                                      self.params.c_p, self.params.flow_floor)
+            j, grad, h, jac = raw
+            scaled = (j / self.j, grad * self.x / self.j, h / self.h,
+                      jac * self.x[None, :] / self.h[:, None])
+            for a in raw[1:] + scaled[1:]:
+                a.flags.writeable = False
+            if len(self._memo) >= _MEMO_POINTS:
+                self._memo.clear()
+            hit = self._memo[key] = (raw, scaled)
+        return hit
+
+    def scaled_h(self, xv):
+        """h(xv) divided by the h scale."""
+        return self.evaluate(xv)[1][2]
 
     def derivatives(self, xv):
         return hm.derivatives_flat(xv, self.wv, self.layout.n,
                                    self.params.c_p)
-
-    def scaled_h(self, xv):
-        """h(xv) divided by the h scale."""
-        return hm.constraints_flat(xv, self.wv, self.layout.n,
-                                   self.params.c_p,
-                                   self.params.flow_floor) / self.h
 
 
 # ---------------------------------------------------------------------------
@@ -173,14 +191,12 @@ def _canonicalize(xv: np.ndarray, s: Scaling) -> np.ndarray:
 # active-set Newton polish
 # ---------------------------------------------------------------------------
 
-def _polish(xv, s: Scaling, act_init, h0):
-    """Refine (x, lambda) on the active-set KKT system; h0 is the scaled
-    constraint vector `s.scaled_h(xv)`.
+def _polish(xv, s: Scaling, act_init):
+    """Refine (x, lambda) on the active-set KKT system.
 
-    Returns (xv, lam_full, h) with h the scaled constraint vector at the
-    returned xv, or lam_full None when the polish fails. lam_full covers
-    all rows in original units; the balance equality multiplier mu is
-    split over the two opposite rows by sign.
+    Returns (xv, lam_full), or lam_full None when the polish fails.
+    lam_full covers all rows in original units; the balance equality
+    multiplier mu is split over the two opposite rows by sign.
     """
     lay = s.layout
     eq_rows = [lay.balance, lay.balance_neg]
@@ -201,16 +217,17 @@ def _polish(xv, s: Scaling, act_init, h0):
     # and admits nonnegative stationarity multipliers needs no Newton
     # refinement — restarting Newton there can diverge when the active
     # rows are linearly dependent (degenerate corners)
+    h0 = s.scaled_h(xv)
     if h0.max() <= _FEAS_KEEP and (
             not act or np.abs(h0[act]).max() <= 1e-12):
         lam_nn, mu_nn = _nnls_multipliers(xv, s, act)
         if lam_nn is not None:
-            return xv, _assemble(lam_nn, mu_nn), h0
+            return xv, _assemble(lam_nn, mu_nn)
 
     for _outer in range(_MAX_OUTER):
         xv, lam_act, mu, ok = _newton_on_active(xv, s, act, lam_act, mu)
         if not ok:
-            return xv, None, None
+            return xv, None
         if lam_act.size and lam_act.min() < -1e-9:
             # at degenerate corners the active rows are dependent and the
             # Newton multipliers are sign-indefinite; try a nonnegative
@@ -231,8 +248,8 @@ def _polish(xv, s: Scaling, act_init, h0):
             lam_act = np.zeros(len(act))
             continue
         # converged: assemble full multipliers in original units
-        return xv, _assemble(lam_act, mu), h
-    return xv, None, None
+        return xv, _assemble(lam_act, mu)
+    return xv, None
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -256,10 +273,10 @@ def _newton_on_active(xv, s: Scaling, act, lam_act, mu):
             if lam_orig[row] != 0.0:
                 W += lam_orig[row] * d.hess_xx_h[row]
         Wt = (sx[:, None] * W * sx[None, :]) / sj
-        A = (d.jac_x_h[rows] * sx[None, :]) / sh[rows, None]
-        gj = d.grad_x_j * sx / sj
+        _, gj, h, jac = s.evaluate(xv)[1]
+        A = jac[rows]
         resid_stat = gj + A.T @ lam
-        resid_h = s.scaled_h(xv)[rows]
+        resid_h = h[rows]
         err = max(np.abs(resid_stat).max(), np.abs(resid_h).max())
         if err < 1e-13:
             return xv, lam[:na], lam[na], True
@@ -305,12 +322,9 @@ def _nnls_multipliers(xv, s: Scaling, act):
     lam >= 0, with the balance-equality multiplier free in sign. Returns
     (lam_act, mu) in scaled units, or (None, 0.0) when no nonnegative
     combination reaches stationarity."""
-    _, grad, _, jac = s.first_order(xv)
-    sx, sh, eq_row = s.x, s.h, s.layout.balance
-    gj = grad * sx / s.j
-    A = (jac[list(act)] * sx[None, :]) / sh[list(act), None]
-    a_eq = (jac[eq_row] * sx) / sh[eq_row]
-    M = np.column_stack([A.T, a_eq, -a_eq])
+    _, gj, _, jac = s.evaluate(xv)[1]
+    a_eq = jac[s.layout.balance]
+    M = np.column_stack([jac[list(act)].T, a_eq, -a_eq])
     z, resid = scipy_nnls(M, -gj)
     if resid > _NNLS_TOL * max(1.0, np.abs(gj).max()):
         return None, 0.0
@@ -340,25 +354,24 @@ def verify_kkt(x: hm.DecisionVector, lam,
 
 
 def _residuals(xv, lam, s: Scaling) -> KktResiduals:
-    lay, sx, sh = s.layout, s.x, s.h
+    lay, sx = s.layout, s.x
     lam = np.asarray(lam, dtype=float)
     if lam.size != lay.h_dim:
         raise ValueError(f"expected {lay.h_dim} multipliers, got {lam.size}")
     if xv.size != lay.x_dim:
         raise ValueError(
             f"expected {lay.x_dim} decision entries, got {xv.size}")
-    _, grad, h, jac = s.first_order(xv)
+    (_, grad, h, jac), (_, _, h_scaled, _) = s.evaluate(xv)
     j0 = hm.objective_flat(xv, s.wv, lay.n, s.params.c_p)
 
     grad_l = grad + lam @ jac
     stat = np.abs(grad_l * sx).max() / max(1.0, np.abs(grad * sx).max())
     comp = np.abs(lam * h).max() / max(1.0, abs(j0))
-    feas = max(0.0, (h / sh).max())
+    feas = max(0.0, h_scaled.max())
     dual = max(0.0, -lam.min()) if lam.size else 0.0
-    h_scaled = h / sh
     active = tuple(int(i) for i in
                    np.where(np.abs(h_scaled) <= SolverConfig.act_tol)[0])
-    lam_scaled = lam * sh / s.j
+    lam_scaled = lam * s.h / s.j
     strict_ok = all(lam_scaled[i] > 1e-8 for i in active)
     return KktResiduals(
         j0=float(j0),
@@ -430,7 +443,7 @@ def solve_baseline(w: hm.ExogenousVector, cfg: SolverConfig | None = None,
     cfg = cfg or SolverConfig()
     par = w.params
     s = Scaling.of(w)
-    lay, sx, sh, sj = s.layout, s.x, s.h, s.j
+    lay, sx = s.layout, s.x
 
     v_sum, md = s.lo[lay.m_oa], s.hi[lay.m_oa]
     if v_sum > md:
@@ -445,44 +458,18 @@ def solve_baseline(w: hm.ExogenousVector, cfg: SolverConfig | None = None,
             f"zone {bad + 1} heating load exceeds the discharge-temperature "
             f"window at design flow")
 
-    eq_row = lay.balance
-    ineq_rows = np.setdiff1d(np.arange(lay.h_dim), [eq_row, lay.balance_neg])
+    def scaled(z):
+        return s.evaluate(z * sx)[1]
 
-    cache = {}
-
-    def _eval(z):
-        key = z.tobytes()
-        hit = cache.get(key)
-        if hit is None:
-            hit = s.first_order(z * sx)
-            if len(cache) > 64:
-                cache.clear()
-            cache[key] = hit
-        return hit
-
-    def f_obj(z):
-        j, g, _, _ = _eval(z)
-        return j / sj
-
-    def f_obj_grad(z):
-        _, g, _, _ = _eval(z)
-        return g * sx / sj
-
-    def f_ineq(z):
-        _, _, h, _ = _eval(z)
-        return -(h[ineq_rows] / sh[ineq_rows])
-
-    def f_ineq_jac(z):
-        _, _, _, jac = _eval(z)
-        return -(jac[ineq_rows] * sx[None, :] / sh[ineq_rows, None])
-
-    def f_eq(z):
-        _, _, h, _ = _eval(z)
-        return np.array([h[eq_row] / sh[eq_row]])
-
-    def f_eq_jac(z):
-        _, _, _, jac = _eval(z)
-        return (jac[eq_row] * sx / sh[eq_row])[None, :]
+    # the balance pair is the last two rows: SLSQP's inequalities are the
+    # rows before it, and its equality is the pair's first row
+    eq = lay.balance
+    constraints = [
+        {"type": "ineq", "fun": lambda z: -scaled(z)[2][:eq],
+         "jac": lambda z: -scaled(z)[3][:eq]},
+        {"type": "eq", "fun": lambda z: scaled(z)[2][eq:eq + 1],
+         "jac": lambda z: scaled(z)[3][eq:eq + 1]},
+    ]
 
     lo, hi = hm.x_box(s.wv, lay.n, par.flow_floor)
     lo, hi = lo / sx, hi / sx
@@ -505,11 +492,8 @@ def solve_baseline(w: hm.ExogenousVector, cfg: SolverConfig | None = None,
                     "ignore", message="Values in x were outside bounds",
                     category=RuntimeWarning)
                 res = minimize(
-                    f_obj, z0, jac=f_obj_grad, method="SLSQP", bounds=bounds,
-                    constraints=[
-                        {"type": "ineq", "fun": f_ineq, "jac": f_ineq_jac},
-                        {"type": "eq", "fun": f_eq, "jac": f_eq_jac},
-                    ],
+                    lambda z: scaled(z)[0], z0, jac=lambda z: scaled(z)[1],
+                    method="SLSQP", bounds=bounds, constraints=constraints,
                     options={"maxiter": cfg.max_iterations, "ftol": 1e-12},
                 )
         except (ValueError, FloatingPointError):
@@ -517,8 +501,8 @@ def solve_baseline(w: hm.ExogenousVector, cfg: SolverConfig | None = None,
         xv = res.x * sx
         h = s.scaled_h(xv)
         # written as the feasible case: any comparison with a NaN is False
-        if not (np.isfinite(xv).all() and h[ineq_rows].max() < 1e-5
-                and abs(h[eq_row]) < 1e-5):
+        if not (np.isfinite(xv).all() and h[:eq].max() < 1e-5
+                and abs(h[eq]) < 1e-5):
             continue
         feasible = True
         kkt = _finalize(xv, s, cfg.rng_seed)
@@ -538,14 +522,13 @@ def solve_baseline(w: hm.ExogenousVector, cfg: SolverConfig | None = None,
 
 def _finalize(xv, s: Scaling, seed):
     start = _canonicalize(xv, s)
-    h = s.scaled_h(start)
     # canonicalization can change the active set, so a second round
     # polishes at the canonical form of the first round's result; it is
     # skipped when that form is the point the first round started from,
     # where the round would repeat the first bit for bit
     for second_round in (False, True):
-        act = np.where(h >= -SolverConfig.act_tol)[0]
-        xv, lam, h = _polish(start, s, act, h)
+        act = np.where(s.scaled_h(start) >= -SolverConfig.act_tol)[0]
+        xv, lam = _polish(start, s, act)
         if lam is None:
             return None
         if second_round:
@@ -553,9 +536,9 @@ def _finalize(xv, s: Scaling, seed):
         nxt = _canonicalize(xv, s)
         if nxt.tobytes() == start.tobytes():
             break
-        start, h = nxt, s.scaled_h(nxt)
+        start = nxt
     # verify_kkt's active set at xv, without its residuals
-    active = np.where(np.abs(h) <= SolverConfig.act_tol)[0]
+    active = np.where(np.abs(s.scaled_h(xv)) <= SolverConfig.act_tol)[0]
     xv = _snap_active_bounds(xv, s, active)
     return KktPoint(**vars(_residuals(xv, lam, s)), scaling=s, lam=lam,
                     x0=hm.DecisionVector.from_vector(xv), seed=seed)

@@ -1,5 +1,6 @@
 import dataclasses
 import types
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from gridbase import baseline_opt
 from gridbase import hvac_model as hm
 from gridbase import scenario as sc
+from gridbase import sensitivity as sn
 from gridbase.baseline_opt import (SolverConfig, _center_start, _random_start,
                                    kkt_report, solve_baseline, verify_kkt)
 from gridbase.errors import (GridbaseError, InfeasibleHourError,
@@ -421,3 +423,71 @@ def test_non_finite_slsqp_point_is_not_feasible(hot_hour, monkeypatch):
     monkeypatch.setattr(baseline_opt, "minimize", nan_point)
     with pytest.raises(InfeasibleHourError):
         solve_baseline(hot_hour)
+
+
+@pytest.mark.parametrize("hour_fixture",
+                         ["hot_hour", "moderate_hour", "cold_hour"])
+def test_each_point_is_evaluated_once(hour_fixture, request, monkeypatch):
+    """From the solve through the operator build, every one-point model
+    evaluation is a `first_order_flat` call at a point not seen before:
+    the hour's `Scaling` keeps each point's record, and no stage computes
+    h apart from it."""
+    seen = {"first_order_flat": [], "constraints_flat": []}
+
+    def counted(name):
+        real = getattr(hm, name)
+
+        def wrapper(xv, *args):
+            if np.ndim(xv) == 1:
+                seen[name].append(np.asarray(xv).tobytes())
+            return real(xv, *args)
+        monkeypatch.setattr(hm, name, wrapper)
+
+    counted("first_order_flat")
+    counted("constraints_flat")
+    w = request.getfixturevalue(hour_fixture)
+    kkt = solve_baseline(w)
+    sn.build_operator(kkt, w, sn.uncertainty_spec(w, ("T_oa",), 0.05))
+    counts = Counter(seen["first_order_flat"])
+    assert counts and max(counts.values()) == 1
+    assert seen["constraints_flat"] == []
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_scaled_record_keeps_the_row_selected_bits(n):
+    """The scaled record at a point has the bits of the row-selected
+    scalings the SLSQP callbacks used to compute, its arrays are
+    read-only, and a second call returns the same objects."""
+    hour = sc.synth_profile("moderate", 11 + n, n_zones=n).hours[3]
+    w = hm.ExogenousVector(t_oa=hour.t_oa, zones=hour.zones,
+                           params=_scaled_params(n))
+    s = baseline_opt.Scaling.of(w)
+    lay, sx, sh, sj = s.layout, s.x, s.h, s.j
+    assert (lay.balance, lay.balance_neg) == (lay.h_dim - 2, lay.h_dim - 1)
+    eq = lay.balance
+    ineq = np.setdiff1d(np.arange(lay.h_dim), [eq, lay.balance_neg])
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        xv = _random_start(rng, s)
+        raw, scaled = s.evaluate(xv)
+        j, g, h, jac = hm.first_order_flat(xv, s.wv, n, w.params.c_p,
+                                           w.params.flow_floor)
+        for a, b in zip(raw, (j, g, h, jac)):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        j_s, g_s, h_s, jac_s = scaled
+        pairs = [
+            (j_s, j / sj),
+            (g_s, g * sx / sj),
+            (-h_s[:eq], -(h[ineq] / sh[ineq])),
+            (-jac_s[:eq], -(jac[ineq] * sx[None, :] / sh[ineq, None])),
+            (h_s[eq], h[eq] / sh[eq]),
+            (jac_s[eq], jac[eq] * sx / sh[eq]),
+            (s.scaled_h(xv), h / sh),
+        ]
+        for a, b in pairs:
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        for a in raw[1:] + scaled[1:]:
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+        again = s.evaluate(xv)
+        assert all(a is b for a, b in zip(again[0] + again[1], raw + scaled))
