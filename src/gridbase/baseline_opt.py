@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -85,6 +86,9 @@ class KktPoint(KktResiduals):
 # scaling
 # ---------------------------------------------------------------------------
 
+Scaled = namedtuple("Scaled", "j grad h jac")
+
+
 @dataclass(frozen=True)
 class Scaling:
     """One hour's flat w and layout, with the diagonal scales of x, h and J
@@ -133,33 +137,31 @@ class Scaling:
         return self
 
     def evaluate(self, xv):
-        """(raw, scaled) at xv: raw is `first_order_flat`'s (J, grad_x J,
-        h, jac_x h), scaled is (J / j, grad_x J * x / j, h / h,
-        jac_x h * x / h), the problem SLSQP sees. Each point is evaluated
-        and scaled once while kept (up to _MEMO_POINTS points, cleared
-        when full); the arrays are read-only."""
+        """(raw, scaled) at xv: raw is `first_order_flat`'s record, scaled
+        is `Scaled`(J / j, grad_x J * x / j, h / h, jac_x h * x / h), the
+        problem SLSQP sees. Each point is evaluated and scaled once while
+        kept (up to _MEMO_POINTS points, cleared when full); the arrays
+        are read-only."""
         key = xv.tobytes()
         hit = self._memo.get(key)
         if hit is None:
             raw = hm.first_order_flat(xv, self.wv, self.layout.n,
                                       self.params.c_p, self.params.flow_floor)
-            j, grad, h, jac = raw
-            scaled = (j / self.j, grad * self.x / self.j, h / self.h,
-                      jac * self.x[None, :] / self.h[:, None])
-            for a in raw[1:] + scaled[1:]:
+            scaled = Scaled(raw.j / self.j, raw.grad * self.x / self.j,
+                            raw.h / self.h,
+                            raw.jac * self.x[None, :] / self.h[:, None])
+            for a in (raw.grad, raw.h, raw.jac, raw.gq) + scaled[1:]:
                 a.flags.writeable = False
             if len(self._memo) >= _MEMO_POINTS:
                 self._memo.clear()
             hit = self._memo[key] = (raw, scaled)
         return hit
 
-    def scaled_h(self, xv):
-        """h(xv) divided by the h scale."""
-        return self.evaluate(xv)[1][2]
-
     def derivatives(self, xv):
-        return hm.derivatives_flat(xv, self.wv, self.layout.n,
-                                   self.params.c_p)
+        """`hm.derivatives_flat` on the raw record `evaluate` keeps at xv,
+        so the point's first order is not computed again."""
+        return hm.derivatives_flat(self.evaluate(xv)[0], xv, self.wv,
+                                   self.layout.n, self.params.c_p)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +219,7 @@ def _polish(xv, s: Scaling, act_init):
     # and admits nonnegative stationarity multipliers needs no Newton
     # refinement — restarting Newton there can diverge when the active
     # rows are linearly dependent (degenerate corners)
-    h0 = s.scaled_h(xv)
+    h0 = s.evaluate(xv)[1].h
     if h0.max() <= _FEAS_KEEP and (
             not act or np.abs(h0[act]).max() <= 1e-12):
         lam_nn, mu_nn = _nnls_multipliers(xv, s, act)
@@ -240,7 +242,7 @@ def _polish(xv, s: Scaling, act_init):
                 del act[worst]
                 lam_act = np.delete(lam_act, worst)
                 continue
-        h = s.scaled_h(xv)
+        h = s.evaluate(xv)[1].h
         inactive = np.setdiff1d(np.arange(lay.h_dim), act + eq_rows)
         if inactive.size and h[inactive].max() > _FEAS_KEEP:
             worst = int(inactive[np.argmax(h[inactive])])
@@ -264,6 +266,15 @@ def _newton_on_active(xv, s: Scaling, act, lam_act, mu):
     sx, sh, sj = s.x, s.h, s.j
 
     for _it in range(_NEWTON_MAX_ITER):
+        scaled = s.evaluate(xv)[1]
+        gj, A = scaled.grad, scaled.jac[rows]
+        resid_stat = gj + A.T @ lam
+        resid_h = scaled.h[rows]
+        err = max(np.abs(resid_stat).max(), np.abs(resid_h).max())
+        if err < 1e-13:
+            return xv, lam[:na], lam[na], True
+
+        # the Lagrangian Hessian feeds only the step
         d = s.derivatives(xv)
         lam_orig = np.zeros(lay.h_dim)
         for idx, row in enumerate(rows):
@@ -273,14 +284,6 @@ def _newton_on_active(xv, s: Scaling, act, lam_act, mu):
             if lam_orig[row] != 0.0:
                 W += lam_orig[row] * d.hess_xx_h[row]
         Wt = (sx[:, None] * W * sx[None, :]) / sj
-        _, gj, h, jac = s.evaluate(xv)[1]
-        A = jac[rows]
-        resid_stat = gj + A.T @ lam
-        resid_h = h[rows]
-        err = max(np.abs(resid_stat).max(), np.abs(resid_h).max())
-        if err < 1e-13:
-            return xv, lam[:na], lam[na], True
-
         nv = mdim + len(rows)
         K = np.zeros((nv, nv))
         K[:mdim, :mdim] = Wt
@@ -322,11 +325,11 @@ def _nnls_multipliers(xv, s: Scaling, act):
     lam >= 0, with the balance-equality multiplier free in sign. Returns
     (lam_act, mu) in scaled units, or (None, 0.0) when no nonnegative
     combination reaches stationarity."""
-    _, gj, _, jac = s.evaluate(xv)[1]
-    a_eq = jac[s.layout.balance]
-    M = np.column_stack([jac[list(act)].T, a_eq, -a_eq])
-    z, resid = scipy_nnls(M, -gj)
-    if resid > _NNLS_TOL * max(1.0, np.abs(gj).max()):
+    scaled = s.evaluate(xv)[1]
+    a_eq = scaled.jac[s.layout.balance]
+    M = np.column_stack([scaled.jac[list(act)].T, a_eq, -a_eq])
+    z, resid = scipy_nnls(M, -scaled.grad)
+    if resid > _NNLS_TOL * max(1.0, np.abs(scaled.grad).max()):
         return None, 0.0
     return z[:len(act)], float(z[-2] - z[-1])
 
@@ -361,16 +364,16 @@ def _residuals(xv, lam, s: Scaling) -> KktResiduals:
     if xv.size != lay.x_dim:
         raise ValueError(
             f"expected {lay.x_dim} decision entries, got {xv.size}")
-    (_, grad, h, jac), (_, _, h_scaled, _) = s.evaluate(xv)
+    raw, scaled = s.evaluate(xv)
     j0 = hm.objective_flat(xv, s.wv, lay.n, s.params.c_p)
 
-    grad_l = grad + lam @ jac
-    stat = np.abs(grad_l * sx).max() / max(1.0, np.abs(grad * sx).max())
-    comp = np.abs(lam * h).max() / max(1.0, abs(j0))
-    feas = max(0.0, h_scaled.max())
+    grad_l = raw.grad + lam @ raw.jac
+    stat = np.abs(grad_l * sx).max() / max(1.0, np.abs(raw.grad * sx).max())
+    comp = np.abs(lam * raw.h).max() / max(1.0, abs(j0))
+    feas = max(0.0, scaled.h.max())
     dual = max(0.0, -lam.min()) if lam.size else 0.0
     active = tuple(int(i) for i in
-                   np.where(np.abs(h_scaled) <= SolverConfig.act_tol)[0])
+                   np.where(np.abs(scaled.h) <= SolverConfig.act_tol)[0])
     lam_scaled = lam * s.h / s.j
     strict_ok = all(lam_scaled[i] > 1e-8 for i in active)
     return KktResiduals(
@@ -465,10 +468,10 @@ def solve_baseline(w: hm.ExogenousVector, cfg: SolverConfig | None = None,
     # rows before it, and its equality is the pair's first row
     eq = lay.balance
     constraints = [
-        {"type": "ineq", "fun": lambda z: -scaled(z)[2][:eq],
-         "jac": lambda z: -scaled(z)[3][:eq]},
-        {"type": "eq", "fun": lambda z: scaled(z)[2][eq:eq + 1],
-         "jac": lambda z: scaled(z)[3][eq:eq + 1]},
+        {"type": "ineq", "fun": lambda z: -scaled(z).h[:eq],
+         "jac": lambda z: -scaled(z).jac[:eq]},
+        {"type": "eq", "fun": lambda z: scaled(z).h[eq:eq + 1],
+         "jac": lambda z: scaled(z).jac[eq:eq + 1]},
     ]
 
     lo, hi = hm.x_box(s.wv, lay.n, par.flow_floor)
@@ -492,14 +495,14 @@ def solve_baseline(w: hm.ExogenousVector, cfg: SolverConfig | None = None,
                     "ignore", message="Values in x were outside bounds",
                     category=RuntimeWarning)
                 res = minimize(
-                    lambda z: scaled(z)[0], z0, jac=lambda z: scaled(z)[1],
+                    lambda z: scaled(z).j, z0, jac=lambda z: scaled(z).grad,
                     method="SLSQP", bounds=bounds, constraints=constraints,
                     options={"maxiter": cfg.max_iterations, "ftol": 1e-12},
                 )
         except (ValueError, FloatingPointError):
             continue
         xv = res.x * sx
-        h = s.scaled_h(xv)
+        h = s.evaluate(xv)[1].h
         # written as the feasible case: any comparison with a NaN is False
         if not (np.isfinite(xv).all() and h[:eq].max() < 1e-5
                 and abs(h[eq]) < 1e-5):
@@ -527,7 +530,7 @@ def _finalize(xv, s: Scaling, seed):
     # skipped when that form is the point the first round started from,
     # where the round would repeat the first bit for bit
     for second_round in (False, True):
-        act = np.where(s.scaled_h(start) >= -SolverConfig.act_tol)[0]
+        act = np.where(s.evaluate(start)[1].h >= -SolverConfig.act_tol)[0]
         xv, lam = _polish(start, s, act)
         if lam is None:
             return None
@@ -538,7 +541,8 @@ def _finalize(xv, s: Scaling, seed):
             break
         start = nxt
     # verify_kkt's active set at xv, without its residuals
-    active = np.where(np.abs(s.scaled_h(xv)) <= SolverConfig.act_tol)[0]
+    active = np.where(np.abs(s.evaluate(xv)[1].h)
+                      <= SolverConfig.act_tol)[0]
     xv = _snap_active_bounds(xv, s, active)
     return KktPoint(**vars(_residuals(xv, lam, s)), scaling=s, lam=lam,
                     x0=hm.DecisionVector.from_vector(xv), seed=seed)

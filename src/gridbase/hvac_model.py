@@ -552,7 +552,7 @@ def x_box(wv, n, flow_floor):
 
 
 def _constraint_rows(xv, m, s_t, q_b, wv, n, c_p, flow_floor):
-    """h(x, w) from x and its `loads`, elementwise like `_first_order`."""
+    """h(x, w) from x and its `loads`, elementwise like `first_order_flat`."""
     lay = layout(n)
     x, w = xv.T, wv.T
     T, o, mvec = x[lay.t_sa], x[lay.m_oa], x[lay.m_sa]
@@ -595,16 +595,21 @@ def constraints(x: DecisionVector, w: ExogenousVector) -> np.ndarray:
                             w.zones.count, w.params.c_p, w.params.flow_floor)
 
 
-_FirstOrder = namedtuple("_FirstOrder",
-                         "j grad jac v gq f_plp fan1 etap d1 pc1")
+FirstOrder = namedtuple("FirstOrder", "j grad h jac v gq fan1 etap d1 pc1")
 
 
-def _first_order(xv, wv, n, c_p) -> _FirstOrder:
-    """Smooth J, grad_x J and jac_x h, with the `values` and the curve
-    slopes that `first_order_flat` and `derivatives_flat` both build on.
-    Elementwise like `values`: on S rows every entry is a column of S and
-    the arrays hold their components first (`gq` (m, S), `jac` a view
-    (n_h, m, S) of the returned (S, n_h, m)); a point stays scalar."""
+def first_order_flat(xv: np.ndarray, wv: np.ndarray, n: int, c_p: float,
+                     flow_floor: float) -> FirstOrder:
+    """Cheap solver path: J_smooth, grad_x J, h and jac_x h, then the
+    `values` v, the Q_b gradient gq and the curve slopes that
+    `derivatives_flat` builds on.
+
+    J_smooth keeps the chiller standby term at q_c = 0, where the reported
+    `objective_flat` drops it. h equals `constraints_flat`. On S rows,
+    (S, m) and (S, p), j, grad, h and jac gain a leading axis of S, and
+    row i has the bits of the call at that row's point; gq is (m, S), and
+    v and the slopes are (S,), scalars at a point.
+    """
     lay = layout(n)
     x, w = xv.T, wv.T
     T, o, mvec = x[lay.t_sa], x[lay.m_oa], x[lay.m_sa]
@@ -671,23 +676,8 @@ def _first_order(xv, wv, n, c_p) -> _FirstOrder:
     gbal[iB] -= 1.0
     jac[lay.balance] = gbal
     jac[lay.balance_neg] = -gbal
-    return _FirstOrder(j, grad.T, out, v, gq, f_plp, fan1, etap, d1, pc1)
-
-
-def first_order_flat(xv: np.ndarray, wv: np.ndarray, n: int, c_p: float,
-                     flow_floor: float):
-    """Cheap solver path: (J_smooth, grad_x J, h, jac_x h) only.
-
-    J_smooth keeps the chiller standby term at q_c = 0, where the reported
-    `objective_flat` drops it. h equals `constraints_flat`, and the
-    gradient and Jacobian are the `derivatives_flat` blocks. On S rows,
-    (S, m) and (S, p), each result gains a leading axis of S, and row i
-    has the bits of the call at that row's point.
-    """
-    core = _first_order(xv, wv, n, c_p)
-    h = _constraint_rows(xv, core.v.m, core.v.s_t, core.v.q_b, wv, n, c_p,
-                         flow_floor)
-    return core.j, core.grad, h, core.jac
+    h = _constraint_rows(xv, m, s_t, v.q_b, wv, n, c_p, flow_floor)
+    return FirstOrder(j, grad.T, h, out, v, gq, fan1, etap, d1, pc1)
 
 
 # ---------------------------------------------------------------------------
@@ -712,14 +702,16 @@ class ModelDerivatives:
     hess_xw_h: np.ndarray
 
 
-def derivatives_flat(xv: np.ndarray, wv: np.ndarray, n: int,
-                     c_p: float) -> ModelDerivatives:
-    """All derivative blocks at (x, w); the chiller term is the smooth
-    expanded form (identical to the reported objective wherever q_c > 0).
-    grad_x J and jac_x h are `first_order_flat`'s; this adds the
-    second-order blocks and the blocks in w."""
-    _, grad_x_j, jac_x_h, v, gq, f_plp, fan1, etap, d1, pc1 = _first_order(
-        xv, wv, n, c_p)
+def derivatives_flat(first: FirstOrder, xv: np.ndarray, wv: np.ndarray,
+                     n: int, c_p: float) -> ModelDerivatives:
+    """All derivative blocks at (x, w), built on `first`, the point's
+    `first_order_flat` record; the chiller term is the smooth expanded
+    form (identical to the reported objective wherever q_c > 0).
+    grad_x J and jac_x h are the record's own arrays; this adds the
+    second-order blocks and the blocks in w, and writes nothing into
+    the record."""
+    v, gq, d1 = first.v, first.gq, first.d1
+    fan1, etap, pc1 = first.fan1, first.etap, first.pc1
     m, s_t, u, gain, r, eta = v.m, v.s_t, v.u, v.gain, v.r, v.eta
     lay = layout(n)
     o, mvec, b = xv[lay.m_oa], xv[lay.m_sa], xv[lay.q_c]
@@ -833,7 +825,7 @@ def derivatives_flat(xv: np.ndarray, wv: np.ndarray, n: int,
     jac_w_h[q_b_hi, jQBR] -= 1.0
 
     return ModelDerivatives(
-        grad_x_j=grad_x_j, hess_xx_j=hess_xx_j, hess_xw_j=hess_xw_j,
-        jac_x_h=jac_x_h, hess_xx_h=hess_xx_h, jac_w_h=jac_w_h,
+        grad_x_j=first.grad, hess_xx_j=hess_xx_j, hess_xw_j=hess_xw_j,
+        jac_x_h=first.jac, hess_xx_h=hess_xx_h, jac_w_h=jac_w_h,
         hess_xw_h=hess_xw_h,
     )

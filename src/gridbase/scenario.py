@@ -140,6 +140,9 @@ def load_profile(path, params: hm.HvacParameters | None = None) -> DayProfile:
         hour = int(vals[0])
         if hour != vals[0]:
             raise ProfileParseError("hour must be an integer", line=lineno)
+        if hours and hour <= hours[-1].hour_index:
+            raise ProfileParseError("hour_index must be strictly increasing",
+                                    line=lineno)
         t_sp = np.array(vals[2::3])
         q = np.array(vals[3::3]) * scale
         v = np.array(vals[4::3])
@@ -154,10 +157,7 @@ def load_profile(path, params: hm.HvacParameters | None = None) -> DayProfile:
     if not hours:
         raise ProfileParseError("profile contains no data rows",
                                 line=row_start + 1)
-    try:
-        return DayProfile(label=label, hours=tuple(hours))
-    except ValueError as exc:
-        raise ProfileParseError(str(exc), line=row_start + 1)
+    return DayProfile(label=label, hours=tuple(hours))
 
 
 def write_profile(profile: DayProfile, path, units: str = "W") -> None:

@@ -138,8 +138,8 @@ def kkt_map(xv, wv, lam, n, c_p, flow_floor) -> np.ndarray:
     gradients are coded apart from the second-order blocks, so differences
     of H check each level of G and grad_w H against the level below. On S
     rows, (S, m) and (S, p), H is (S, m + n) with each point's bits."""
-    _, grad, h, jac = hm.first_order_flat(xv, wv, n, c_p, flow_floor)
-    return np.concatenate([grad + lam @ jac, lam * h], axis=-1)
+    f = hm.first_order_flat(xv, wv, n, c_p, flow_floor)
+    return np.concatenate([f.grad + lam @ f.jac, lam * f.h], axis=-1)
 
 
 def _assemble_jacobians(d: hm.ModelDerivatives, lam, mask_idx):

@@ -453,11 +453,59 @@ def test_each_point_is_evaluated_once(hour_fixture, request, monkeypatch):
     assert seen["constraints_flat"] == []
 
 
+def test_derivatives_build_on_the_kept_record(monkeypatch):
+    """Hour 15 of this hot day polishes with Newton: 3 passes, then NNLS
+    recovers a negative multiplier. Each `derivatives_flat` call gets the
+    very record `Scaling.evaluate` kept for its point, no point reaches
+    `first_order_flat` twice, and the Hessian is built once per Newton
+    step and once for the operator, never on the pass that converges."""
+    kept, derived, trail, passes = {}, [], [], []
+    real_first, real_derivs = hm.first_order_flat, hm.derivatives_flat
+    real_evaluate = baseline_opt.Scaling.evaluate
+    real_newton = baseline_opt._newton_on_active
+
+    def first_order(xv, *args):
+        record = real_first(xv, *args)
+        if np.ndim(xv) == 1:
+            assert xv.tobytes() not in kept
+            kept[xv.tobytes()] = record
+        return record
+
+    def derivatives(first, xv, *args):
+        derived.append(first is kept[xv.tobytes()])
+        return real_derivs(first, xv, *args)
+
+    def evaluate(s, xv):
+        trail.append(xv.tobytes())
+        return real_evaluate(s, xv)
+
+    def newton(*args):
+        start = len(trail)
+        out = real_newton(*args)
+        passes.append(len(set(trail[start:])))
+        return out
+
+    monkeypatch.setattr(hm, "first_order_flat", first_order)
+    monkeypatch.setattr(hm, "derivatives_flat", derivatives)
+    monkeypatch.setattr(baseline_opt.Scaling, "evaluate", evaluate)
+    monkeypatch.setattr(baseline_opt, "_newton_on_active", newton)
+    hour = sc.synth_profile("hot", 100045).hours[6]
+    assert hour.hour_index == 15
+    w = hm.ExogenousVector(t_oa=hour.t_oa, zones=hour.zones,
+                           params=hm.HvacParameters())
+    kkt = solve_baseline(w)
+    assert kkt.certified and passes == [3]
+    assert derived == [True] * 2
+    sn.build_operator(kkt, w, sn.uncertainty_spec(w, ("T_oa",), 0.05))
+    assert derived == [True] * 3
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
 def test_scaled_record_keeps_the_row_selected_bits(n):
     """The scaled record at a point has the bits of the row-selected
-    scalings the SLSQP callbacks used to compute, its arrays are
-    read-only, and a second call returns the same objects."""
+    scalings the SLSQP callbacks used to compute, the raw record is
+    `first_order_flat`'s, their arrays are read-only, and a second call
+    returns the same objects."""
     hour = sc.synth_profile("moderate", 11 + n, n_zones=n).hours[3]
     w = hm.ExogenousVector(t_oa=hour.t_oa, zones=hour.zones,
                            params=_scaled_params(n))
@@ -470,23 +518,25 @@ def test_scaled_record_keeps_the_row_selected_bits(n):
     for _ in range(3):
         xv = _random_start(rng, s)
         raw, scaled = s.evaluate(xv)
-        j, g, h, jac = hm.first_order_flat(xv, s.wv, n, w.params.c_p,
-                                           w.params.flow_floor)
-        for a, b in zip(raw, (j, g, h, jac)):
+        assert isinstance(raw, hm.FirstOrder)
+        assert isinstance(scaled, baseline_opt.Scaled)
+        first = hm.first_order_flat(xv, s.wv, n, w.params.c_p,
+                                    w.params.flow_floor)
+        for a, b in zip(raw, first):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
-        j_s, g_s, h_s, jac_s = scaled
         pairs = [
-            (j_s, j / sj),
-            (g_s, g * sx / sj),
-            (-h_s[:eq], -(h[ineq] / sh[ineq])),
-            (-jac_s[:eq], -(jac[ineq] * sx[None, :] / sh[ineq, None])),
-            (h_s[eq], h[eq] / sh[eq]),
-            (jac_s[eq], jac[eq] * sx / sh[eq]),
-            (s.scaled_h(xv), h / sh),
+            (scaled.j, first.j / sj),
+            (scaled.grad, first.grad * sx / sj),
+            (-scaled.h[:eq], -(first.h[ineq] / sh[ineq])),
+            (-scaled.jac[:eq],
+             -(first.jac[ineq] * sx[None, :] / sh[ineq, None])),
+            (scaled.h[eq], first.h[eq] / sh[eq]),
+            (scaled.jac[eq], first.jac[eq] * sx / sh[eq]),
+            (scaled.h, first.h / sh),
         ]
         for a, b in pairs:
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
-        for a in raw[1:] + scaled[1:]:
+        for a in (raw.grad, raw.h, raw.jac, raw.gq) + scaled[1:]:
             with pytest.raises(ValueError):
                 a[0] = 0.0
         again = s.evaluate(xv)

@@ -258,7 +258,7 @@ def test_objective_smooth_differs_only_by_standby(hot_hour):
                           m_sa=np.full(5, 0.4), q_h=5000.0, q_c=0.0)
     xv, wv = x.to_vector(), hot_hour.to_vector()
     j_hard = hm.objective_flat(xv, wv, 5, par.c_p)
-    j_smooth = hm.first_order_flat(xv, wv, 5, par.c_p, par.flow_floor)[0]
+    j_smooth = hm.first_order_flat(xv, wv, 5, par.c_p, par.flow_floor).j
     standby = par.alpha_el * (par.c_g[0] * par.Q_e_rated + par.P_pump)
     assert j_smooth - j_hard == pytest.approx(standby, rel=1e-12)
 
@@ -300,8 +300,8 @@ def test_simple_bound_rows_are_the_box(n):
     X[0, lay.t_sa], X[1, lay.q_h] = 12.0, 0.0   # on a bound
     up_x = lay.upper_x
     lo, hi = hm.simple_bounds(W, n, par.flow_floor)
-    _, _, h_rows, jac_rows = hm.first_order_flat(
-        X, W, n, par.c_p, par.flow_floor)
+    rows = hm.first_order_flat(X, W, n, par.c_p, par.flow_floor)
+    h_rows, jac_rows = rows.h, rows.jac
     assert np.array_equal(h_rows[:, lay.lower], lo.T - X)
     assert np.array_equal(h_rows[:, lay.upper], X[:, up_x] - hi.T[:, up_x])
     eye = np.eye(lay.x_dim)
@@ -318,7 +318,7 @@ def test_simple_bound_rows_are_the_box(n):
                                   par.Q_e_rated]
         assert np.isinf(hi[lay.m_sa]).all()
         h = hm.constraints_flat(xv, wv, n, par.c_p, par.flow_floor)
-        jac = hm.derivatives_flat(xv, wv, n, par.c_p).jac_x_h
+        jac = _derivatives(xv, wv, n, par).jac_x_h
         assert np.array_equal(h[lay.lower], lo - xv)
         assert np.array_equal(h[lay.upper], xv[up_x] - hi[up_x])
         assert np.array_equal(jac[lay.lower], -eye)
@@ -334,6 +334,12 @@ def test_simple_bound_rows_are_the_box(n):
 # ---------------------------------------------------------------------------
 # analytic derivatives vs finite differences
 # ---------------------------------------------------------------------------
+
+def _derivatives(xv, wv, n, par):
+    """derivatives_flat on the point's own first_order_flat record."""
+    first = hm.first_order_flat(xv, wv, n, par.c_p, par.flow_floor)
+    return hm.derivatives_flat(first, xv, wv, n, par.c_p)
+
 
 def _random_interior_points(w, count, seed):
     rng = np.random.default_rng(seed)
@@ -354,9 +360,9 @@ def test_first_derivatives_match_fd(hot_hour):
     c_p = hot_hour.params.c_p
     floor = hot_hour.params.flow_floor
     for xv in _random_interior_points(hot_hour, 5, seed=0):
-        d = hm.derivatives_flat(xv, wv, 5, c_p)
+        d = _derivatives(xv, wv, 5, hot_hour.params)
         g_fd = numkit.fd_gradient(
-            lambda z: hm.first_order_flat(z, wv, 5, c_p, floor)[0], xv)
+            lambda z: hm.first_order_flat(z, wv, 5, c_p, floor).j, xv)
         scale = np.abs(d.grad_x_j).max()
         assert np.abs(g_fd - d.grad_x_j).max() < 1e-6 * scale
 
@@ -373,11 +379,11 @@ def test_first_derivatives_match_fd(hot_hour):
 
 def test_first_order_flat_matches_constraints_and_derivatives():
     # the solver, verify_kkt and the NNLS multipliers take h, grad_x J and
-    # jac_x h from first_order_flat; they must be the bits of
-    # constraints_flat and of the derivatives_flat blocks
+    # jac_x h from first_order_flat; h must be the bits of constraints_flat,
+    # and derivatives_flat must hand on the record's own grad and jac
     base = hm.HvacParameters()
     rng = np.random.default_rng(11)
-    for n in (1, 3, 5, 8, 13):
+    for n in (1, 2, 3, 5, 8, 13):
         par = hm.HvacParameters(zone_count=n, m_design=base.m_design * n / 5)
         for k in range(12):
             w = hm.make_exogenous(
@@ -389,28 +395,27 @@ def test_first_order_flat_matches_constraints_and_derivatives():
                 [rng.uniform(0.0, 5000.0),
                  0.0 if k % 3 == 0 else rng.uniform(100.0, 30000.0)]])
             wv = w.to_vector()
-            j, grad, h, jac = hm.first_order_flat(xv, wv, n, par.c_p,
-                                                  par.flow_floor)
-            d = hm.derivatives_flat(xv, wv, n, par.c_p)
-            assert np.array_equal(
-                h, hm.constraints_flat(xv, wv, n, par.c_p, par.flow_floor))
-            assert np.array_equal(grad, d.grad_x_j)
-            assert np.array_equal(jac, d.jac_x_h)
+            first = hm.first_order_flat(xv, wv, n, par.c_p, par.flow_floor)
+            d = hm.derivatives_flat(first, xv, wv, n, par.c_p)
+            assert np.array_equal(first.h, hm.constraints_flat(
+                xv, wv, n, par.c_p, par.flow_floor))
+            assert d.grad_x_j is first.grad
+            assert d.jac_x_h is first.jac
             if xv[-1] > 0.0:
-                assert j == hm.objective_flat(xv, wv, n, par.c_p)
+                assert first.j == hm.objective_flat(xv, wv, n, par.c_p)
 
 
 def test_second_derivatives_match_gradient_differences(hot_hour):
     wv = hot_hour.to_vector()
-    c_p = hot_hour.params.c_p
+    par = hot_hour.params
     xv = _random_interior_points(hot_hour, 1, seed=3)[0]
-    d = hm.derivatives_flat(xv, wv, 5, c_p)
+    d = _derivatives(xv, wv, 5, par)
     # hess_xx_j columns = FD of grad_x_j
     for k in range(xv.size):
         e = np.zeros(xv.size)
         e[k] = 1e-5 * max(1.0, abs(xv[k]))
-        gp = hm.derivatives_flat(xv + e, wv, 5, c_p).grad_x_j
-        gm = hm.derivatives_flat(xv - e, wv, 5, c_p).grad_x_j
+        gp = _derivatives(xv + e, wv, 5, par).grad_x_j
+        gm = _derivatives(xv - e, wv, 5, par).grad_x_j
         fd = (gp - gm) / (2 * e[k])
         scale = max(1.0, np.abs(d.hess_xx_j[:, k]).max())
         assert np.abs(fd - d.hess_xx_j[:, k]).max() < 1e-5 * scale
@@ -418,8 +423,8 @@ def test_second_derivatives_match_gradient_differences(hot_hour):
     for k in range(wv.size):
         e = np.zeros(wv.size)
         e[k] = 1e-5 * max(1.0, abs(wv[k]))
-        gp = hm.derivatives_flat(xv, wv + e, 5, c_p).grad_x_j
-        gm = hm.derivatives_flat(xv, wv - e, 5, c_p).grad_x_j
+        gp = _derivatives(xv, wv + e, 5, par).grad_x_j
+        gm = _derivatives(xv, wv - e, 5, par).grad_x_j
         fd = (gp - gm) / (2 * e[k])
         scale = max(1.0, np.abs(d.hess_xw_j[:, k]).max())
         assert np.abs(fd - d.hess_xw_j[:, k]).max() < 1e-4 * scale
@@ -442,10 +447,10 @@ def test_constraint_hessians_match_jacobian_differences(n):
             [rng.uniform(13.0, 30.0), rng.uniform(0.2, 1.5)],
             rng.uniform(0.1, 0.6, n),
             [rng.uniform(100.0, 5000.0), rng.uniform(100.0, 30000.0)]])
-        d = hm.derivatives_flat(xv, wv, n, par.c_p)
+        d = _derivatives(xv, wv, n, par)
 
         def jac_at(x, v):
-            return hm.first_order_flat(x, v, n, par.c_p, par.flow_floor)[3]
+            return hm.first_order_flat(x, v, n, par.c_p, par.flow_floor).jac
 
         for z, block, jac in ((xv, d.hess_xx_h, lambda z: jac_at(z, wv)),
                               (wv, d.hess_xw_h, lambda z: jac_at(xv, z))):
@@ -470,7 +475,7 @@ def test_constraint_jacobian_w_matches_fd_random_points(seed):
     c_p = w.params.c_p
     floor = w.params.flow_floor
     xv = _random_interior_points(w, 1, seed=seed)[0]
-    d = hm.derivatives_flat(xv, wv, 5, c_p)
+    d = _derivatives(xv, wv, 5, w.params)
     rng = np.random.default_rng(seed + 1)
     u = rng.standard_normal(wv.size) * np.maximum(1.0, np.abs(wv))
     t = 1e-6

@@ -111,7 +111,7 @@ def test_rows_have_the_bits_of_points(n):
     assert H.shape == (S, lay.x_dim + lay.h_dim)
     for i in range(S):
         point = hm.first_order_flat(X[i], W[i], *args)
-        for got, want in zip(rows, point):
+        for got, want in zip(rows[:4], point[:4]):
             assert np.array_equal(got[i], want)
         assert np.array_equal(H[i], sn.kkt_map(X[i], W[i], lam, *args))
 
@@ -147,8 +147,9 @@ def _fd_check_by_point(anchor, w, spec, n_probes, seed):
     xv, wv = anchor.x0.to_vector(), w.to_vector()
     lam, par = anchor.lam, w.params
     sx = baseline_opt.Scaling.of(w).x
+    first = hm.first_order_flat(xv, wv, 5, par.c_p, par.flow_floor)
     G, W_jac = sn._assemble_jacobians(
-        hm.derivatives_flat(xv, wv, 5, par.c_p), lam, spec.indices)
+        hm.derivatives_flat(first, xv, wv, 5, par.c_p), lam, spec.indices)
     idx = list(spec.indices)
 
     def H(x, v):
@@ -254,7 +255,7 @@ def test_anchor_is_its_verify_kkt_report(hour_fixture, request,
     res = baseline_opt.verify_kkt(kkt.x0, kkt.lam, w)
     for f in base:
         assert getattr(kkt, f.name) == getattr(res, f.name), f.name
-    h = baseline_opt.Scaling.of(w).scaled_h(kkt.x0.to_vector())
+    h = baseline_opt.Scaling.of(w).evaluate(kkt.x0.to_vector())[1].h
     rows = np.where(np.abs(h) <= baseline_opt.SolverConfig.act_tol)[0]
     assert kkt.active_set == tuple(int(i) for i in rows)
 
