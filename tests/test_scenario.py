@@ -78,6 +78,7 @@ def test_load_profile_parses_minimal_file(tmp_path):
     (lambda ls: ls[:2] + ["9,20.0,22.0"], 3),                # short row
     (lambda ls: ls[:2] + [ls[2].replace("20.0", "warm", 1)], 3),
     (lambda ls: ls[:2] + [ls[2].replace("9,", "9.5,", 1)], 3),
+    (lambda ls: ls[:2] + [ls[2] + ",0.0"], 3),               # long row
     (lambda ls: ls[:2] + [ls[2], ls[2]], 4),                 # repeated hour
     # hours 9, 11, 10: the row that breaks the order is reported
     (lambda ls: ls[:3] + [ls[3].replace("10,", "11,", 1), ls[3]], 5),
