@@ -21,8 +21,6 @@ from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.optimize import nnls as scipy_nnls
 
 from . import hvac_model as hm
 from .errors import InfeasibleHourError, NoConvergenceError
@@ -34,6 +32,22 @@ _MAX_OUTER = 25          # polish rounds that add or drop active rows
 _NEWTON_MAX_ITER = 40    # Newton steps per polish round
 _NNLS_TOL = 1e-11        # relative stationarity residual NNLS may leave
 _MEMO_POINTS = 65        # evaluated points a Scaling keeps
+
+
+# scipy.optimize takes longer to import than the rest of the package, and
+# only a solve needs it, so it is imported at the first call: a process
+# that synthesizes, checks or exports profiles never loads it. The solver
+# calls these module attributes, so a caller can still wrap or replace them.
+def minimize(*args, **kwargs):
+    """`scipy.optimize.minimize`, imported at the first call."""
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(*args, **kwargs)
+
+
+def scipy_nnls(*args, **kwargs):
+    """`scipy.optimize.nnls`, imported at the first call."""
+    from scipy.optimize import nnls
+    return nnls(*args, **kwargs)
 
 
 @dataclass(frozen=True)

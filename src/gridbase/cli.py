@@ -116,6 +116,10 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_run_day(args) -> int:
+    out_dir = os.path.dirname(args.out)
+    if out_dir and not os.path.isdir(out_dir):
+        # refused before the day is solved, not after
+        raise FileNotFoundError(f"no such directory for --out: {out_dir}")
     params = _load_params(args.params)
     profile = sc.load_profile(args.profile, params)
     results = sc.run_day(profile, _mask_list(args.mask), args.alpha,

@@ -228,23 +228,58 @@ def test_zero_samples_exits_before_solving(capsys, profile_path, monkeypatch,
 @pytest.mark.parametrize("flags", [
     ("--mask", "T_oa,T_oa"), ("--mask", "T_surface"), ("--alpha", "-1"),
     ("--alpha", "nan"), ("--samples", "0"), ("--threads", "0"),
-    ("--threads", "-1"),
+    ("--threads", "-1"), ("--out", "no-such-dir/out.csv"),
 ], ids=["repeated-label", "unknown-label", "negative-alpha", "nan-alpha",
-        "zero-samples", "zero-threads", "negative-threads"])
+        "zero-samples", "zero-threads", "negative-threads",
+        "missing-out-directory"])
 def test_run_day_bad_input_exits_before_solving(capsys, profile_path,
                                                 tmp_path, monkeypatch, flags):
     solves = []
     solve = sc.solve_baseline
     monkeypatch.setattr(sc, "solve_baseline",
                         lambda *args: solves.append(args) or solve(*args))
-    argv = {"--mask": "T_oa", "--alpha": "0.01", "--samples": "64"}
+    monkeypatch.chdir(tmp_path)
+    argv = {"--mask": "T_oa", "--alpha": "0.01", "--samples": "64",
+            "--out": "out.csv"}
     argv.update([flags])
     code, _, err = _run(capsys, "run-day", "--profile", profile_path,
-                        "--out", str(tmp_path / "out.csv"),
                         *(a for kv in argv.items() for a in kv))
     assert code == 2
     assert "error:" in err
     assert solves == []
+
+
+def test_paths_that_never_solve_never_load_scipy_optimize(child_env,
+                                                          tmp_path):
+    """Importing the CLI, building profiles, `synth`, `--help` and an
+    exit-2 input leave scipy.optimize unloaded: only a solve imports it."""
+    profile = str(tmp_path / "hot.csv")
+    code = f"""
+import contextlib, io, sys
+import gridbase.cli as cli
+import gridbase.scenario as sc
+
+def unloaded(step):
+    assert "scipy.optimize" not in sys.modules, step
+
+unloaded("import")
+for day in sc.DAY_TYPES:
+    sc.synth_profile(day, 42)
+unloaded("synth_profile")
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["synth", "--day", "hot", "--out", {profile!r}]) == 0
+    unloaded("synth")
+    assert cli.main(["--help"]) == 0
+    unloaded("--help")
+with contextlib.redirect_stderr(io.StringIO()):
+    assert cli.main(["run-day", "--profile", {profile!r}, "--mask",
+                     "T_oa,T_oa", "--alpha", "0.05", "--out",
+                     {str(tmp_path / "o.csv")!r}]) == 2
+unloaded("repeated mask label")
+"""
+    out = subprocess.run([sys.executable, "-c", code], env=child_env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
 
 
 def test_infeasible_hour_is_domain_error(capsys, tmp_path):

@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -197,6 +199,28 @@ def test_run_day_is_serial_by_default(day_profiles, moderate_results,
     serial = sc.run_day(day_profiles["moderate"], ("T_oa",), 0.01,
                         n_samples=256, seed=FIXTURE_SEED)
     assert [r.j0 for r in serial] == [r.j0 for r in moderate_results]
+
+
+def test_first_solve_imports_scipy_under_threads(child_env, tmp_path):
+    """In a fresh interpreter the first solve, reached from two worker
+    threads at once, imports scipy.optimize and gives a serial run's
+    bytes."""
+    threaded, serial = tmp_path / "threaded.csv", tmp_path / "serial.csv"
+    code = f"""
+import sys
+import gridbase.scenario as sc
+
+prof = sc.synth_profile("hot", 42, n_hours=2)
+assert "scipy.optimize" not in sys.modules
+results = sc.run_day(prof, ["T_oa"], 0.05, max_workers=5)
+assert "scipy.optimize" in sys.modules
+sc.export_results(results, {str(threaded)!r}, "csv")
+sc.export_results(sc.run_day(prof, ["T_oa"], 0.05), {str(serial)!r}, "csv")
+"""
+    out = subprocess.run([sys.executable, "-c", code], env=child_env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert threaded.read_bytes() == serial.read_bytes()
 
 
 def test_run_day_seeds_solver_starts(day_profiles, monkeypatch):
