@@ -47,11 +47,24 @@ def _load_hour(args, params) -> hm.ExogenousVector:
         f"hour {args.hour} not present in {args.profile}")
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of a count >= 1, so a bad one stops before any solve."""
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
-    return int(text)
+def _int_at_least(low: int):
+    """argparse type of an integer >= low (a count >= 1, a seed >= 0), so
+    a bad one stops before any solve."""
+    def integer(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        return int(text)
+    return integer
+
+
+def _check_out(path: str) -> None:
+    """Refuse an --out that is a directory, or whose directory is missing
+    or not writable, before any work."""
+    out_dir = os.path.dirname(path) or os.curdir
+    if os.path.isdir(path):
+        raise ValueError(f"--out is a directory: {path}")
+    if not (os.path.isdir(out_dir) and os.access(out_dir, os.W_OK)):
+        raise ValueError(f"no writable directory for --out: {out_dir}")
 
 
 def _mask_list(text: str) -> list:
@@ -116,10 +129,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_run_day(args) -> int:
-    out_dir = os.path.dirname(args.out)
-    if out_dir and not os.path.isdir(out_dir):
-        # refused before the day is solved, not after
-        raise FileNotFoundError(f"no such directory for --out: {out_dir}")
+    _check_out(args.out)      # before the day is solved, not after
     params = _load_params(args.params)
     profile = sc.load_profile(args.profile, params)
     results = sc.run_day(profile, _mask_list(args.mask), args.alpha,
@@ -145,6 +155,7 @@ def _cmd_run_day(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    _check_out(args.out)
     profile = sc.synth_profile(args.day, args.seed)
     sc.write_profile(profile, args.out)
     _emit({
@@ -237,7 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--params", default=None,
                        help="JSON parameter file (default: GRIDBASE_PARAMS "
                             "or built-in nominal values)")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_int_at_least(0), default=0)
 
     p = sub.add_parser("solve", help="solve one profile hour")
     p.add_argument("--profile", required=True)
@@ -251,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mask", required=True,
                        help="comma-separated exogenous labels")
         p.add_argument("--alpha", type=float, required=True)
-        p.add_argument("--samples", type=_positive_int,
+        p.add_argument("--samples", type=_int_at_least(1),
                        default=sc.DEFAULT_SAMPLES)
         add_common(p)
 
@@ -271,9 +282,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--samples", type=_positive_int,
+    p.add_argument("--samples", type=_int_at_least(1),
                    default=sc.DEFAULT_SAMPLES)
-    p.add_argument("--threads", type=_positive_int, default=None,
+    p.add_argument("--threads", type=_int_at_least(1), default=None,
                    help="worker threads (default: 1)")
     add_common(p)
     p.set_defaults(func=_cmd_run_day)

@@ -590,11 +590,6 @@ def constraints_flat(xv: np.ndarray, wv: np.ndarray, n: int,
     return _constraint_rows(xv, m, s_t, q_b, wv, n, c_p, flow_floor)
 
 
-def constraints(x: DecisionVector, w: ExogenousVector) -> np.ndarray:
-    return constraints_flat(x.to_vector(), w.to_vector(),
-                            w.zones.count, w.params.c_p, w.params.flow_floor)
-
-
 FirstOrder = namedtuple("FirstOrder", "j grad h jac v gq fan1 etap d1 pc1")
 
 

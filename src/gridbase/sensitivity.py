@@ -38,6 +38,10 @@ from .errors import EvaluationDomainError, RankDeficientError
 # standby-power discontinuity corrupting K for infinitesimal shifts
 _CHILLER_SNAP_REL = 1e-6
 
+# central-difference step of the quadratic model, relative to
+# max(1, |w0_i|) per masked coordinate
+_FD_SCALE = 1e-4
+
 # most rows per shift product and kernel call in sample_bound: a block's
 # X, W (590 kB at 5 zones) and kernel temporaries fit in a 2 MB L2 cache,
 # where the W of 10000 rows alone is 2.9 MB
@@ -112,7 +116,6 @@ class SensitivityOperator:
 class QuadraticModel:
     g: np.ndarray
     H_K: np.ndarray
-    fd_step_used: float
 
 
 @dataclass(frozen=True)
@@ -362,25 +365,19 @@ def signed_shift_pair(op: SensitivityOperator, w0: hm.ExogenousVector,
 # ---------------------------------------------------------------------------
 
 def quadratic_model(op: SensitivityOperator, w0: hm.ExogenousVector,
-                    spec: UncertaintySpec, fd_scale: float = 1e-4,
-                    k_func=None) -> QuadraticModel:
+                    spec: UncertaintySpec) -> QuadraticModel:
     """Central-difference gradient and Hessian of K at dw = 0.
 
-    Steps are fd_scale * max(1, |w0_i|) per masked coordinate. One
-    kernel call evaluates K on the whole stencil with the bits and the
-    domain errors of `delta_cost`. `k_func` replaces K row by row (test
-    seam for functions with known derivatives).
+    Steps are _FD_SCALE * max(1, |w0_i|) per masked coordinate. One kernel
+    call evaluates K on the whole stencil with the bits and the domain
+    errors of `delta_cost`.
     """
     idx = list(spec.indices)
     w_masked = _stage_scaling(op, w0, spec).wv[idx]
-    steps = numkit.default_fd_steps(w_masked, scale=fd_scale)
+    steps = numkit.default_fd_steps(w_masked, scale=_FD_SCALE)
     dW = numkit.fd_stencil(np.zeros(len(idx)), steps)
-    if k_func is not None:
-        kvals = np.array([k_func(d) for d in dW], dtype=float)
-    else:
-        kvals = _k_rows(op, dW)
-    g, H = numkit.fd_derivatives(kvals, steps)
-    return QuadraticModel(g=g, H_K=H, fd_step_used=float(fd_scale))
+    g, H = numkit.fd_derivatives(_k_rows(op, dW), steps)
+    return QuadraticModel(g=g, H_K=H)
 
 
 def quadratic_value(qm: QuadraticModel, dw) -> float:
@@ -407,8 +404,8 @@ def holder_bound(qm: QuadraticModel, spec: UncertaintySpec,
 
 
 def sample_bound(op: SensitivityOperator, w0: hm.ExogenousVector,
-                 spec: UncertaintySpec, n_samples: int, seed: int,
-                 k_func=None) -> BoundResult:
+                 spec: UncertaintySpec, n_samples: int,
+                 seed: int) -> BoundResult:
     """Sampled worst case of |K| over the box: every sign-pattern vertex
     (capped at 2^12) plus uniform interior draws; deterministic in seed.
 
@@ -435,27 +432,22 @@ def sample_bound(op: SensitivityOperator, w0: hm.ExogenousVector,
     draws *= d
 
     total = dW.shape[0]
-    if k_func is not None:
-        kvals = np.array([k_func(dw) for dw in dW])
-        skipped = 0
-    else:
-        kvals = np.empty(total)
-        ok = np.empty(total, dtype=bool)
-        n_blocks = -(-total // _BLOCK_ROWS)
-        for b in range(n_blocks):
-            rows = slice(total * b // n_blocks, total * (b + 1) // n_blocks)
-            part = dW[rows]
-            kvals[rows], ok[rows] = _k_batch(
-                op, part, part @ op.shift_matrix.T, "F")
-        skipped = int(np.count_nonzero(~ok))
+    kvals = np.empty(total)
+    ok = np.empty(total, dtype=bool)
+    n_blocks = -(-total // _BLOCK_ROWS)
+    for b in range(n_blocks):
+        rows = slice(total * b // n_blocks, total * (b + 1) // n_blocks)
+        part = dW[rows]
+        kvals[rows], ok[rows] = _k_batch(
+            op, part, part @ op.shift_matrix.T, "F")
+    skipped = int(np.count_nonzero(~ok))
     if skipped > 0.1 * total:
         raise EvaluationDomainError(
             f"{skipped}/{total} samples left the model domain; reduce alpha")
 
     best = int(np.nanargmax(np.abs(kvals)))
     argmax_dw = dW[best].copy()
-    beta = abs(float(kvals[best] if k_func is not None
-                     else _k_rows(op, argmax_dw[None, :])[0]))
+    beta = abs(float(_k_rows(op, argmax_dw[None, :])[0]))
     return BoundResult(beta=beta, method="monte_carlo", samples=total,
                        argmax_dw=argmax_dw, seed=seed)
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -228,10 +229,10 @@ def test_zero_samples_exits_before_solving(capsys, profile_path, monkeypatch,
 @pytest.mark.parametrize("flags", [
     ("--mask", "T_oa,T_oa"), ("--mask", "T_surface"), ("--alpha", "-1"),
     ("--alpha", "nan"), ("--samples", "0"), ("--threads", "0"),
-    ("--threads", "-1"), ("--out", "no-such-dir/out.csv"),
+    ("--threads", "-1"), ("--out", "no-such-dir/out.csv"), ("--out", "."),
 ], ids=["repeated-label", "unknown-label", "negative-alpha", "nan-alpha",
         "zero-samples", "zero-threads", "negative-threads",
-        "missing-out-directory"])
+        "missing-out-directory", "out-is-directory"])
 def test_run_day_bad_input_exits_before_solving(capsys, profile_path,
                                                 tmp_path, monkeypatch, flags):
     solves = []
@@ -247,6 +248,66 @@ def test_run_day_bad_input_exits_before_solving(capsys, profile_path,
     assert code == 2
     assert "error:" in err
     assert solves == []
+
+
+@pytest.mark.parametrize("out, unwritable, named", [
+    ("results", None, "--out is a directory"),
+    ("out.csv", ".", "no writable directory for --out: ."),
+    ("sub/out.csv", "sub", "no writable directory for --out: sub"),
+], ids=["directory", "unwritable-cwd", "unwritable-parent"])
+def test_run_day_refuses_out_before_loading_profile(
+        capsys, profile_path, tmp_path, monkeypatch, out, unwritable, named):
+    """An --out that is a directory, or whose directory is not writable,
+    exits 2 naming --out before the profile loads. Permissions are not
+    enforced for root, so os.access stands in for the file system."""
+    (tmp_path / "results").mkdir()
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path)
+    access = os.access
+    monkeypatch.setattr(os, "access", lambda path, mode: (
+        path != unwritable and access(path, mode)))
+    loads = []
+    monkeypatch.setattr(sc, "load_profile",
+                        lambda *args: loads.append(args))
+    code, _, err = _run(capsys, "run-day", "--profile", profile_path,
+                        "--mask", "T_oa", "--alpha", "0.01", "--out", out)
+    assert code == 2
+    assert named in err
+    assert loads == []
+
+
+def test_synth_refuses_directory_out(capsys, tmp_path):
+    code, out, err = _run(capsys, "synth", "--day", "hot", "--out",
+                          str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --out is a directory: {tmp_path}\n"
+
+
+@pytest.mark.parametrize("command", [
+    ("solve",), ("sensitivity", "--mask", "T_oa", "--alpha", "0.01"),
+    ("bound", "--mask", "T_oa", "--alpha", "0.01"),
+    ("run-day", "--mask", "T_oa", "--alpha", "0.01", "--out", "out.csv"),
+    ("synth", "--day", "hot", "--out", "out.csv"),
+], ids=["solve", "sensitivity", "bound", "run-day", "synth"])
+def test_negative_seed_is_usage_error(capsys, profile_path, tmp_path,
+                                      monkeypatch, command):
+    """The parser refuses a negative --seed by name on every subcommand
+    that seeds a generator, before any solve."""
+    solves = []
+    monkeypatch.setattr(cli, "solve_baseline",
+                        lambda *args, **kw: solves.append(args))
+    monkeypatch.setattr(sc, "solve_baseline",
+                        lambda *args, **kw: solves.append(args))
+    monkeypatch.chdir(tmp_path)
+    where = () if command[0] == "synth" else ("--profile", profile_path)
+    hour = ("--hour", "12") if command[0] in ("solve", "sensitivity",
+                                               "bound") else ()
+    code, _, err = _run(capsys, *command, *where, *hour, "--seed", "-1")
+    assert code == 2
+    assert "--seed: must be >= 0, got -1" in err
+    assert solves == []
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_paths_that_never_solve_never_load_scipy_optimize(child_env,

@@ -265,7 +265,9 @@ def test_objective_smooth_differs_only_by_standby(hot_hour):
 
 def test_constraint_rows_sign_convention(hot_hour):
     x = _feasible_point()
-    h = hm.constraints(x, hot_hour)
+    par = hot_hour.params
+    h = hm.constraints_flat(x.to_vector(), hot_hour.to_vector(), 5, par.c_p,
+                            par.flow_floor)
     assert h.size == 34
     # strictly feasible interior rows are negative, balance rows cancel
     assert h[0] == pytest.approx(12.0 - x.t_sa)

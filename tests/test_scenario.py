@@ -72,19 +72,32 @@ def test_load_profile_parses_minimal_file(tmp_path):
     assert prof.hours[0].zones.count == 2
 
 
+# Each case names its id, so adding a case renames no other. The ids are
+# the ones pytest numbered these cases with before, kept so that each
+# case's history stays under one name; the comments say what each tests.
 @pytest.mark.parametrize("mutate,expect_line", [
-    (lambda ls: [], 1),                                      # empty file
-    (lambda ls: ["#label=demo,units=furlongs"] + ls[1:], 1),  # bad units
-    (lambda ls: ["#labeldemo"] + ls[1:], 1),                 # bad metadata
-    (lambda ls: [ls[0], "a,b,c"] + ls[2:], 2),               # bad header
-    (lambda ls: ls[:2] + ["9,20.0,22.0"], 3),                # short row
-    (lambda ls: ls[:2] + [ls[2].replace("20.0", "warm", 1)], 3),
-    (lambda ls: ls[:2] + [ls[2].replace("9,", "9.5,", 1)], 3),
-    (lambda ls: ls[:2] + [ls[2] + ",0.0"], 3),               # long row
-    (lambda ls: ls[:2] + [ls[2], ls[2]], 4),                 # repeated hour
+    pytest.param(lambda ls: [], 1, id="<lambda>-1_0"),          # empty file
+    pytest.param(lambda ls: ["#label=demo,units=furlongs"] + ls[1:], 1,
+                 id="<lambda>-1_1"),                             # bad units
+    pytest.param(lambda ls: ["#labeldemo"] + ls[1:], 1,
+                 id="<lambda>-1_2"),                          # bad metadata
+    pytest.param(lambda ls: [ls[0], "a,b,c"] + ls[2:], 2,
+                 id="<lambda>-2"),                              # bad header
+    pytest.param(lambda ls: ls[:2] + ["9,20.0,22.0"], 3,
+                 id="<lambda>-3_0"),                             # short row
+    pytest.param(lambda ls: ls[:2] + [ls[2].replace("20.0", "warm", 1)], 3,
+                 id="<lambda>-3_1"),                       # non-numeric cell
+    pytest.param(lambda ls: ls[:2] + [ls[2].replace("9,", "9.5,", 1)], 3,
+                 id="<lambda>-3_2"),                       # fractional hour
+    pytest.param(lambda ls: ls[:2] + [ls[2] + ",0.0"], 3,
+                 id="<lambda>-3_3"),                              # long row
+    pytest.param(lambda ls: ls[:2] + [ls[2], ls[2]], 4,
+                 id="<lambda>-4"),                           # repeated hour
     # hours 9, 11, 10: the row that breaks the order is reported
-    (lambda ls: ls[:3] + [ls[3].replace("10,", "11,", 1), ls[3]], 5),
-    (lambda ls: ls[:2], 3),                                  # no data rows
+    pytest.param(
+        lambda ls: ls[:3] + [ls[3].replace("10,", "11,", 1), ls[3]], 5,
+        id="<lambda>-5"),
+    pytest.param(lambda ls: ls[:2], 3, id="<lambda>-3_4"),   # no data rows
 ])
 def test_load_profile_errors_carry_line_numbers(tmp_path, mutate,
                                                 expect_line):

@@ -535,8 +535,8 @@ def test_quadratic_model_matches_scalar_stencil(day_type, mask, params,
         assert np.array_equal(qm.H_K, numkit.fd_hessian(K, origin, steps))
 
 
-def test_quadratic_model_domain_error_matches_scalar_path(moderate_hour,
-                                                          solve_cached):
+def test_quadratic_model_domain_error_matches_scalar_path(
+        monkeypatch, moderate_hour, solve_cached):
     """A step that keeps the gradient rows inside the flow floor but not
     the 2h rows of the Hessian raises what delta_cost raises."""
     op, spec = _operator(solve_cached, moderate_hour, mask=("Q_zone_1",))
@@ -553,13 +553,16 @@ def test_quadratic_model_domain_error_matches_scalar_path(moderate_hour,
     numkit.fd_gradient(K, np.zeros(1), steps)
     with pytest.raises(EvaluationDomainError) as scalar:
         numkit.fd_hessian(K, np.zeros(1), steps)
+    monkeypatch.setattr(sn, "_FD_SCALE", fd_scale)
     with pytest.raises(EvaluationDomainError) as batched:
-        sn.quadratic_model(op, moderate_hour, spec, fd_scale=fd_scale)
+        sn.quadratic_model(op, moderate_hour, spec)
     assert str(batched.value) == str(scalar.value)
 
 
-def test_quadratic_model_recovers_known_quadratic(moderate_hour,
+def test_quadratic_model_recovers_known_quadratic(monkeypatch, moderate_hour,
                                                   solve_cached):
+    """With K replaced by a known quadratic on the stencil rows, the
+    model returns its gradient and Hessian."""
     op, spec = _operator(solve_cached, moderate_hour,
                          mask=("T_oa", "Q_zone_1"))
     g_true = np.array([3.0, -1.5])
@@ -568,19 +571,23 @@ def test_quadratic_model_recovers_known_quadratic(moderate_hour,
     def k_func(d):
         return float(g_true @ d + 0.5 * d @ H_true @ d)
 
-    qm = sn.quadratic_model(op, moderate_hour, spec, k_func=k_func)
+    monkeypatch.setattr(sn, "_k_rows",
+                        lambda op_, dW: np.array([k_func(d) for d in dW]))
+    qm = sn.quadratic_model(op, moderate_hour, spec)
     np.testing.assert_allclose(qm.g, g_true, rtol=0, atol=1e-8)
     np.testing.assert_allclose(qm.H_K, H_true, rtol=0, atol=1e-6)
     assert sn.quadratic_value(qm, np.array([1.0, -1.0])) == pytest.approx(
         k_func(np.array([1.0, -1.0])), rel=1e-6)
 
 
-def test_quadratic_model_step_refinement(moderate_hour, solve_cached):
+def test_quadratic_model_step_refinement(monkeypatch, moderate_hour,
+                                         solve_cached):
     """Halving the differencing step moves the gradient by < 1e-4
     relative — the estimate is converged, not step-dominated."""
     op, spec = _operator(solve_cached, moderate_hour, alpha=0.01)
-    g1 = sn.quadratic_model(op, moderate_hour, spec, fd_scale=1e-4).g
-    g2 = sn.quadratic_model(op, moderate_hour, spec, fd_scale=5e-5).g
+    g1 = sn.quadratic_model(op, moderate_hour, spec).g
+    monkeypatch.setattr(sn, "_FD_SCALE", sn._FD_SCALE / 2)
+    g2 = sn.quadratic_model(op, moderate_hour, spec).g
     assert np.abs(g1 - g2).max() <= 1e-4 * max(1.0, np.abs(g1).max())
 
 
@@ -593,8 +600,7 @@ def _toy_spec(w0, delta):
 
 
 def test_holder_bound_hand_computed():
-    qm = sn.QuadraticModel(g=np.array([2.0]), H_K=np.array([[4.0]]),
-                           fd_step_used=1e-4)
+    qm = sn.QuadraticModel(g=np.array([2.0]), H_K=np.array([[4.0]]))
     spec = sn.UncertaintySpec(mask=("T_oa",), alpha=0.1,
                               delta=np.array([0.5]), indices=(0,))
     # p = 1, ||g||_1 = 2, sigma = 4, ||Delta||_inf = 0.5
@@ -622,8 +628,7 @@ def test_holder_bound_zero_radius(moderate_hour, solve_cached):
 
 
 def test_holder_rejects_unknown_method():
-    qm = sn.QuadraticModel(g=np.zeros(1), H_K=np.zeros((1, 1)),
-                           fd_step_used=1e-4)
+    qm = sn.QuadraticModel(g=np.zeros(1), H_K=np.zeros((1, 1)))
     spec = sn.UncertaintySpec(mask=("T_oa",), alpha=0.1,
                               delta=np.array([0.5]), indices=(0,))
     with pytest.raises(ValueError):
@@ -646,18 +651,18 @@ def test_holder_half_dominates_quadratic_model_samples(
         assert vals.max() <= beta * (1 + 1e-12)
 
 
-def test_sample_bound_finds_vertex_max(moderate_hour, solve_cached):
+def test_sample_bound_finds_vertex_max(monkeypatch, moderate_hour,
+                                       solve_cached):
     """With a linear K the worst case sits at a known vertex; the
-    sampler must find exactly that vertex and value."""
+    sampler must find exactly that vertex and value. K is replaced in
+    the sampled blocks and in the argmax re-evaluation."""
     op, spec = _operator(solve_cached, moderate_hour,
                          mask=("T_oa", "Q_zone_1"))
     g = np.array([2.0, -3.0])
-
-    def k_func(d):
-        return float(g @ d)
-
-    res = sn.sample_bound(op, moderate_hour, spec, 500, seed=0,
-                          k_func=k_func)
+    monkeypatch.setattr(sn, "_k_batch", lambda op_, dW, dX, order: (
+        dW @ g, np.ones(dW.shape[0], dtype=bool)))
+    monkeypatch.setattr(sn, "_k_rows", lambda op_, dW: dW @ g)
+    res = sn.sample_bound(op, moderate_hour, spec, 500, seed=0)
     d = spec.masked_delta
     assert res.beta == pytest.approx(float(np.abs(g) @ d), rel=1e-12)
     np.testing.assert_allclose(np.abs(res.argmax_dw), d, rtol=1e-12)
@@ -666,7 +671,8 @@ def test_sample_bound_finds_vertex_max(moderate_hour, solve_cached):
 
 
 @pytest.mark.parametrize("p", [1, 3, 12, 13])
-def test_vertex_rows_follow_itertools_order(p, moderate_hour, solve_cached):
+def test_vertex_rows_follow_itertools_order(p, monkeypatch, moderate_hour,
+                                            solve_cached):
     """The first 2^min(p, 12) sampled rows are the sign vertices in the
     order of itertools.product((1.0, -1.0), ...); coordinates past the
     twelfth stay at +delta."""
@@ -680,9 +686,15 @@ def test_vertex_rows_follow_itertools_order(p, moderate_hour, solve_cached):
                                                   repeat=n_sign)):
         expected[row, :n_sign] = np.asarray(signs) * d[:n_sign]
     rows = []
-    sn.sample_bound(op, moderate_hour, spec, 2 ** n_sign, seed=0,
-                    k_func=lambda dw: rows.append(dw.copy()) or 0.0)
-    assert np.array_equal(np.array(rows), expected)
+
+    def k_batch(op_, dW, dX, order):
+        rows.append(dW.copy())
+        return np.zeros(dW.shape[0]), np.ones(dW.shape[0], dtype=bool)
+
+    monkeypatch.setattr(sn, "_k_batch", k_batch)
+    monkeypatch.setattr(sn, "_k_rows", lambda op_, dW: np.zeros(dW.shape[0]))
+    sn.sample_bound(op, moderate_hour, spec, 2 ** n_sign, seed=0)
+    assert np.array_equal(np.concatenate(rows), expected)
 
 
 def _unblocked_sample(op, spec, n_samples, seed):
