@@ -150,25 +150,37 @@ class Scaling:
             raise ValueError("w0 is not the hour the anchor was solved for")
         return self
 
-    def evaluate(self, xv):
-        """(raw, scaled) at xv: raw is `first_order_flat`'s record, scaled
-        is `Scaled`(J / j, grad_x J * x / j, h / h, jac_x h * x / h), the
-        problem SLSQP sees. Each point is evaluated and scaled once while
-        kept (up to _MEMO_POINTS points, cleared when full); the arrays
-        are read-only."""
+    def values(self, xv):
+        """(raw, scaled) at xv: `value_flat`'s record and `Scaled`(J / j,
+        None, h / h, None), or `evaluate`'s pair once built. Each point is
+        kept (up to _MEMO_POINTS points, cleared when full) and evaluated
+        and scaled once; the arrays are read-only."""
         key = xv.tobytes()
         hit = self._memo.get(key)
         if hit is None:
-            raw = hm.first_order_flat(xv, self.wv, self.layout.n,
-                                      self.params.c_p, self.params.flow_floor)
-            scaled = Scaled(raw.j / self.j, raw.grad * self.x / self.j,
-                            raw.h / self.h,
-                            raw.jac * self.x[None, :] / self.h[:, None])
-            for a in (raw.grad, raw.h, raw.jac, raw.gq) + scaled[1:]:
-                a.flags.writeable = False
+            raw = hm.value_flat(xv, self.wv, self.layout.n, self.params.c_p,
+                                self.params.flow_floor)
+            scaled = Scaled(raw.j / self.j, None, raw.h / self.h, None)
+            raw.h.flags.writeable = scaled.h.flags.writeable = False
             if len(self._memo) >= _MEMO_POINTS:
                 self._memo.clear()
             hit = self._memo[key] = (raw, scaled)
+        return hit
+
+    def evaluate(self, xv):
+        """`first_order_flat` on the kept `values`, and `Scaled`(J / j,
+        grad_x J * x / j, h / h, jac_x h * x / h), the problem SLSQP sees;
+        the kept entry is upgraded, so nothing is computed twice."""
+        val, scaled = hit = self.values(xv)
+        if scaled.grad is None:
+            raw = hm.first_order_flat(val, xv, self.wv, self.layout.n,
+                                      self.params.c_p)
+            scaled = scaled._replace(
+                grad=raw.grad * self.x / self.j,
+                jac=raw.jac * self.x[None, :] / self.h[:, None])
+            for a in (raw.grad, raw.jac, raw.gq, scaled.grad, scaled.jac):
+                a.flags.writeable = False
+            hit = self._memo[xv.tobytes()] = (raw, scaled)
         return hit
 
     def derivatives(self, xv):
@@ -233,7 +245,7 @@ def _polish(xv, s: Scaling, act_init):
     # and admits nonnegative stationarity multipliers needs no Newton
     # refinement — restarting Newton there can diverge when the active
     # rows are linearly dependent (degenerate corners)
-    h0 = s.evaluate(xv)[1].h
+    h0 = s.values(xv)[1].h
     if h0.max() <= _FEAS_KEEP and (
             not act or np.abs(h0[act]).max() <= 1e-12):
         lam_nn, mu_nn = _nnls_multipliers(xv, s, act)
@@ -256,7 +268,7 @@ def _polish(xv, s: Scaling, act_init):
                 del act[worst]
                 lam_act = np.delete(lam_act, worst)
                 continue
-        h = s.evaluate(xv)[1].h
+        h = s.values(xv)[1].h
         inactive = np.setdiff1d(np.arange(lay.h_dim), act + eq_rows)
         if inactive.size and h[inactive].max() > _FEAS_KEEP:
             worst = int(inactive[np.argmax(h[inactive])])
@@ -475,17 +487,21 @@ def solve_baseline(w: hm.ExogenousVector, cfg: SolverConfig | None = None,
             f"zone {bad + 1} heating load exceeds the discharge-temperature "
             f"window at design flow")
 
-    def scaled(z):
+    # SLSQP reads values at every line-search point, gradients at accepted ones
+    def values(z):
+        return s.values(z * sx)[1]
+
+    def first(z):
         return s.evaluate(z * sx)[1]
 
     # the balance pair is the last two rows: SLSQP's inequalities are the
     # rows before it, and its equality is the pair's first row
     eq = lay.balance
     constraints = [
-        {"type": "ineq", "fun": lambda z: -scaled(z).h[:eq],
-         "jac": lambda z: -scaled(z).jac[:eq]},
-        {"type": "eq", "fun": lambda z: scaled(z).h[eq:eq + 1],
-         "jac": lambda z: scaled(z).jac[eq:eq + 1]},
+        {"type": "ineq", "fun": lambda z: -values(z).h[:eq],
+         "jac": lambda z: -first(z).jac[:eq]},
+        {"type": "eq", "fun": lambda z: values(z).h[eq:eq + 1],
+         "jac": lambda z: first(z).jac[eq:eq + 1]},
     ]
 
     lo, hi = hm.x_box(s.wv, lay.n, par.flow_floor)
@@ -509,14 +525,14 @@ def solve_baseline(w: hm.ExogenousVector, cfg: SolverConfig | None = None,
                     "ignore", message="Values in x were outside bounds",
                     category=RuntimeWarning)
                 res = minimize(
-                    lambda z: scaled(z).j, z0, jac=lambda z: scaled(z).grad,
+                    lambda z: values(z).j, z0, jac=lambda z: first(z).grad,
                     method="SLSQP", bounds=bounds, constraints=constraints,
                     options={"maxiter": cfg.max_iterations, "ftol": 1e-12},
                 )
         except (ValueError, FloatingPointError):
             continue
         xv = res.x * sx
-        h = s.evaluate(xv)[1].h
+        h = s.values(xv)[1].h
         # written as the feasible case: any comparison with a NaN is False
         if not (np.isfinite(xv).all() and h[:eq].max() < 1e-5
                 and abs(h[eq]) < 1e-5):
@@ -544,7 +560,7 @@ def _finalize(xv, s: Scaling, seed):
     # skipped when that form is the point the first round started from,
     # where the round would repeat the first bit for bit
     for second_round in (False, True):
-        act = np.where(s.evaluate(start)[1].h >= -SolverConfig.act_tol)[0]
+        act = np.where(s.values(start)[1].h >= -SolverConfig.act_tol)[0]
         xv, lam = _polish(start, s, act)
         if lam is None:
             return None
@@ -555,7 +571,7 @@ def _finalize(xv, s: Scaling, seed):
             break
         start = nxt
     # verify_kkt's active set at xv, without its residuals
-    active = np.where(np.abs(s.evaluate(xv)[1].h)
+    active = np.where(np.abs(s.values(xv)[1].h)
                       <= SolverConfig.act_tol)[0]
     xv = _snap_active_bounds(xv, s, active)
     return KktPoint(**vars(_residuals(xv, lam, s)), scaling=s, lam=lam,

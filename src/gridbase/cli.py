@@ -244,10 +244,13 @@ def _build_parser() -> argparse.ArgumentParser:
                         version=f"gridbase {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_params(p):
         p.add_argument("--params", default=None,
                        help="JSON parameter file (default: GRIDBASE_PARAMS "
                             "or built-in nominal values)")
+
+    def add_common(p):
+        add_params(p)
         p.add_argument("--seed", type=_int_at_least(0), default=0)
 
     p = sub.add_parser("solve", help="solve one profile hour")
@@ -295,8 +298,9 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("validate", help="run the self-check suite")
-    add_common(p)
+    p = sub.add_parser("validate",
+                       help="run the self-check suite (fixed seeds)")
+    add_params(p)
     p.set_defaults(func=_cmd_validate)
     return parser
 

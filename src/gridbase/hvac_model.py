@@ -551,17 +551,24 @@ def x_box(wv, n, flow_floor):
     return lo, hi
 
 
-def _constraint_rows(xv, m, s_t, q_b, wv, n, c_p, flow_floor):
-    """h(x, w) from x and its `loads`, elementwise like `first_order_flat`."""
+Value = namedtuple("Value", "j h v")
+
+
+def value_flat(xv: np.ndarray, wv: np.ndarray, n: int, c_p: float,
+               flow_floor: float) -> Value:
+    """J_smooth, the ordered inequality vector h (h <= 0 feasible, also
+    at infeasible points) and the `values` v at (x, w): the record that
+    `first_order_flat` builds on, elementwise like it. J_smooth keeps the
+    chiller standby term at q_c = 0, where `objective_flat` drops it."""
     lay = layout(n)
     x, w = xv.T, wv.T
     T, o, mvec = x[lay.t_sa], x[lay.m_oa], x[lay.m_sa]
     a, b = x[lay.q_h], x[lay.q_c]
-    q_zone = w[lay.q_zone]
-    t_sp = w[lay.t_sp]
-    v_min = w[lay.m_oa_min]
-    m_des = w[lay.param["m_design"]]
-    qbr = w[lay.param["Q_b_rated"]]
+    q_zone, t_sp, par = w[lay.q_zone], w[lay.t_sp], w[lay.tail]
+    m_des, qbr, ael, ang = (w[lay.param[k]] for k in (
+        "m_design", "Q_b_rated", "alpha_el", "alpha_ng"))
+    v = values(T, a, b, mvec, q_zone, t_sp, par, c_p)
+    m, s_t, q_b = v.m, v.s_t, v.q_b
     q_ahu = ahu_duty(T, o, m, s_t, w[lay.t_oa], c_p)
     lo, hi = simple_bounds(wv, n, flow_floor)
 
@@ -570,64 +577,55 @@ def _constraint_rows(xv, m, s_t, q_b, wv, n, c_p, flow_floor):
     h[lay.lower] = lo - x
     h[lay.upper] = x[lay.upper_x] - hi[lay.upper_x]
     h[4], h[5] = o - m, m - m_des
-    h[lay.ventilation] = m * v_min - mvec * o
+    h[lay.ventilation] = m * w[lay.m_oa_min] - mvec * o
     h[lay.t_da_low] = c_p * mvec * (T - t_sp) - q_zone
     h[lay.t_da_high] = q_zone - c_p * mvec * (T_SUPPLY_MAX - t_sp)
     h[lay.duty.start + 4], h[lay.duty.start + 5] = -q_b, q_b - qbr
     bal = a - b - q_ahu
     h[lay.balance] = bal
     h[lay.balance_neg] = -bal
-    return out
+    j = source_power(v.p_fan, v.p_chiller, v.p_boiler, ael, ang)
+    return Value(j, out, v)
 
 
-def constraints_flat(xv: np.ndarray, wv: np.ndarray, n: int,
-                     c_p: float, flow_floor: float) -> np.ndarray:
-    """Ordered inequality vector h(x, w), h <= 0 feasible. Always returns
-    values, even at infeasible points (the solver needs them)."""
-    lay = layout(n)
-    m, s_t, q_b = loads(xv[lay.t_sa], xv[lay.q_h], xv[lay.m_sa],
-                        wv[lay.q_zone], wv[lay.t_sp], c_p)
-    return _constraint_rows(xv, m, s_t, q_b, wv, n, c_p, flow_floor)
+def constraints_flat(xv, wv, n, c_p, flow_floor) -> np.ndarray:
+    """h(x, w) alone: `value_flat`'s h."""
+    return value_flat(xv, wv, n, c_p, flow_floor).h
 
 
 FirstOrder = namedtuple("FirstOrder", "j grad h jac v gq fan1 etap d1 pc1")
 
 
-def first_order_flat(xv: np.ndarray, wv: np.ndarray, n: int, c_p: float,
-                     flow_floor: float) -> FirstOrder:
-    """Cheap solver path: J_smooth, grad_x J, h and jac_x h, then the
-    `values` v, the Q_b gradient gq and the curve slopes that
-    `derivatives_flat` builds on.
+def first_order_flat(val: Value, xv: np.ndarray, wv: np.ndarray, n: int,
+                     c_p: float) -> FirstOrder:
+    """The first order at (x, w), built on `val`, the point's `value_flat`
+    record: J_smooth, grad_x J, h, jac_x h, then the `values` v, the Q_b
+    gradient gq and the curve slopes that `derivatives_flat` builds on.
 
-    J_smooth keeps the chiller standby term at q_c = 0, where the reported
-    `objective_flat` drops it. h equals `constraints_flat`. On S rows,
-    (S, m) and (S, p), j, grad, h and jac gain a leading axis of S, and
-    row i has the bits of the call at that row's point; gq is (m, S), and
-    v and the slopes are (S,), scalars at a point.
+    j, h and v are the record's own objects. On S rows, (S, m) and
+    (S, p), j, grad, h and jac have a leading axis of S, and row i has
+    the bits of the call at that row's point; gq is (m, S), and v and
+    the slopes are (S,), scalars at a point.
     """
     lay = layout(n)
     x, w = xv.T, wv.T
     T, o, mvec = x[lay.t_sa], x[lay.m_oa], x[lay.m_sa]
-    a, b = x[lay.q_h], x[lay.q_c]
-    t_oa = w[lay.t_oa]
-    t_sp = w[lay.t_sp]
-    v_min = w[lay.m_oa_min]
-    par = w[lay.tail]
+    b = x[lay.q_c]
+    t_oa, t_sp, v_min = w[lay.t_oa], w[lay.t_sp], w[lay.m_oa_min]
     (dP, eta_tot, rho, m_des, cf1, cf2, cf3, cf4, qbr, eta_th,
-     cb1, cb2, cb3, qer, p_pump, cg1, cg2, cg3, ael, ang) = par
+     cb1, cb2, cb3, qer, p_pump, cg1, cg2, cg3, ael, ang) = w[lay.tail]
     mdim = lay.x_dim
     rows = xv.shape[:-1]
     iM = lay.m_sa
     iA, iB = lay.q_h, lay.q_c
 
-    v = values(T, a, b, mvec, w[lay.q_zone], t_sp, par, c_p)
+    v = val.v
     m, s_t, u, r, eta = v.m, v.s_t, v.u, v.r, v.eta
     f_plp = cf2 + u * (2.0 * cf3 + u * 3.0 * cf4)
     fan1 = v.gain * f_plp             # dP_fan/dm_i, equal for all zones
     etap = cb2 + 2.0 * cb3 * r
     d1 = (eta - r * etap) / (eta_th * eta ** 2)          # dP_b/dQ_b
     pc1 = cg2 + 2.0 * cg3 * b / qer                      # dP_chiller/dq_c
-    j = source_power(v.p_fan, v.p_chiller, v.p_boiler, ael, ang)
 
     # --- gradients of Q_b and Q_ahu ---
     gq = np.zeros((mdim,) + rows)
@@ -671,8 +669,7 @@ def first_order_flat(xv: np.ndarray, wv: np.ndarray, n: int, c_p: float,
     gbal[iB] -= 1.0
     jac[lay.balance] = gbal
     jac[lay.balance_neg] = -gbal
-    h = _constraint_rows(xv, m, s_t, v.q_b, wv, n, c_p, flow_floor)
-    return FirstOrder(j, grad.T, h, out, v, gq, fan1, etap, d1, pc1)
+    return FirstOrder(val.j, grad.T, val.h, out, v, gq, fan1, etap, d1, pc1)
 
 
 # ---------------------------------------------------------------------------

@@ -137,11 +137,12 @@ class BoundResult:
 
 def kkt_map(xv, wv, lam, n, c_p, flow_floor) -> np.ndarray:
     """H(x, w; lambda): stationarity rows then complementarity rows, from
-    `first_order_flat`. Its h comes from `_constraint_rows` and its
+    `first_order_flat` on `value_flat`. Its h is the value record's and its
     gradients are coded apart from the second-order blocks, so differences
     of H check each level of G and grad_w H against the level below. On S
     rows, (S, m) and (S, p), H is (S, m + n) with each point's bits."""
-    f = hm.first_order_flat(xv, wv, n, c_p, flow_floor)
+    f = hm.first_order_flat(hm.value_flat(xv, wv, n, c_p, flow_floor), xv,
+                            wv, n, c_p)
     return np.concatenate([f.grad + lam @ f.jac, lam * f.h], axis=-1)
 
 

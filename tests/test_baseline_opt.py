@@ -425,32 +425,67 @@ def test_non_finite_slsqp_point_is_not_feasible(hot_hour, monkeypatch):
         solve_baseline(hot_hour)
 
 
-@pytest.mark.parametrize("hour_fixture",
-                         ["hot_hour", "moderate_hour", "cold_hour"])
-def test_each_point_is_evaluated_once(hour_fixture, request, monkeypatch):
-    """From the solve through the operator build, every one-point model
-    evaluation is a `first_order_flat` call at a point not seen before:
-    the hour's `Scaling` keeps each point's record, and no stage computes
-    h apart from it."""
-    seen = {"first_order_flat": [], "constraints_flat": []}
+def _point_trail(monkeypatch):
+    """Record, in call order, each one-point call of `value_flat`,
+    `first_order_flat` (its point is the second argument) and
+    `constraints_flat` as (name, point bytes)."""
+    trail = []
 
-    def counted(name):
+    def counted(name, at):
         real = getattr(hm, name)
 
-        def wrapper(xv, *args):
-            if np.ndim(xv) == 1:
-                seen[name].append(np.asarray(xv).tobytes())
-            return real(xv, *args)
+        def wrapper(*args):
+            if np.ndim(args[at]) == 1:
+                trail.append((name, np.asarray(args[at]).tobytes()))
+            return real(*args)
         monkeypatch.setattr(hm, name, wrapper)
 
-    counted("first_order_flat")
-    counted("constraints_flat")
-    w = request.getfixturevalue(hour_fixture)
-    kkt = solve_baseline(w)
-    sn.build_operator(kkt, w, sn.uncertainty_spec(w, ("T_oa",), 0.05))
-    counts = Counter(seen["first_order_flat"])
-    assert counts and max(counts.values()) == 1
-    assert seen["constraints_flat"] == []
+    counted("value_flat", 0)
+    counted("first_order_flat", 1)
+    counted("constraints_flat", 0)
+    return trail
+
+
+def _zone_hour(day, n, index):
+    """Hour `index` of the seed-42 synthetic day with n zones."""
+    hour = sc.synth_profile(day, 42, n_zones=n).hours[index]
+    return hm.ExogenousVector(t_oa=hour.t_oa, zones=hour.zones,
+                              params=_scaled_params(n))
+
+
+@pytest.mark.parametrize("hour", [
+    "hot_hour", "moderate_hour", "cold_hour", ("moderate", 1, 3),
+    ("hot", 3, 3), ("cold", 8, 3), ("hot", 8, 3)],
+    ids=["hot_hour", "moderate_hour", "cold_hour", "n1", "n3", "n8",
+         "infeasible-n8"])
+def test_each_point_is_evaluated_once(hour, request, monkeypatch):
+    """From the solve through the operator build, each point's values and
+    each point's first order are computed once: the hour's `Scaling`
+    keeps each point's record and builds the first order on the kept
+    values, and no stage computes h apart from it. SLSQP asks for values
+    at every trial point and for gradients only at the points it accepts,
+    so on the hot N = 8 hour 12, where no start is feasible, strictly
+    fewer points reach the first order than reach the values."""
+    trail = _point_trail(monkeypatch)
+    w = request.getfixturevalue(hour) if isinstance(hour, str) \
+        else _zone_hour(*hour)
+    infeasible = hour == ("hot", 8, 3)
+    if infeasible:
+        with pytest.raises(InfeasibleHourError):
+            solve_baseline(w)
+    else:
+        kkt = solve_baseline(w)
+        sn.build_operator(kkt, w, sn.uncertainty_spec(w, ("T_oa",), 0.05))
+    values, first = set(), set()
+    for name, key in trail:
+        assert name != "constraints_flat"
+        kept = values if name == "value_flat" else first
+        assert key not in kept, name
+        assert name == "value_flat" or key in values
+        kept.add(key)
+    assert 0 < len(first) <= len(values)
+    if infeasible:
+        assert len(first) < len(values)
 
 
 def test_derivatives_build_on_the_kept_record(monkeypatch):
@@ -464,8 +499,8 @@ def test_derivatives_build_on_the_kept_record(monkeypatch):
     real_evaluate = baseline_opt.Scaling.evaluate
     real_newton = baseline_opt._newton_on_active
 
-    def first_order(xv, *args):
-        record = real_first(xv, *args)
+    def first_order(val, xv, *args):
+        record = real_first(val, xv, *args)
         if np.ndim(xv) == 1:
             assert xv.tobytes() not in kept
             kept[xv.tobytes()] = record
@@ -520,8 +555,9 @@ def test_scaled_record_keeps_the_row_selected_bits(n):
         raw, scaled = s.evaluate(xv)
         assert isinstance(raw, hm.FirstOrder)
         assert isinstance(scaled, baseline_opt.Scaled)
-        first = hm.first_order_flat(xv, s.wv, n, w.params.c_p,
-                                    w.params.flow_floor)
+        first = hm.first_order_flat(
+            hm.value_flat(xv, s.wv, n, w.params.c_p, w.params.flow_floor),
+            xv, s.wv, n, w.params.c_p)
         for a, b in zip(raw, first):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
         pairs = [

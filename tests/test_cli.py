@@ -310,6 +310,19 @@ def test_negative_seed_is_usage_error(capsys, profile_path, tmp_path,
     assert not (tmp_path / "out.csv").exists()
 
 
+def test_validate_refuses_seed(capsys, monkeypatch):
+    """validate's checks use fixed seeds, so it offers no --seed: the
+    parser refuses one before any solve."""
+    solves = []
+    monkeypatch.setattr(cli, "solve_baseline",
+                        lambda *args, **kw: solves.append(args))
+    code, out, err = _run(capsys, "validate", "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --seed 1" in err
+    assert solves == []
+
+
 def test_paths_that_never_solve_never_load_scipy_optimize(child_env,
                                                           tmp_path):
     """Importing the CLI, building profiles, `synth`, `--help` and an

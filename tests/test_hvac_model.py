@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridbase import hvac_model as hm
-from gridbase import numkit
+from gridbase import baseline_opt, numkit
 from gridbase.errors import DegenerateFlowError, InvalidCurveError
 
 
@@ -258,7 +258,7 @@ def test_objective_smooth_differs_only_by_standby(hot_hour):
                           m_sa=np.full(5, 0.4), q_h=5000.0, q_c=0.0)
     xv, wv = x.to_vector(), hot_hour.to_vector()
     j_hard = hm.objective_flat(xv, wv, 5, par.c_p)
-    j_smooth = hm.first_order_flat(xv, wv, 5, par.c_p, par.flow_floor).j
+    j_smooth = hm.value_flat(xv, wv, 5, par.c_p, par.flow_floor).j
     standby = par.alpha_el * (par.c_g[0] * par.Q_e_rated + par.P_pump)
     assert j_smooth - j_hard == pytest.approx(standby, rel=1e-12)
 
@@ -272,6 +272,45 @@ def test_constraint_rows_sign_convention(hot_hour):
     # strictly feasible interior rows are negative, balance rows cancel
     assert h[0] == pytest.approx(12.0 - x.t_sa)
     assert h[-1] == -h[-2]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_coupled_rows_match_evaluate(n):
+    """The rows of h that couple several entries, from `value_flat`,
+    against the air loop of the structured `evaluate`, which computes
+    them its own way: m_ra, each T_da, q_b and Q_ahu. Each row is within
+    1e-12 of the solver's scale of that row (`Scaling.h`)."""
+    base = hm.HvacParameters()
+    par = hm.HvacParameters(zone_count=n, m_design=base.m_design * n / 5)
+    c_p, labels = par.c_p, hm.layout(n).labels
+    rng = np.random.default_rng(100 + n)
+    for _ in range(6):
+        w = hm.make_exogenous(
+            rng.uniform(-5.0, 38.0), rng.uniform(-6000.0, 4000.0, n),
+            rng.uniform(20.0, 26.0, n), rng.uniform(0.02, 0.1, n), par)
+        x = hm.DecisionVector(
+            t_sa=rng.uniform(12.0, 37.0), m_oa=rng.uniform(0.2, 1.5),
+            m_sa=rng.uniform(0.1, 0.6, n), q_h=rng.uniform(0.0, 5000.0),
+            q_c=rng.uniform(0.0, 30000.0))
+        pt = hm.evaluate(x, w)
+        val = hm.value_flat(x.to_vector(), w.to_vector(), n, c_p,
+                            par.flow_floor)
+        h = dict(zip(labels, val.h))
+        scale = dict(zip(labels, baseline_opt.Scaling.of(w).h))
+        balance = x.q_h - x.q_c - pt.q_ahu
+        want = {"m_ra_nonneg": -pt.m_ra,
+                "m_sa_total_max": pt.m_sa_total - par.m_design,
+                "Q_b_nonneg": -pt.q_b, "Q_b_max": pt.q_b - par.Q_b_rated,
+                "ahu_balance_pos": balance, "ahu_balance_neg": -balance}
+        for i in range(n):
+            flow = c_p * x.m_sa[i]
+            want[f"ventilation_{i + 1}"] = \
+                pt.m_sa_total * w.zones.m_oa_min[i] - x.m_sa[i] * x.m_oa
+            want[f"T_da_low_{i + 1}"] = flow * (x.t_sa - pt.t_da[i])
+            want[f"T_da_high_{i + 1}"] = flow * (pt.t_da[i] - hm.T_SUPPLY_MAX)
+        assert len(want) == 6 + 3 * n
+        for label, value in want.items():
+            assert abs(h[label] - value) <= 1e-12 * scale[label], label
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
@@ -302,7 +341,7 @@ def test_simple_bound_rows_are_the_box(n):
     X[0, lay.t_sa], X[1, lay.q_h] = 12.0, 0.0   # on a bound
     up_x = lay.upper_x
     lo, hi = hm.simple_bounds(W, n, par.flow_floor)
-    rows = hm.first_order_flat(X, W, n, par.c_p, par.flow_floor)
+    rows = _first_order(X, W, n, par)
     h_rows, jac_rows = rows.h, rows.jac
     assert np.array_equal(h_rows[:, lay.lower], lo.T - X)
     assert np.array_equal(h_rows[:, lay.upper], X[:, up_x] - hi.T[:, up_x])
@@ -337,10 +376,16 @@ def test_simple_bound_rows_are_the_box(n):
 # analytic derivatives vs finite differences
 # ---------------------------------------------------------------------------
 
+def _first_order(xv, wv, n, par):
+    """first_order_flat on the point's own value_flat record."""
+    val = hm.value_flat(xv, wv, n, par.c_p, par.flow_floor)
+    return hm.first_order_flat(val, xv, wv, n, par.c_p)
+
+
 def _derivatives(xv, wv, n, par):
     """derivatives_flat on the point's own first_order_flat record."""
-    first = hm.first_order_flat(xv, wv, n, par.c_p, par.flow_floor)
-    return hm.derivatives_flat(first, xv, wv, n, par.c_p)
+    return hm.derivatives_flat(_first_order(xv, wv, n, par), xv, wv, n,
+                               par.c_p)
 
 
 def _random_interior_points(w, count, seed):
@@ -364,7 +409,7 @@ def test_first_derivatives_match_fd(hot_hour):
     for xv in _random_interior_points(hot_hour, 5, seed=0):
         d = _derivatives(xv, wv, 5, hot_hour.params)
         g_fd = numkit.fd_gradient(
-            lambda z: hm.first_order_flat(z, wv, 5, c_p, floor).j, xv)
+            lambda z: hm.value_flat(z, wv, 5, c_p, floor).j, xv)
         scale = np.abs(d.grad_x_j).max()
         assert np.abs(g_fd - d.grad_x_j).max() < 1e-6 * scale
 
@@ -380,9 +425,11 @@ def test_first_derivatives_match_fd(hot_hour):
 
 
 def test_first_order_flat_matches_constraints_and_derivatives():
-    # the solver, verify_kkt and the NNLS multipliers take h, grad_x J and
-    # jac_x h from first_order_flat; h must be the bits of constraints_flat,
-    # and derivatives_flat must hand on the record's own grad and jac
+    # the solver's line search reads J and h from value_flat, and its
+    # gradients, verify_kkt and the NNLS multipliers read first_order_flat
+    # built on that record: the record must hand on its own j, h and v,
+    # constraints_flat must be its h, and derivatives_flat must hand on
+    # the first-order record's own grad and jac
     base = hm.HvacParameters()
     rng = np.random.default_rng(11)
     for n in (1, 2, 3, 5, 8, 13):
@@ -397,8 +444,11 @@ def test_first_order_flat_matches_constraints_and_derivatives():
                 [rng.uniform(0.0, 5000.0),
                  0.0 if k % 3 == 0 else rng.uniform(100.0, 30000.0)]])
             wv = w.to_vector()
-            first = hm.first_order_flat(xv, wv, n, par.c_p, par.flow_floor)
+            val = hm.value_flat(xv, wv, n, par.c_p, par.flow_floor)
+            first = hm.first_order_flat(val, xv, wv, n, par.c_p)
             d = hm.derivatives_flat(first, xv, wv, n, par.c_p)
+            assert first.j is val.j and first.h is val.h
+            assert first.v is val.v
             assert np.array_equal(first.h, hm.constraints_flat(
                 xv, wv, n, par.c_p, par.flow_floor))
             assert d.grad_x_j is first.grad
@@ -452,7 +502,7 @@ def test_constraint_hessians_match_jacobian_differences(n):
         d = _derivatives(xv, wv, n, par)
 
         def jac_at(x, v):
-            return hm.first_order_flat(x, v, n, par.c_p, par.flow_floor).jac
+            return _first_order(x, v, n, par).jac
 
         for z, block, jac in ((xv, d.hess_xx_h, lambda z: jac_at(z, wv)),
                               (wv, d.hess_xw_h, lambda z: jac_at(xv, z))):

@@ -88,8 +88,9 @@ def test_kkt_map_near_zero_at_anchor(moderate_hour, solve_cached):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
 def test_rows_have_the_bits_of_points(n):
-    """first_order_flat and kkt_map on S rows give, row by row, the bits of
-    the one-point call: the FD self-check stacks its points on this."""
+    """value_flat, first_order_flat on it and kkt_map on S rows give, row
+    by row, the bits of the one-point call: the FD self-check stacks its
+    points on this."""
     rng = np.random.default_rng(n)
     par = hm.HvacParameters(zone_count=n)
     lay = hm.layout(n)
@@ -106,11 +107,16 @@ def test_rows_have_the_bits_of_points(n):
     X[::3, lay.q_c] = 0.0          # chiller off on some rows
     lam = np.abs(rng.standard_normal(lay.h_dim))
     args = (n, par.c_p, par.flow_floor)
-    rows = hm.first_order_flat(X, W, *args)
+
+    def first_order(x, v):
+        return hm.first_order_flat(hm.value_flat(x, v, *args), x, v,
+                                   *args[:2])
+
+    rows = first_order(X, W)
     H = sn.kkt_map(X, W, lam, *args)
     assert H.shape == (S, lay.x_dim + lay.h_dim)
     for i in range(S):
-        point = hm.first_order_flat(X[i], W[i], *args)
+        point = first_order(X[i], W[i])
         for got, want in zip(rows[:4], point[:4]):
             assert np.array_equal(got[i], want)
         assert np.array_equal(H[i], sn.kkt_map(X[i], W[i], lam, *args))
@@ -147,7 +153,8 @@ def _fd_check_by_point(anchor, w, spec, n_probes, seed):
     xv, wv = anchor.x0.to_vector(), w.to_vector()
     lam, par = anchor.lam, w.params
     sx = baseline_opt.Scaling.of(w).x
-    first = hm.first_order_flat(xv, wv, 5, par.c_p, par.flow_floor)
+    first = hm.first_order_flat(
+        hm.value_flat(xv, wv, 5, par.c_p, par.flow_floor), xv, wv, 5, par.c_p)
     G, W_jac = sn._assemble_jacobians(
         hm.derivatives_flat(first, xv, wv, 5, par.c_p), lam, spec.indices)
     idx = list(spec.indices)
