@@ -6,6 +6,8 @@ scales). The returned point is then refined in-repo: the cost-flat
 direction shared by (T_sa, q_h) is canonicalized to the minimum-q_h
 endpoint, and an active-set Newton polish drives the KKT residuals to
 machine precision while recovering multipliers for every constraint row.
+The polish drops active rows but never adds one: a point it leaves
+infeasible fails certification, and the solve tries the next start.
 
 The AHU energy balance appears in the constraint vector as two opposite
 inequality rows; internally it is one equality with a free multiplier mu,
@@ -27,8 +29,7 @@ from .errors import InfeasibleHourError, NoConvergenceError
 
 PRNG_NAME = "PCG64"
 
-_FEAS_KEEP = 1e-11       # scaled h above which the polish adds a row
-_MAX_OUTER = 25          # polish rounds that add or drop active rows
+_FEAS_KEEP = 1e-11       # largest scaled h the NNLS-only polish accepts
 _NEWTON_MAX_ITER = 40    # Newton steps per polish round
 _NNLS_TOL = 1e-11        # relative stationarity residual NNLS may leave
 _MEMO_POINTS = 65        # evaluated points a Scaling keeps
@@ -222,13 +223,16 @@ def _canonicalize(xv: np.ndarray, s: Scaling) -> np.ndarray:
 def _polish(xv, s: Scaling, act_init):
     """Refine (x, lambda) on the active-set KKT system.
 
+    Newton runs on the active rows; NNLS recovers a negative multiplier,
+    or else its row is dropped. No row is ever added: `_residuals`, not
+    the polish, rejects an infeasible result.
+
     Returns (xv, lam_full), or lam_full None when the polish fails.
     lam_full covers all rows in original units; the balance equality
     multiplier mu is split over the two opposite rows by sign.
     """
     lay = s.layout
-    eq_rows = [lay.balance, lay.balance_neg]
-    act = sorted(set(int(i) for i in act_init) - set(eq_rows))
+    act = sorted(set(map(int, act_init)) - {lay.balance, lay.balance_neg})
     lam_act = np.zeros(len(act))
     mu = 0.0
 
@@ -252,7 +256,8 @@ def _polish(xv, s: Scaling, act_init):
         if lam_nn is not None:
             return xv, _assemble(lam_nn, mu_nn)
 
-    for _outer in range(_MAX_OUTER):
+    # each pass that does not return drops a row, so the loop ends
+    while True:
         xv, lam_act, mu, ok = _newton_on_active(xv, s, act, lam_act, mu)
         if not ok:
             return xv, None
@@ -268,16 +273,8 @@ def _polish(xv, s: Scaling, act_init):
                 del act[worst]
                 lam_act = np.delete(lam_act, worst)
                 continue
-        h = s.values(xv)[1].h
-        inactive = np.setdiff1d(np.arange(lay.h_dim), act + eq_rows)
-        if inactive.size and h[inactive].max() > _FEAS_KEEP:
-            worst = int(inactive[np.argmax(h[inactive])])
-            act = sorted(act + [worst])
-            lam_act = np.zeros(len(act))
-            continue
         # converged: assemble full multipliers in original units
         return xv, _assemble(lam_act, mu)
-    return xv, None
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -397,7 +394,7 @@ def _residuals(xv, lam, s: Scaling) -> KktResiduals:
     stat = np.abs(grad_l * sx).max() / max(1.0, np.abs(raw.grad * sx).max())
     comp = np.abs(lam * raw.h).max() / max(1.0, abs(j0))
     feas = max(0.0, scaled.h.max())
-    dual = max(0.0, -lam.min()) if lam.size else 0.0
+    dual = max(0.0, -lam.min())
     active = tuple(int(i) for i in
                    np.where(np.abs(scaled.h) <= SolverConfig.act_tol)[0])
     lam_scaled = lam * s.h / s.j

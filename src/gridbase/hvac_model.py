@@ -399,15 +399,8 @@ class OperatingPoint:
     t_ma: float
     t_da: np.ndarray
     q_ahu: float
-    q_reheat: np.ndarray
     q_b: float
     q_e: float
-    f_flow: float
-    f_pl: float
-    plr_b: float
-    plr_e: float
-    eta_eff: float
-    f_gen: float
     p_fan: float
     p_boiler: float
     p_chiller: float
@@ -436,26 +429,14 @@ def evaluate(x: DecisionVector, w: ExogenousVector) -> OperatingPoint:
     q_b = float(q_reheat.sum() + x.q_h)
     q_e = x.q_c
 
-    u = m / par.m_design
-    cf = par.c_f
-    f_pl = cf[0] + u * (cf[1] + u * (cf[2] + u * cf[3]))
     p_fan = fan_power(m, par)
-
-    plr_b = q_b / par.Q_b_rated
-    cb = par.c_b
-    eta_eff = cb[0] + plr_b * (cb[1] + plr_b * cb[2])
-    p_boiler = boiler_power(q_b, par) if q_b != 0.0 else 0.0
-
-    plr_e = q_e / par.Q_e_rated
+    p_boiler = boiler_power(q_b, par)
     p_chiller = chiller_power(q_e, par)
-    f_gen = (p_chiller - par.P_pump) / q_e if q_e != 0.0 else 0.0
-
     j = par.alpha_el * (p_fan + p_chiller) + par.alpha_ng * p_boiler
     return OperatingPoint(
         m_sa_total=m, m_ra=m_ra, t_ra=t_ra, t_ma=t_ma, t_da=t_da,
-        q_ahu=q_ahu, q_reheat=q_reheat, q_b=q_b, q_e=q_e,
-        f_flow=u, f_pl=f_pl, plr_b=plr_b, plr_e=plr_e, eta_eff=eta_eff,
-        f_gen=f_gen, p_fan=p_fan, p_boiler=p_boiler, p_chiller=p_chiller,
+        q_ahu=q_ahu, q_b=q_b, q_e=q_e,
+        p_fan=p_fan, p_boiler=p_boiler, p_chiller=p_chiller,
         j_source=j,
     )
 

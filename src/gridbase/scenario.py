@@ -274,7 +274,7 @@ def _run_hour(hour: ProfileHour, mask, alpha, cfg, params, n_samples,
             hour_index=hour.hour_index,
             j0=kkt.j0,
             x0=kkt.x0,
-            lambda_max=float(np.max(kkt.lam)) if kkt.lam.size else 0.0,
+            lambda_max=float(np.max(kkt.lam)),
             active_set_labels=tuple(labels[i] for i in kkt.active_set),
             k_plus=pair["K_plus"],
             k_minus=pair["K_minus"],

@@ -77,13 +77,13 @@ class UncertaintySpec:
         return self.delta[list(self.indices)]
 
 
-def uncertainty_spec(w0: hm.ExogenousVector, mask, alpha: float,
-                     overrides: dict | None = None) -> UncertaintySpec:
+def uncertainty_spec(w0: hm.ExogenousVector, mask,
+                     alpha: float) -> UncertaintySpec:
     """Build a spec with delta = alpha * |w0| on the masked coordinates.
 
-    `mask` is a sequence of ExogenousVector labels; `overrides` maps a
-    label to an explicit per-coordinate delta. A label may appear in
-    `mask` only once.
+    `mask` is a sequence of ExogenousVector labels, each at most once.
+    Another box on the same coordinates is `dataclasses.replace(spec,
+    delta=...)`, which `UncertaintySpec` checks again.
     """
     mask = tuple(mask)
     for k, lab in enumerate(mask):
@@ -94,11 +94,6 @@ def uncertainty_spec(w0: hm.ExogenousVector, mask, alpha: float,
     delta = np.zeros(wv.size)
     for i in idx:
         delta[i] = alpha * abs(wv[i])
-    for lab, val in (overrides or {}).items():
-        j = w0.index(lab)
-        if j not in idx:
-            raise ValueError(f"override for unmasked coordinate {lab!r}")
-        delta[j] = float(val)
     return UncertaintySpec(mask=mask, alpha=float(alpha),
                            delta=delta, indices=idx)
 
@@ -216,7 +211,7 @@ def _shift_rank_ok(A, S, xv, s: Scaling) -> bool:
     invariant along that gauge and the shift solve picks its
     minimum-norm representative, so the gauge alone is harmless."""
     _, sv, Vt = np.linalg.svd(np.vstack([A, S]))
-    null = Vt[sv <= numkit.RANK_RTOL * sv[0]] if sv.size else Vt
+    null = Vt[sv <= numkit.RANK_RTOL * sv[0]]
     if null.shape[0] == 0:
         return True
     if null.shape[0] > 1:
@@ -248,18 +243,15 @@ def _shift_map(A, B, S, Ds, sx):
     remaining tangent freedom in the least-squares sense. A and B (S and
     Ds) are the scaled active-row (stationarity) blocks of G and -grad_w H.
     """
-    m = sx.size
-    if A.shape[0]:
-        U, s, Vt = np.linalg.svd(A, full_matrices=True)
-        cutoff = numkit.RANK_RTOL * (s[0] if s.size else 0.0)
-        rank = int((s > cutoff).sum())
-        inv_s = np.zeros(s.size)
-        inv_s[:rank] = 1.0 / s[:rank]
-        Zc = Vt[:rank].T @ (inv_s[:rank, None] * (U.T @ B)[:rank])
-        Z = Vt[rank:].T                      # tangent basis of the manifold
-    else:
-        Zc = np.zeros((m, Ds.shape[1]))
-        Z = np.eye(m)
+    # a certified anchor has feasibility_violation <= feas_tol < act_tol,
+    # so both AHU-balance rows are active and A has at least two rows
+    U, s, Vt = np.linalg.svd(A, full_matrices=True)
+    cutoff = numkit.RANK_RTOL * s[0]
+    rank = int((s > cutoff).sum())
+    inv_s = np.zeros(s.size)
+    inv_s[:rank] = 1.0 / s[:rank]
+    Zc = Vt[:rank].T @ (inv_s[:rank, None] * (U.T @ B)[:rank])
+    Z = Vt[rank:].T                          # tangent basis of the manifold
 
     if Z.shape[1]:
         SZ = S @ Z

@@ -9,8 +9,9 @@ from gridbase import baseline_opt
 from gridbase import hvac_model as hm
 from gridbase import scenario as sc
 from gridbase import sensitivity as sn
-from gridbase.baseline_opt import (SolverConfig, _center_start, _random_start,
-                                   kkt_report, solve_baseline, verify_kkt)
+from gridbase.baseline_opt import (SolverConfig, _balance_duties,
+                                   _center_start, _random_start, kkt_report,
+                                   solve_baseline, verify_kkt)
 from gridbase.errors import (GridbaseError, InfeasibleHourError,
                              NoConvergenceError)
 
@@ -533,6 +534,46 @@ def test_derivatives_build_on_the_kept_record(monkeypatch):
     assert derived == [True] * 2
     sn.build_operator(kkt, w, sn.uncertainty_spec(w, ("T_oa",), 0.05))
     assert derived == [True] * 3
+
+
+def test_certificate_not_the_polish_guards_feasibility(monkeypatch):
+    """The polish never adds a row, so nothing in it tests the rows it
+    leaves inactive. Here every Newton pass of the first start returns ok,
+    with zero multipliers, at a point whose inactive `m_ra_nonneg` row is
+    violated by 1e-4 (scaled): m_oa exceeds the total supply flow, and the
+    coil duties are rebalanced. The violation is past act_tol, so the snap
+    keeps it, and it is not along the cost-flat directions, so the
+    canonical form keeps it too. The certificate refuses the point, and
+    the solve returns a later start's certified point instead."""
+    reports = []
+    row = hm.constraint_labels(5).index("m_ra_nonneg")
+    real_newton, real_residuals = (baseline_opt._newton_on_active,
+                                   baseline_opt._residuals)
+
+    def newton(xv, s, act, lam_act, mu):
+        if reports:
+            return real_newton(xv, s, act, lam_act, mu)
+        lay, xv = s.layout, xv.copy()
+        xv[lay.m_oa] = xv[lay.m_sa].sum() + 1e-4 * s.h[row]
+        return _balance_duties(xv, s), np.zeros(len(act)), 0.0, True
+
+    def residuals(xv, lam, s):
+        reports.append((xv.copy(), real_residuals(xv, lam, s)))
+        return reports[-1][1]
+
+    monkeypatch.setattr(baseline_opt, "_newton_on_active", newton)
+    monkeypatch.setattr(baseline_opt, "_residuals", residuals)
+    hour = sc.synth_profile("hot", 100045).hours[6]
+    w = hm.ExogenousVector(t_oa=hour.t_oa, zones=hour.zones,
+                           params=hm.HvacParameters())
+    kkt = solve_baseline(w)
+    bad_x, bad = reports[0]
+    assert bad.feasibility_violation == pytest.approx(1e-4, rel=1e-6)
+    assert row not in bad.active_set and not bad.certified
+    assert len(reports) > 1
+    assert not np.array_equal(kkt.x0.to_vector(), bad_x)
+    assert kkt.certified
+    assert kkt.feasibility_violation <= SolverConfig.feas_tol
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])

@@ -25,6 +25,14 @@ def _operator(solve_cached, w, mask=("T_oa",), alpha=0.01):
     return sn.build_operator(anchor, w, spec), spec
 
 
+def _with_radius(spec, w0, label, radius):
+    """spec with an explicit box radius on one coordinate, which
+    `UncertaintySpec` checks again."""
+    delta = spec.delta.copy()
+    delta[w0.index(label)] = radius
+    return dataclasses.replace(spec, delta=delta)
+
+
 # ---------------------------------------------------------------------------
 # spec construction
 # ---------------------------------------------------------------------------
@@ -36,18 +44,12 @@ def test_spec_delta_is_alpha_scaled(moderate_hour):
     assert np.count_nonzero(spec.delta) == 2
 
 
-def test_spec_override(moderate_hour):
-    spec = sn.uncertainty_spec(moderate_hour, ("T_oa",), 0.02,
-                               overrides={"T_oa": 1.5})
-    assert spec.masked_delta[0] == 1.5
-
-
 def test_spec_rejects_bad_inputs(moderate_hour):
     with pytest.raises(ValueError):
         sn.uncertainty_spec(moderate_hour, ("T_oa",), -0.1)
+    spec = sn.uncertainty_spec(moderate_hour, ("T_oa",), 0.1)
     with pytest.raises(ValueError):
-        sn.uncertainty_spec(moderate_hour, ("T_oa",), 0.1,
-                            overrides={"Q_zone_1": 5.0})
+        _with_radius(spec, moderate_hour, "Q_zone_1", 5.0)
     with pytest.raises(KeyError):
         sn.uncertainty_spec(moderate_hour, ("no_such_label",), 0.1)
 
@@ -63,14 +65,14 @@ def test_spec_rejects_repeated_labels(moderate_hour):
                            delta=np.r_[0.18, np.zeros(33)], indices=(0, 0))
 
 
-@pytest.mark.parametrize("alpha, override", [
+@pytest.mark.parametrize("alpha, radius", [
     (math.nan, None), (math.inf, None), (0.01, math.inf), (0.01, math.nan)],
     ids=["nan-alpha", "inf-alpha", "inf-delta", "nan-delta"])
-def test_spec_rejects_non_finite(moderate_hour, alpha, override):
+def test_spec_rejects_non_finite(moderate_hour, alpha, radius):
     """A NaN or infinite box has no bound; it is refused with the spec."""
-    overrides = None if override is None else {"T_oa": override}
     with pytest.raises(ValueError, match="must be finite"):
-        sn.uncertainty_spec(moderate_hour, ("T_oa",), alpha, overrides)
+        spec = sn.uncertainty_spec(moderate_hour, ("T_oa",), alpha)
+        _with_radius(spec, moderate_hour, "T_oa", radius)
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +605,8 @@ def test_quadratic_model_step_refinement(monkeypatch, moderate_hour,
 # ---------------------------------------------------------------------------
 
 def _toy_spec(w0, delta):
-    return sn.uncertainty_spec(w0, ("T_oa",), 0.1, overrides={"T_oa": delta})
+    return _with_radius(sn.uncertainty_spec(w0, ("T_oa",), 0.1), w0, "T_oa",
+                        delta)
 
 
 def test_holder_bound_hand_computed():
@@ -833,8 +836,7 @@ def test_blocked_sampler_matches_unblocked_below_the_floor(n, monkeypatch):
     room = np.abs((anchor.x0.m_sa - w.params.flow_floor) / col).min()
     skipped = []
     for reach in (1.001, 1.0 / 0.9, 3.0):
-        box = sn.uncertainty_spec(w, ("Q_zone_1",), 0.01,
-                                  overrides={"Q_zone_1": reach * room})
+        box = _with_radius(spec, w, "Q_zone_1", reach * room)
         skipped.append(_assert_matches_unblocked(
             monkeypatch, dataclasses.replace(op, spec=box), w, box, 10000,
             seed=1))
@@ -868,8 +870,7 @@ def test_sample_bound_errors_when_box_leaves_domain(moderate_hour,
     col = op.shift_matrix[2:7, 0]
     j = int(np.argmax(np.abs(col)))
     dq = abs(2.0 * op.anchor.x0.m_sa[j] / col[j])
-    big = sn.uncertainty_spec(moderate_hour, ("Q_zone_1",), 0.01,
-                              overrides={"Q_zone_1": dq})
+    big = _with_radius(spec0, moderate_hour, "Q_zone_1", dq)
     op_big = dataclasses.replace(op, spec=big)
     with pytest.raises(EvaluationDomainError):
         sn.sample_bound(op_big, moderate_hour, big, 1000, seed=0)
