@@ -361,9 +361,11 @@ def _snap_active_bounds(xv, s: Scaling, active):
     """Set variables sitting on active simple-bound rows to the exact bound
     value; an active upper row wins over an active lower row."""
     lay, xv = s.layout, xv.copy()
-    low = np.isin(lay.lower, active)
+    on = np.zeros(lay.h_dim, dtype=bool)
+    on[active] = True
+    low = on[lay.lower]
     xv[low] = s.lo[low]
-    up = lay.upper_x[np.isin(lay.upper, active)]
+    up = lay.upper_x[on[lay.upper]]
     xv[up] = s.hi[up]
     return xv
 

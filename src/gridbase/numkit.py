@@ -8,6 +8,7 @@ once (`fd_stencil`, `fd_derivatives`) or one by one (`fd_gradient`,
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Sequence
 
 import numpy as np
@@ -54,15 +55,19 @@ def _fd_point(x, steps):
     return x, h
 
 
+@functools.lru_cache(maxsize=None)
 def _hessian_layout(n: int):
-    """Row order of the Hessian stencil: x first, then for each i in turn
-    x + 2h_i e_i and x - 2h_i e_i (rows base[i], base[i] + 1) followed,
-    for each j > i, by x + h_i e_i + h_j e_j with the signs ++, +-, -+,
-    -- (rows corner[k] to corner[k] + 3 for the pair (I[k], J[k]))."""
+    """Read-only row order of the Hessian stencil: x first, then for each
+    i in turn x + 2h_i e_i and x - 2h_i e_i (rows base[i], base[i] + 1)
+    followed, for each j > i, by x + h_i e_i + h_j e_j with the signs ++,
+    +-, -+, -- (rows corner[k] to corner[k] + 3 for the pair (I[k], J[k]))."""
     sizes = 2 + 4 * (n - 1 - np.arange(n))
     base = 1 + np.cumsum(sizes) - sizes
     I, J = np.triu_indices(n, 1)
-    return base, I, J, base[I] + 2 + 4 * (J - I - 1)
+    out = base, I, J, base[I] + 2 + 4 * (J - I - 1)
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def fd_stencil(x, steps: Sequence[float] | np.ndarray | None = None) -> np.ndarray:

@@ -319,13 +319,15 @@ def _stage_scaling(op: SensitivityOperator, w0: hm.ExogenousVector,
 
 
 def _k_rows(op: SensitivityOperator, dW: np.ndarray) -> np.ndarray:
-    """K on each row of dW with the bits of a one-row evaluation: every
-    row gets its own matvec for the shift (a gemm over all rows is not
-    bound to round each row the same way) and one "C" `_k_batch` call
-    evaluates them all. Raises EvaluationDomainError for the first row
-    outside the model domain."""
-    dX = np.array([op.shift_matrix @ d for d in dW])
-    kvals, ok = _k_batch(op, dW, dX, "C")
+    """K on each row of dW with the bits of a one-row evaluation: one
+    stacked matmul runs the matvec `shift_matrix @ d` for every row (a
+    gemm over all rows is not bound to round each row the same way) and
+    one "C" `_k_batch` call evaluates them all. Raises
+    EvaluationDomainError for the first row outside the model domain."""
+    X = np.matmul(op.shift_matrix, dW[:, :, None])[:, :, 0]
+    W = np.empty((dW.shape[0], op.anchor.scaling.wv.size))
+    W[:] = op.anchor.scaling.wv
+    kvals, ok = _k_batch(op, dW, X, W)
     bad = ~np.isfinite(kvals)
     if bad.any():
         first = int(np.argmax(bad))
@@ -405,9 +407,10 @@ def sample_bound(op: SensitivityOperator, w0: hm.ExogenousVector,
     The vertices come first, so an `n_samples` below 2^min(p, 12) still
     evaluates every vertex and `samples` reports that total. K is
     evaluated in equal blocks of at most `_BLOCK_ROWS` (2048) rows, each
-    with its own shift product and kernel call. A block has one row only
-    when the whole sample has: a one-row "F" block sums like
-    `objective_flat` at a point, which would change that row's bits.
+    with its own shift product and kernel call, in one "F" X and W that
+    every block reuses. A block has one row only when the whole sample
+    has: a one-row "F" block sums like `objective_flat` at a point, which
+    would change that row's bits.
     """
     _stage_scaling(op, w0, spec)
     if n_samples < 1:
@@ -428,11 +431,16 @@ def sample_bound(op: SensitivityOperator, w0: hm.ExogenousVector,
     kvals = np.empty(total)
     ok = np.empty(total, dtype=bool)
     n_blocks = -(-total // _BLOCK_ROWS)
+    size = -(-total // n_blocks)
+    X = np.empty((size, op.shift_matrix.shape[0]), order="F")
+    W = np.empty((size, op.anchor.scaling.wv.size), order="F")
+    W[:] = op.anchor.scaling.wv
     for b in range(n_blocks):
         rows = slice(total * b // n_blocks, total * (b + 1) // n_blocks)
         part = dW[rows]
-        kvals[rows], ok[rows] = _k_batch(
-            op, part, part @ op.shift_matrix.T, "F")
+        k = part.shape[0]
+        np.matmul(part, op.shift_matrix.T, out=X[:k])
+        kvals[rows], ok[rows] = _k_batch(op, part, X[:k], W[:k])
     skipped = int(np.count_nonzero(~ok))
     if skipped > 0.1 * total:
         raise EvaluationDomainError(
@@ -460,12 +468,14 @@ def _vertex_signs(p: int) -> np.ndarray:
     return signs
 
 
-def _k_batch(op: SensitivityOperator, dW: np.ndarray, dX: np.ndarray,
-             order: str):
-    """K on each row of dW, whose primal shift is that row of dX, and the
-    mask of rows inside the model domain (K is NaN on the others).
+def _k_batch(op: SensitivityOperator, dW: np.ndarray, X: np.ndarray,
+             W: np.ndarray):
+    """K on each row of dW and the mask of rows inside the model domain
+    (K is NaN on the others). The caller's buffers are overwritten: X
+    holds each row's primal shift and becomes its point; W holds w0 in
+    the unmasked columns, and its masked columns become w0 + dW.
 
-    `order` is the memory layout of X and W. The numpy kernel reads
+    The memory layout of X and W is the caller's. The numpy kernel reads
     columns, so "F" is fastest; "C" gives each row the bits of
     `objective_flat` at that row's point, which with 8 or more zones
     sums pairwise where the columns of an "F" array are summed one after
@@ -473,23 +483,18 @@ def _k_batch(op: SensitivityOperator, dW: np.ndarray, dX: np.ndarray,
     """
     s = op.anchor.scaling
     lay, par, wv0 = s.layout, s.params, s.wv
-    xv0 = op.anchor.x0.to_vector()
-    idx = list(op.spec.indices)
+    X += op.anchor.x0.to_vector()
+    for j, i in enumerate(op.spec.indices):
+        np.add(wv0[i], dW[:, j], out=W[:, i])
 
-    X = np.empty(dX.shape, order=order)
-    np.add(xv0, dX, out=X)
-    W = np.empty((dW.shape[0], wv0.size), order=order)
-    W[:] = wv0
-    W[:, idx] = wv0[idx] + dW
-
-    duty = [lay.q_h, lay.q_c]
-    X[:, duty] = np.maximum(X[:, duty], s.lo[duty])
-    if xv0[lay.q_c] == 0.0:
+    for i in (lay.q_h, lay.q_c):
+        np.maximum(X[:, i], s.lo[i], out=X[:, i])
+    if op.anchor.x0.q_c == 0.0:
         X[X[:, lay.q_c] <= _CHILLER_SNAP_REL * par.Q_e_rated, lay.q_c] = 0.0
 
     # every row goes through the kernel: dropping rows would copy X and W
     # into "C" layout and change the bits of the rows that stay
-    ok = (X[:, lay.m_sa] >= par.flow_floor).all(axis=1)
+    ok = X[:, lay.m_sa].min(axis=1) >= par.flow_floor
     kvals = kernels.objective_batch(X, W, lay.n, par.c_p) - op.anchor.j0
     kvals[~ok] = np.nan
     return kvals, ok

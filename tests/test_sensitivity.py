@@ -25,6 +25,15 @@ def _operator(solve_cached, w, mask=("T_oa",), alpha=0.01):
     return sn.build_operator(anchor, w, spec), spec
 
 
+def _buffers(op, dX, order):
+    """`_k_batch`'s X and W in the memory layout `order`: X holds the
+    shifts dX, W holds w0 in every column."""
+    X = np.array(dX, order=order)
+    W = np.empty((X.shape[0], op.anchor.scaling.wv.size), order=order)
+    W[:] = op.anchor.scaling.wv
+    return X, W
+
+
 def _with_radius(spec, w0, label, radius):
     """spec with an explicit box radius on one coordinate, which
     `UncertaintySpec` checks again."""
@@ -508,7 +517,7 @@ def test_k_batch_is_nan_exactly_below_the_floor(moderate_hour, solve_cached):
     below = np.array([False, False, True, False, True, False])
     dX = np.array([op.shift_matrix @ d for d in dW])
     for order in ("C", "F"):
-        kvals, ok = sn._k_batch(op, dW, dX, order)
+        kvals, ok = sn._k_batch(op, dW, *_buffers(op, dX, order))
         np.testing.assert_array_equal(ok, ~below)
         np.testing.assert_array_equal(np.isnan(kvals), below)
         for d, k in zip(dW[~below], kvals[~below]):
@@ -669,7 +678,7 @@ def test_sample_bound_finds_vertex_max(monkeypatch, moderate_hour,
     op, spec = _operator(solve_cached, moderate_hour,
                          mask=("T_oa", "Q_zone_1"))
     g = np.array([2.0, -3.0])
-    monkeypatch.setattr(sn, "_k_batch", lambda op_, dW, dX, order: (
+    monkeypatch.setattr(sn, "_k_batch", lambda op_, dW, X, W: (
         dW @ g, np.ones(dW.shape[0], dtype=bool)))
     monkeypatch.setattr(sn, "_k_rows", lambda op_, dW: dW @ g)
     res = sn.sample_bound(op, moderate_hour, spec, 500, seed=0)
@@ -697,7 +706,7 @@ def test_vertex_rows_follow_itertools_order(p, monkeypatch, moderate_hour,
         expected[row, :n_sign] = np.asarray(signs) * d[:n_sign]
     rows = []
 
-    def k_batch(op_, dW, dX, order):
+    def k_batch(op_, dW, X, W):
         rows.append(dW.copy())
         return np.zeros(dW.shape[0]), np.ones(dW.shape[0], dtype=bool)
 
@@ -720,7 +729,8 @@ def _unblocked_sample(op, spec, n_samples, seed):
     draws = np.random.default_rng(seed).uniform(
         -1.0, 1.0, size=(n_draws, d.size)) * d[None, :]
     dW = np.vstack([vertices, draws])
-    kvals, ok = sn._k_batch(op, dW, dW @ op.shift_matrix.T, "F")
+    kvals, ok = sn._k_batch(op, dW, *_buffers(op, dW @ op.shift_matrix.T,
+                                              "F"))
     return dW, kvals, ok
 
 
@@ -736,13 +746,14 @@ def _scaled_hour(n, day="moderate", k=3):
 def _blocked_sample(monkeypatch, op, w, spec, n_samples, seed):
     """sample_bound's result (or its domain error) and the rows, K and
     mask of its blocked _k_batch calls, concatenated. The blocks are the
-    "F" calls; the one-row "C" call for beta at the argmax is not one."""
+    "F" calls, whose X has adjacent rows; the one-row "C" call for beta at
+    the argmax is not one."""
     calls = []
     k_batch = sn._k_batch
 
-    def recording(op_, dW, dX, order):
-        kvals, ok = k_batch(op_, dW, dX, order)
-        if order == "F":
+    def recording(op_, dW, X, W):
+        kvals, ok = k_batch(op_, dW, X, W)
+        if X.strides[0] == X.itemsize:
             calls.append((dW.copy(), kvals, ok))
         return kvals, ok
 
@@ -785,6 +796,60 @@ SAMPLER_MASKS = (
      "Q_e_rated", "P_pump", "c_g_1", "c_g_2", "c_g_3", "alpha_el",
      "alpha_ng"),
 )
+
+
+def _hessian_rows(n):
+    """`numkit._hessian_layout(n)` built row by row from its docstring."""
+    base, I, J, corner = [], [], [], []
+    row = 1
+    for i in range(n):
+        base.append(row)
+        row += 2
+        for j in range(i + 1, n):
+            I.append(i)
+            J.append(j)
+            corner.append(row)
+            row += 4
+    return base, I, J, corner
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_k_rows_shift_has_matvec_bits(n, monkeypatch):
+    """_k_rows' one stacked matmul gives every row the bytes of the matvec
+    shift_matrix @ d, on the quadratic model's stencil and on box draws,
+    with 1, 3, 12 and 13 masked coordinates; and the cached Hessian
+    stencil layout equals one built row by row and is read-only. The
+    masks take the coordinates that move x first: the shift columns of
+    the cost-only parameters are zero, and sums of zeros round alike in
+    any order."""
+    w = _scaled_hour(n)
+    anchor = solve_baseline(w)
+    zones = [f"{k}_{i}" for i in range(1, n + 1)
+             for k in ("Q_zone", "T_sp", "m_oa_min")]
+    mask = ("T_oa", *zones) + SAMPLER_MASKS[2]
+    shifts = []
+
+    def recording(op_, dW, X, W):
+        shifts.append(X.copy())
+        return np.zeros(dW.shape[0]), np.ones(dW.shape[0], dtype=bool)
+
+    monkeypatch.setattr(sn, "_k_batch", recording)
+    rng = np.random.default_rng(n)
+    for p in (1, 3, 12, 13):
+        spec = sn.uncertainty_spec(w, mask[:p], 0.05)
+        op = sn.build_operator(anchor, w, spec)
+        steps = numkit.default_fd_steps(w.to_vector()[list(spec.indices)])
+        dW = np.vstack([numkit.fd_stencil(np.zeros(p), steps),
+                        rng.uniform(-1.0, 1.0, (50, p)) * spec.masked_delta])
+        sn._k_rows(op, dW)
+        expected = np.array([op.shift_matrix @ d for d in dW])
+        assert shifts.pop().tobytes() == expected.tobytes(), p
+
+        layout = numkit._hessian_layout(p)
+        assert numkit._hessian_layout(p) is layout
+        for got, built in zip(layout, _hessian_rows(p)):
+            assert np.array_equal(got, built)
+            assert not got.flags.writeable
 
 
 @pytest.mark.parametrize("n", [1, 3, 5, 8, 10])
