@@ -6,8 +6,9 @@ scales). The returned point is then refined in-repo: the cost-flat
 direction shared by (T_sa, q_h) is canonicalized to the minimum-q_h
 endpoint, and an active-set Newton polish drives the KKT residuals to
 machine precision while recovering multipliers for every constraint row.
-The polish drops active rows but never adds one: a point it leaves
-infeasible fails certification, and the solve tries the next start.
+The polish drops active rows but never adds one. What it leaves, also
+when Newton fails, ends in a residual report, and the certificate alone
+judges it: on an uncertified report the solve tries the next start.
 
 The AHU energy balance appears in the constraint vector as two opposite
 inequality rows; internally it is one equality with a free multiplier mu,
@@ -160,7 +161,7 @@ class Scaling:
         hit = self._memo.get(key)
         if hit is None:
             raw = hm.value_flat(xv, self.wv, self.layout.n, self.params.c_p,
-                                self.params.flow_floor)
+                                self.lo, self.hi)
             scaled = Scaled(raw.j / self.j, None, raw.h / self.h, None)
             raw.h.flags.writeable = scaled.h.flags.writeable = False
             if len(self._memo) >= _MEMO_POINTS:
@@ -227,9 +228,10 @@ def _polish(xv, s: Scaling, act_init):
     or else its row is dropped. No row is ever added: `_residuals`, not
     the polish, rejects an infeasible result.
 
-    Returns (xv, lam_full), or lam_full None when the polish fails.
-    lam_full covers all rows in original units; the balance equality
-    multiplier mu is split over the two opposite rows by sign.
+    Returns (xv, lam_full, ok), ok False when Newton fails; then xv and
+    lam_full are its last iterate. lam_full covers all rows in original
+    units; the balance equality multiplier mu is split over the two
+    opposite rows by sign.
     """
     lay = s.layout
     act = sorted(set(map(int, act_init)) - {lay.balance, lay.balance_neg})
@@ -254,14 +256,12 @@ def _polish(xv, s: Scaling, act_init):
             not act or np.abs(h0[act]).max() <= 1e-12):
         lam_nn, mu_nn = _nnls_multipliers(xv, s, act)
         if lam_nn is not None:
-            return xv, _assemble(lam_nn, mu_nn)
+            return xv, _assemble(lam_nn, mu_nn), True
 
     # each pass that does not return drops a row, so the loop ends
     while True:
         xv, lam_act, mu, ok = _newton_on_active(xv, s, act, lam_act, mu)
-        if not ok:
-            return xv, None
-        if lam_act.size and lam_act.min() < -1e-9:
+        if ok and lam_act.size and lam_act.min() < -1e-9:
             # at degenerate corners the active rows are dependent and the
             # Newton multipliers are sign-indefinite; try a nonnegative
             # recovery on the same rows before dropping any of them
@@ -273,8 +273,7 @@ def _polish(xv, s: Scaling, act_init):
                 del act[worst]
                 lam_act = np.delete(lam_act, worst)
                 continue
-        # converged: assemble full multipliers in original units
-        return xv, _assemble(lam_act, mu)
+        return xv, _assemble(lam_act, mu), ok
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -466,7 +465,7 @@ def solve_baseline(w: hm.ExogenousVector, cfg: SolverConfig | None = None,
 
     Deterministic given (w, cfg, x_init). Raises InfeasibleHourError when
     no start reaches a feasible point, NoConvergenceError (carrying the
-    best residual report) when tolerances cannot be met.
+    report of least stationarity) when tolerances cannot be met.
     """
     cfg = cfg or SolverConfig()
     par = w.params
@@ -512,8 +511,7 @@ def solve_baseline(w: hm.ExogenousVector, cfg: SolverConfig | None = None,
         [] if x_init is None else [x_init.to_vector().astype(float)],
         [_center_start(s)],
         (_random_start(rng, s) for _ in itertools.count()))
-    feasible = False
-    best_report = None
+    reports = []
     for start in itertools.islice(starts, cfg.multistart_count):
         z0 = np.clip(start / sx, lo, hi)
         try:
@@ -536,22 +534,23 @@ def solve_baseline(w: hm.ExogenousVector, cfg: SolverConfig | None = None,
         if not (np.isfinite(xv).all() and h[:eq].max() < 1e-5
                 and abs(h[eq]) < 1e-5):
             continue
-        feasible = True
         kkt = _finalize(xv, s, cfg.rng_seed)
-        if kkt is None:
-            continue
         if kkt.certified:
             return kkt
-        if best_report is None or (kkt.stationarity_residual
-                                   < best_report.stationarity_residual):
-            best_report = kkt
-    if not feasible:
+        reports.append(kkt)
+    if not reports:
         raise InfeasibleHourError(
             "no start reached a feasible point; the hour appears infeasible")
+    # least stationarity first, nan and inf last, the earliest of equals
     raise NoConvergenceError(
-        "baseline solve did not meet KKT tolerances", report=best_report)
+        "baseline solve did not meet KKT tolerances",
+        min(reports, key=lambda r: (not np.isfinite(r.stationarity_residual),
+                                    r.stationarity_residual)))
 
 
+# a failed polish's multipliers may overflow; its report then reads inf or
+# nan, which never certifies and ranks last among the start reports
+@np.errstate(over="ignore", invalid="ignore")
 def _finalize(xv, s: Scaling, seed):
     start = _canonicalize(xv, s)
     # canonicalization can change the active set, so a second round
@@ -560,10 +559,8 @@ def _finalize(xv, s: Scaling, seed):
     # where the round would repeat the first bit for bit
     for second_round in (False, True):
         act = np.where(s.values(start)[1].h >= -SolverConfig.act_tol)[0]
-        xv, lam = _polish(start, s, act)
-        if lam is None:
-            return None
-        if second_round:
+        xv, lam, ok = _polish(start, s, act)
+        if second_round or not ok:
             break
         nxt = _canonicalize(xv, s)
         if nxt.tobytes() == start.tobytes():

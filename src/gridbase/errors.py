@@ -18,9 +18,10 @@ class InfeasibleHourError(GridbaseError):
 
 
 class NoConvergenceError(GridbaseError):
-    """The baseline solver failed to reach the KKT tolerances."""
+    """The baseline solver failed to reach the KKT tolerances; `report`
+    is the feasible starts' residual report of least stationarity."""
 
-    def __init__(self, message, report=None):
+    def __init__(self, message, report):
         super().__init__(message)
         self.report = report
 

@@ -536,11 +536,12 @@ Value = namedtuple("Value", "j h v")
 
 
 def value_flat(xv: np.ndarray, wv: np.ndarray, n: int, c_p: float,
-               flow_floor: float) -> Value:
+               lo: np.ndarray, hi: np.ndarray) -> Value:
     """J_smooth, the ordered inequality vector h (h <= 0 feasible, also
     at infeasible points) and the `values` v at (x, w): the record that
-    `first_order_flat` builds on, elementwise like it. J_smooth keeps the
-    chiller standby term at q_c = 0, where `objective_flat` drops it."""
+    `first_order_flat` builds on, elementwise like it. (lo, hi) are w's
+    `simple_bounds`. J_smooth keeps the chiller standby term at q_c = 0,
+    where `objective_flat` drops it."""
     lay = layout(n)
     x, w = xv.T, wv.T
     T, o, mvec = x[lay.t_sa], x[lay.m_oa], x[lay.m_sa]
@@ -551,7 +552,6 @@ def value_flat(xv: np.ndarray, wv: np.ndarray, n: int, c_p: float,
     v = values(T, a, b, mvec, q_zone, t_sp, par, c_p)
     m, s_t, q_b = v.m, v.s_t, v.q_b
     q_ahu = ahu_duty(T, o, m, s_t, w[lay.t_oa], c_p)
-    lo, hi = simple_bounds(wv, n, flow_floor)
 
     out = np.empty(xv.shape[:-1] + (lay.h_dim,))
     h = out.T
@@ -571,7 +571,7 @@ def value_flat(xv: np.ndarray, wv: np.ndarray, n: int, c_p: float,
 
 def constraints_flat(xv, wv, n, c_p, flow_floor) -> np.ndarray:
     """h(x, w) alone: `value_flat`'s h."""
-    return value_flat(xv, wv, n, c_p, flow_floor).h
+    return value_flat(xv, wv, n, c_p, *simple_bounds(wv, n, flow_floor)).h
 
 
 FirstOrder = namedtuple("FirstOrder", "j grad h jac v gq fan1 etap d1 pc1")

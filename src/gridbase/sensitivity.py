@@ -136,8 +136,8 @@ def kkt_map(xv, wv, lam, n, c_p, flow_floor) -> np.ndarray:
     gradients are coded apart from the second-order blocks, so differences
     of H check each level of G and grad_w H against the level below. On S
     rows, (S, m) and (S, p), H is (S, m + n) with each point's bits."""
-    f = hm.first_order_flat(hm.value_flat(xv, wv, n, c_p, flow_floor), xv,
-                            wv, n, c_p)
+    val = hm.value_flat(xv, wv, n, c_p, *hm.simple_bounds(wv, n, flow_floor))
+    f = hm.first_order_flat(val, xv, wv, n, c_p)
     return np.concatenate([f.grad + lam @ f.jac, lam * f.h], axis=-1)
 
 

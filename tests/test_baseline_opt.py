@@ -1,5 +1,7 @@
 import dataclasses
+import sys
 import types
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -264,15 +266,70 @@ def test_first_certified_start_matches_exhaustive_best():
     assert certified >= 15 and failed >= 1
 
 
+def _raises_with_report(w):
+    """Solve w with numeric warnings as errors; return the report that the
+    NoConvergenceError carries, which must be an uncertified `KktPoint`
+    of finite stationarity."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NoConvergenceError) as err:
+            solve_baseline(w)
+    report = err.value.report
+    assert isinstance(report, baseline_opt.KktPoint)
+    assert not report.certified
+    assert np.isfinite(report.stationarity_residual)
+    return report
+
+
 def test_diverged_polish_is_a_failed_start():
     """On this hour the active-set Newton polish of some starts diverges to
-    non-finite multipliers; each such start fails and the hour reports
-    NoConvergenceError instead of a LinAlgError from the step solve."""
+    non-finite multipliers, and no start certifies. Each such start still
+    ends in a report, so the hour raises NoConvergenceError carrying the
+    report of least stationarity, not a LinAlgError from the step solve,
+    and no numeric warning escapes."""
     hour = sc.synth_profile("cold", 300051, n_zones=8).hours[1]
+    assert hour.hour_index == 10
     w = hm.ExogenousVector(t_oa=hour.t_oa, zones=hour.zones,
                            params=_scaled_params(8))
-    with pytest.raises(NoConvergenceError):
-        solve_baseline(w)
+    _raises_with_report(w)
+
+
+def test_nominal_cold_hour_reports_its_failure():
+    """Hour 15 of this nominal 5-zone cold day certifies from no start
+    either; its error carries a report too, with the feasibility the
+    start reached."""
+    hour = sc.synth_profile("cold", 29961308).hours[6]
+    assert hour.hour_index == 15
+    w = hm.ExogenousVector(t_oa=hour.t_oa, zones=hour.zones,
+                           params=hm.HvacParameters())
+    report = _raises_with_report(w)
+    assert report.feasibility_violation < 1e-5
+
+
+@pytest.mark.parametrize("stationarity", [
+    [np.nan, np.inf, 2.0, 1.0, 1.0, 3.0, np.nan, 4.0],
+    [4.0, np.nan, 3.0, 1.0, 1.0, 2.0, np.inf, np.nan]],
+    ids=["non-finite-first", "finite-first"])
+def test_non_finite_report_never_displaces_a_finite_one(
+        hot_hour, monkeypatch, stationarity):
+    """When no start certifies, the error carries the first report of
+    least stationarity; a report whose stationarity is nan or inf ranks
+    after every finite one, whether it comes before or after them."""
+    real = baseline_opt._finalize
+    calls = []
+
+    def finalize(xv, s, seed):
+        k = len(calls)
+        calls.append(k)
+        return dataclasses.replace(real(xv, s, seed), seed=k,
+                                   stationarity_residual=stationarity[k])
+
+    monkeypatch.setattr(baseline_opt, "_finalize", finalize)
+    with pytest.raises(NoConvergenceError) as err:
+        solve_baseline(hot_hour)
+    assert len(calls) == SolverConfig.multistart_count
+    report = err.value.report
+    assert (report.seed, report.stationarity_residual) == (3, 1.0)
 
 
 def test_gas_price_monotonicity(cold_hour, solve_cached):
@@ -489,6 +546,31 @@ def test_each_point_is_evaluated_once(hour, request, monkeypatch):
         assert len(first) < len(values)
 
 
+def test_simple_bounds_once_per_scaling(hot_hour, monkeypatch):
+    """An hour's `Scaling` holds its simple bounds, so from the solve
+    through the operator build `simple_bounds` runs once for the
+    `Scaling`, once for the solver's box and once for the FD self-check's
+    stacked `kkt_map` call, not at each of the many evaluated points."""
+    callers, points = Counter(), []
+    real_bounds, real_value = hm.simple_bounds, hm.value_flat
+
+    def bounds(*args):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return real_bounds(*args)
+
+    def value(xv, *args):
+        points.append(xv.tobytes())
+        return real_value(xv, *args)
+
+    monkeypatch.setattr(hm, "simple_bounds", bounds)
+    monkeypatch.setattr(hm, "value_flat", value)
+    kkt = solve_baseline(hot_hour)
+    sn.build_operator(kkt, hot_hour,
+                      sn.uncertainty_spec(hot_hour, ("T_oa",), 0.05))
+    assert callers == {"of": 1, "x_box": 1, "kkt_map": 1}
+    assert len(set(points)) > sum(callers.values())
+
+
 def test_derivatives_build_on_the_kept_record(monkeypatch):
     """Hour 15 of this hot day polishes with Newton: 3 passes, then NNLS
     recovers a negative multiplier. Each `derivatives_flat` call gets the
@@ -597,7 +679,8 @@ def test_scaled_record_keeps_the_row_selected_bits(n):
         assert isinstance(raw, hm.FirstOrder)
         assert isinstance(scaled, baseline_opt.Scaled)
         first = hm.first_order_flat(
-            hm.value_flat(xv, s.wv, n, w.params.c_p, w.params.flow_floor),
+            hm.value_flat(xv, s.wv, n, w.params.c_p,
+                          *hm.simple_bounds(s.wv, n, w.params.flow_floor)),
             xv, s.wv, n, w.params.c_p)
         for a, b in zip(raw, first):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()

@@ -258,7 +258,8 @@ def test_objective_smooth_differs_only_by_standby(hot_hour):
                           m_sa=np.full(5, 0.4), q_h=5000.0, q_c=0.0)
     xv, wv = x.to_vector(), hot_hour.to_vector()
     j_hard = hm.objective_flat(xv, wv, 5, par.c_p)
-    j_smooth = hm.value_flat(xv, wv, 5, par.c_p, par.flow_floor).j
+    j_smooth = hm.value_flat(xv, wv, 5, par.c_p,
+                             *hm.simple_bounds(wv, 5, par.flow_floor)).j
     standby = par.alpha_el * (par.c_g[0] * par.Q_e_rated + par.P_pump)
     assert j_smooth - j_hard == pytest.approx(standby, rel=1e-12)
 
@@ -294,7 +295,8 @@ def test_coupled_rows_match_evaluate(n):
             q_c=rng.uniform(0.0, 30000.0))
         pt = hm.evaluate(x, w)
         val = hm.value_flat(x.to_vector(), w.to_vector(), n, c_p,
-                            par.flow_floor)
+                            *hm.simple_bounds(w.to_vector(), n,
+                                              par.flow_floor))
         h = dict(zip(labels, val.h))
         scale = dict(zip(labels, baseline_opt.Scaling.of(w).h))
         balance = x.q_h - x.q_c - pt.q_ahu
@@ -378,7 +380,8 @@ def test_simple_bound_rows_are_the_box(n):
 
 def _first_order(xv, wv, n, par):
     """first_order_flat on the point's own value_flat record."""
-    val = hm.value_flat(xv, wv, n, par.c_p, par.flow_floor)
+    val = hm.value_flat(xv, wv, n, par.c_p,
+                        *hm.simple_bounds(wv, n, par.flow_floor))
     return hm.first_order_flat(val, xv, wv, n, par.c_p)
 
 
@@ -409,7 +412,8 @@ def test_first_derivatives_match_fd(hot_hour):
     for xv in _random_interior_points(hot_hour, 5, seed=0):
         d = _derivatives(xv, wv, 5, hot_hour.params)
         g_fd = numkit.fd_gradient(
-            lambda z: hm.value_flat(z, wv, 5, c_p, floor).j, xv)
+            lambda z: hm.value_flat(
+                z, wv, 5, c_p, *hm.simple_bounds(wv, 5, floor)).j, xv)
         scale = np.abs(d.grad_x_j).max()
         assert np.abs(g_fd - d.grad_x_j).max() < 1e-6 * scale
 
@@ -444,7 +448,8 @@ def test_first_order_flat_matches_constraints_and_derivatives():
                 [rng.uniform(0.0, 5000.0),
                  0.0 if k % 3 == 0 else rng.uniform(100.0, 30000.0)]])
             wv = w.to_vector()
-            val = hm.value_flat(xv, wv, n, par.c_p, par.flow_floor)
+            val = hm.value_flat(xv, wv, n, par.c_p,
+                                *hm.simple_bounds(wv, n, par.flow_floor))
             first = hm.first_order_flat(val, xv, wv, n, par.c_p)
             d = hm.derivatives_flat(first, xv, wv, n, par.c_p)
             assert first.j is val.j and first.h is val.h

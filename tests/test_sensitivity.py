@@ -120,8 +120,9 @@ def test_rows_have_the_bits_of_points(n):
     args = (n, par.c_p, par.flow_floor)
 
     def first_order(x, v):
-        return hm.first_order_flat(hm.value_flat(x, v, *args), x, v,
-                                   *args[:2])
+        val = hm.value_flat(x, v, *args[:2],
+                            *hm.simple_bounds(v, n, par.flow_floor))
+        return hm.first_order_flat(val, x, v, *args[:2])
 
     rows = first_order(X, W)
     H = sn.kkt_map(X, W, lam, *args)
@@ -165,7 +166,9 @@ def _fd_check_by_point(anchor, w, spec, n_probes, seed):
     lam, par = anchor.lam, w.params
     sx = baseline_opt.Scaling.of(w).x
     first = hm.first_order_flat(
-        hm.value_flat(xv, wv, 5, par.c_p, par.flow_floor), xv, wv, 5, par.c_p)
+        hm.value_flat(xv, wv, 5, par.c_p,
+                      *hm.simple_bounds(wv, 5, par.flow_floor)),
+        xv, wv, 5, par.c_p)
     G, W_jac = sn._assemble_jacobians(
         hm.derivatives_flat(first, xv, wv, 5, par.c_p), lam, spec.indices)
     idx = list(spec.indices)
