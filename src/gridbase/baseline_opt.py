@@ -33,7 +33,6 @@ PRNG_NAME = "PCG64"
 _FEAS_KEEP = 1e-11       # largest scaled h the NNLS-only polish accepts
 _NEWTON_MAX_ITER = 40    # Newton steps per polish round
 _NNLS_TOL = 1e-11        # relative stationarity residual NNLS may leave
-_MEMO_POINTS = 65        # evaluated points a Scaling keeps
 
 
 # scipy.optimize takes longer to import than the rest of the package, and
@@ -155,8 +154,8 @@ class Scaling:
     def values(self, xv):
         """(raw, scaled) at xv: `value_flat`'s record and `Scaled`(J / j,
         None, h / h, None), or `evaluate`'s pair once built. Each point is
-        kept (up to _MEMO_POINTS points, cleared when full) and evaluated
-        and scaled once; the arrays are read-only."""
+        kept, and evaluated and scaled once, until `solve_baseline` begins
+        its next start; the arrays are read-only."""
         key = xv.tobytes()
         hit = self._memo.get(key)
         if hit is None:
@@ -164,8 +163,6 @@ class Scaling:
                                 self.lo, self.hi)
             scaled = Scaled(raw.j / self.j, None, raw.h / self.h, None)
             raw.h.flags.writeable = scaled.h.flags.writeable = False
-            if len(self._memo) >= _MEMO_POINTS:
-                self._memo.clear()
             hit = self._memo[key] = (raw, scaled)
         return hit
 
@@ -513,6 +510,7 @@ def solve_baseline(w: hm.ExogenousVector, cfg: SolverConfig | None = None,
         (_random_start(rng, s) for _ in itertools.count()))
     reports = []
     for start in itertools.islice(starts, cfg.multistart_count):
+        s._memo.clear()  # one start's points; the winner's stay for the operator
         z0 = np.clip(start / sx, lo, hi)
         try:
             with warnings.catch_warnings():

@@ -294,15 +294,45 @@ def test_diverged_polish_is_a_failed_start():
     _raises_with_report(w)
 
 
+# SLSQP's end point of the first (center) start on hour 15 of two nominal
+# 5-zone days, scaled as SLSQP returns it (x / Scaling.x), recorded with
+# OpenBLAS on two threads. SLSQP's path depends on the BLAS thread count,
+# while `_finalize` from a fixed point gives the same bits under any, so a
+# test that needs what the polish does at one end point starts from these.
+_HOT_S100045_H15_END = [
+    "0x1.3333333334947p+0", "0x1.95331e278ca9cp-4", "0x1.749511c8ee6d5p-4",
+    "0x1.6615dd1c9bbd0p-4", "0x1.622c3b3ac632ap-4", "0x1.1edfc69878ac6p-4",
+    "0x1.3fafe9c624ff3p-4", "0x1.458584ccc16b0p-54", "0x1.9191617581abbp-2"]
+_COLD_S29961308_H15_END = [
+    "0x1.605242eb3754bp+1", "0x1.579fc90527e38p-4", "0x1.636eba78562aap-4",
+    "0x1.636eba78563b0p-4", "0x1.636eba78562a7p-4", "0x1.636eba7856282p-4",
+    "0x1.636eba785629ep-4", "0x1.c9e2d1ace5615p-2", "0x1.3de0000000000p-53"]
+
+
+def _hour_15(day, seed):
+    """Hour 15 of the nominal 5-zone `day` profile of this seed."""
+    hour = sc.synth_profile(day, seed).hours[6]
+    assert hour.hour_index == 15
+    return hm.ExogenousVector(t_oa=hour.t_oa, zones=hour.zones,
+                              params=hm.HvacParameters())
+
+
+def _end_point(hexes):
+    return np.array([float.fromhex(v) for v in hexes])
+
+
 def test_nominal_cold_hour_reports_its_failure():
     """Hour 15 of this nominal 5-zone cold day certifies from no start
-    either; its error carries a report too, with the feasibility the
-    start reached."""
-    hour = sc.synth_profile("cold", 29961308).hours[6]
-    assert hour.hour_index == 15
-    w = hm.ExogenousVector(t_oa=hour.t_oa, zones=hour.zones,
-                           params=hm.HvacParameters())
-    report = _raises_with_report(w)
+    either; its error carries a report too. From the first start's stored
+    end point the polish diverges, and the report keeps the feasibility
+    the start reached. Which start's report the error carries depends on
+    SLSQP's path, so the feasibility is checked at the stored point."""
+    w = _hour_15("cold", 29961308)
+    _raises_with_report(w)
+    s = baseline_opt.Scaling.of(w)
+    report = baseline_opt._finalize(
+        _end_point(_COLD_S29961308_H15_END) * s.x, s, 0)
+    assert not report.certified
     assert report.feasibility_violation < 1e-5
 
 
@@ -546,6 +576,28 @@ def test_each_point_is_evaluated_once(hour, request, monkeypatch):
         assert len(first) < len(values)
 
 
+def test_scaling_keeps_every_point_it_evaluated(hot_hour, monkeypatch):
+    """However many points a `Scaling` has evaluated, it still keeps the
+    first: asked again for it after 99 others, it returns the kept record,
+    and `value_flat` runs once per point. A start's SLSQP path may come
+    back to a point after many others."""
+    calls = []
+    real = hm.value_flat
+
+    def value(xv, *args):
+        calls.append(xv.tobytes())
+        return real(xv, *args)
+
+    monkeypatch.setattr(hm, "value_flat", value)
+    s = baseline_opt.Scaling.of(hot_hour)
+    rng = np.random.default_rng(0)
+    points = [_random_start(rng, s) for _ in range(100)]
+    kept = [s.values(xv) for xv in points]
+    assert s.values(points[0]) is kept[0]
+    assert s.evaluate(points[0])[0].h is kept[0][0].h
+    assert len(calls) == len(set(calls)) == len(points)
+
+
 def test_simple_bounds_once_per_scaling(hot_hour, monkeypatch):
     """An hour's `Scaling` holds its simple bounds, so from the solve
     through the operator build `simple_bounds` runs once for the
@@ -572,9 +624,10 @@ def test_simple_bounds_once_per_scaling(hot_hour, monkeypatch):
 
 
 def test_derivatives_build_on_the_kept_record(monkeypatch):
-    """Hour 15 of this hot day polishes with Newton: 3 passes, then NNLS
-    recovers a negative multiplier. Each `derivatives_flat` call gets the
-    very record `Scaling.evaluate` kept for its point, no point reaches
+    """From the first start's stored end point of hour 15 of this hot day,
+    the polish runs Newton: 3 passes, then NNLS recovers a negative
+    multiplier. Each `derivatives_flat` call gets the very record
+    `Scaling.evaluate` kept for its point, no point reaches
     `first_order_flat` twice, and the Hessian is built once per Newton
     step and once for the operator, never on the pass that converges."""
     kept, derived, trail, passes = {}, [], [], []
@@ -607,11 +660,9 @@ def test_derivatives_build_on_the_kept_record(monkeypatch):
     monkeypatch.setattr(hm, "derivatives_flat", derivatives)
     monkeypatch.setattr(baseline_opt.Scaling, "evaluate", evaluate)
     monkeypatch.setattr(baseline_opt, "_newton_on_active", newton)
-    hour = sc.synth_profile("hot", 100045).hours[6]
-    assert hour.hour_index == 15
-    w = hm.ExogenousVector(t_oa=hour.t_oa, zones=hour.zones,
-                           params=hm.HvacParameters())
-    kkt = solve_baseline(w)
+    w = _hour_15("hot", 100045)
+    s = baseline_opt.Scaling.of(w)
+    kkt = baseline_opt._finalize(_end_point(_HOT_S100045_H15_END) * s.x, s, 0)
     assert kkt.certified and passes == [3]
     assert derived == [True] * 2
     sn.build_operator(kkt, w, sn.uncertainty_spec(w, ("T_oa",), 0.05))
@@ -626,8 +677,12 @@ def test_certificate_not_the_polish_guards_feasibility(monkeypatch):
     coil duties are rebalanced. The violation is past act_tol, so the snap
     keeps it, and it is not along the cost-flat directions, so the
     canonical form keeps it too. The certificate refuses the point, and
-    the solve returns a later start's certified point instead."""
-    reports = []
+    the solve returns a later start's certified point instead, keeping
+    that start's points and none of the refused one's. The first start
+    ends at its stored SLSQP end point, where the polish runs Newton;
+    real SLSQP runs the later starts."""
+    reports, starts = [], []
+    real_minimize = baseline_opt.minimize
     row = hm.constraint_labels(5).index("m_ra_nonneg")
     real_newton, real_residuals = (baseline_opt._newton_on_active,
                                    baseline_opt._residuals)
@@ -643,12 +698,16 @@ def test_certificate_not_the_polish_guards_feasibility(monkeypatch):
         reports.append((xv.copy(), real_residuals(xv, lam, s)))
         return reports[-1][1]
 
+    def minimize(fun, z0, **kwargs):
+        starts.append(z0)
+        if len(starts) == 1:
+            return types.SimpleNamespace(x=_end_point(_HOT_S100045_H15_END))
+        return real_minimize(fun, z0, **kwargs)
+
+    monkeypatch.setattr(baseline_opt, "minimize", minimize)
     monkeypatch.setattr(baseline_opt, "_newton_on_active", newton)
     monkeypatch.setattr(baseline_opt, "_residuals", residuals)
-    hour = sc.synth_profile("hot", 100045).hours[6]
-    w = hm.ExogenousVector(t_oa=hour.t_oa, zones=hour.zones,
-                           params=hm.HvacParameters())
-    kkt = solve_baseline(w)
+    kkt = solve_baseline(_hour_15("hot", 100045))
     bad_x, bad = reports[0]
     assert bad.feasibility_violation == pytest.approx(1e-4, rel=1e-6)
     assert row not in bad.active_set and not bad.certified
@@ -656,6 +715,9 @@ def test_certificate_not_the_polish_guards_feasibility(monkeypatch):
     assert not np.array_equal(kkt.x0.to_vector(), bad_x)
     assert kkt.certified
     assert kkt.feasibility_violation <= SolverConfig.feas_tol
+    kept = kkt.scaling._memo
+    assert kkt.x0.to_vector().tobytes() in kept
+    assert bad_x.tobytes() not in kept
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])

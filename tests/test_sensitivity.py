@@ -462,6 +462,43 @@ def test_k_tracks_resolved_optimum(hour, mask, request, solve_cached):
         assert abs(k - dj) <= 0.10 * abs(dj) + 1e-9 * abs(anchor.j0)
 
 
+def _plant_scaled_hour(n, day):
+    """Hour index 3 of the seed-42 `day` profile at n zones, with the
+    design flow and both plant ratings (`Q_b_rated`, `Q_e_rated`) scaled
+    by n/5, so the plant grows with the zones it serves."""
+    base = hm.HvacParameters()
+    par = dataclasses.replace(base, zone_count=n,
+                              m_design=base.m_design * n / 5,
+                              Q_b_rated=base.Q_b_rated * n / 5,
+                              Q_e_rated=base.Q_e_rated * n / 5)
+    hour = sc.synth_profile(day, 42, n_zones=n).hours[3]
+    return hm.ExogenousVector(t_oa=hour.t_oa, zones=hour.zones, params=par)
+
+
+@pytest.mark.parametrize("day", sc.DAY_TYPES)
+@pytest.mark.parametrize("n", [13, 20])
+def test_plant_scaled_hour_past_eight_zones(n, day):
+    """Past 8 zones, with the plant scaled to the zone count, an hour
+    certifies, its operator passes the FD self-check, and K tracks the
+    re-solved optimum by acceptance criterion 5's rule: 20 draws in the
+    alpha = 0.001 box of T_oa, |K - dJ| <= 0.1 |dJ| + 1e-9 J0."""
+    w = _plant_scaled_hour(n, day)
+    anchor = solve_baseline(w)
+    assert anchor.certified
+    spec = sn.uncertainty_spec(w, ("T_oa",), 0.001)
+    op = sn.build_operator(anchor, w, spec)   # raises if the FD check fails
+    wv = w.to_vector()
+    idx = list(spec.indices)
+    rng = np.random.default_rng([42, n, sc.DAY_TYPES.index(day)])
+    for _ in range(20):
+        dw = spec.masked_delta * rng.uniform(-1.0, 1.0, len(idx))
+        k = sn.delta_cost(op, w, dw)
+        wv1 = wv.copy()
+        wv1[idx] += dw
+        dj = solve_baseline(w.with_vector(wv1)).j0 - anchor.j0
+        assert abs(k - dj) <= 0.10 * abs(dj) + 1e-9 * anchor.j0
+
+
 def test_k_error_shrinks_superlinearly(moderate_hour, solve_cached, params):
     """|K - resolved dJ| decays with order >= 1.5 in the perturbation
     size, as expected of a first-order-exact predictor."""
