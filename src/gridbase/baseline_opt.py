@@ -195,7 +195,10 @@ class Scaling:
 
 def _canonicalize(xv: np.ndarray, s: Scaling) -> np.ndarray:
     """Move along the cost-flat (T_sa, q_h) direction to the deterministic
-    minimum-q_h endpoint, and strip any common heat/cool mode."""
+    minimum-q_h endpoint, and strip any common heat/cool mode. The
+    endpoint has T_sa or q_h on its lower bound, so every certified
+    anchor has `T_sa_min` or `q_h_nonneg` in its `active_set`; that row
+    pins the direction, and the shift's rank test never sees it."""
     xv = xv.copy()
     lay, c_p, lo = s.layout, s.params.c_p, s.lo
     iT, iA, iB = lay.t_sa, lay.q_h, lay.q_c

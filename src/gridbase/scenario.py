@@ -160,20 +160,25 @@ def load_profile(path, params: hm.HvacParameters | None = None) -> DayProfile:
     return DayProfile(label=label, hours=tuple(hours))
 
 
-def write_profile(profile: DayProfile, path, units: str = "W") -> None:
-    """Write a profile CSV that load_profile round-trips exactly."""
-    if units not in ("W", "J_per_hr"):
-        raise ValueError(f"unknown units {units!r}")
-    scale = 1.0 if units == "W" else 3600.0
+def write_profile(profile: DayProfile, path) -> None:
+    """Write a profile CSV in watts that load_profile round-trips exactly.
+
+    Raises ValueError, before the file is opened, for a label that would
+    not read back: one with a comma, a line break or surrounding
+    whitespace."""
+    label = profile.label
+    if "," in label or label != label.strip() or len(label.splitlines()) > 1:
+        raise ValueError(
+            f"profile label {label!r} would not read back: it has a comma, "
+            "a line break or surrounding whitespace")
     n = profile.hours[0].zones.count
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"#label={profile.label},units={units}\n")
+        fh.write(f"#label={label},units=W\n")
         fh.write(",".join(_header_fields(n)) + "\n")
         for h in profile.hours:
             cells = [str(h.hour_index), _fmt(h.t_oa)]
             for i in range(n):
-                cells += [_fmt(h.zones.t_sp[i]),
-                          _fmt(h.zones.q_zone[i] * scale),
+                cells += [_fmt(h.zones.t_sp[i]), _fmt(h.zones.q_zone[i]),
                           _fmt(h.zones.m_oa_min[i])]
             fh.write(",".join(cells) + "\n")
 

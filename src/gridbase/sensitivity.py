@@ -159,8 +159,8 @@ def build_operator(anchor: KktPoint, w0: hm.ExogenousVector,
     Raises ValueError unless the anchor is `certified`; the shift keeps
     the anchor's `active_set` rows active. Raises RankDeficientError when
     those rows and the stationarity block of G leave a null direction
-    other than the cost-flat gauge (see `_shift_rank_ok`): the shift map
-    would not be unique and the analysis is out of scope.
+    (see `_shift_rank_ok`): the shift map would not be unique and the
+    analysis is out of scope.
     """
     s = anchor.scaling.check(w0)
     xv = anchor.x0.to_vector()
@@ -188,11 +188,11 @@ def build_operator(anchor: KktPoint, w0: hm.ExogenousVector,
     act = np.array(anchor.active_set, dtype=int)
     A = (d.jac_x_h[act] / sh[act, None]) * sx[None, :]
     S = (sx[:, None] * G[:sx.size] * sx[None, :]) / sj
-    if not _shift_rank_ok(A, S, xv, s):
+    if not _shift_rank_ok(A, S):
         raise RankDeficientError(
-            "the linearized KKT map is rank deficient at the anchor "
-            "beyond its built-in cost-flat direction; the primal shift "
-            "is not unique and sensitivity analysis does not apply")
+            "the linearized KKT map is rank deficient at the anchor; the "
+            "primal shift is not unique and sensitivity analysis does not "
+            "apply")
 
     B = -(d.jac_w_h[np.ix_(act, list(spec.indices))]) / sh[act, None]
     Ds = -(sx[:, None] * W_jac[:sx.size]) / sj
@@ -201,28 +201,13 @@ def build_operator(anchor: KktPoint, w0: hm.ExogenousVector,
         anchor=anchor, spec=spec, G=G, W_jac=W_jac, shift_matrix=shift_matrix)
 
 
-def _shift_rank_ok(A, S, xv, s: Scaling) -> bool:
+def _shift_rank_ok(A, S) -> bool:
     """The shift is unique iff the stacked active-constraint and
-    stationarity blocks have full column rank — except along the one
-    cost-flat direction built into the heat split: moving AHU-coil heat
-    to the zone reheat coils raises T_sa and q_h together without
-    changing the boiler load or any other equipment input, so on
-    heating hours the optimizer sits on a line of optima. K is
-    invariant along that gauge and the shift solve picks its
-    minimum-norm representative, so the gauge alone is harmless."""
-    _, sv, Vt = np.linalg.svd(np.vstack([A, S]))
-    null = Vt[sv <= numkit.RANK_RTOL * sv[0]]
-    if null.shape[0] == 0:
-        return True
-    if null.shape[0] > 1:
-        return False
-    lay = s.layout
-    gauge = np.zeros(lay.x_dim)
-    gauge[lay.t_sa] = 1.0
-    gauge[lay.q_h] = s.params.c_p * float(np.sum(xv[lay.m_sa]))
-    gauge_z = gauge / s.x
-    gauge_z /= np.linalg.norm(gauge_z)
-    return abs(null[0] @ gauge_z) > 1.0 - 1e-8
+    stationarity blocks have full column rank. The heat split's cost-flat
+    direction never reaches this test: canonicalization leaves every
+    certified anchor on a bound that pins it (`baseline_opt._canonicalize`)."""
+    sv = np.linalg.svd(np.vstack([A, S]), compute_uv=False)
+    return bool(sv[-1] > numkit.RANK_RTOL * sv[0])
 
 
 def _shift_map(A, B, S, Ds, sx):
@@ -373,11 +358,6 @@ def quadratic_model(op: SensitivityOperator, w0: hm.ExogenousVector,
     dW = numkit.fd_stencil(np.zeros(len(idx)), steps)
     g, H = numkit.fd_derivatives(_k_rows(op, dW), steps)
     return QuadraticModel(g=g, H_K=H)
-
-
-def quadratic_value(qm: QuadraticModel, dw) -> float:
-    dw = np.asarray(dw, dtype=float)
-    return float(qm.g @ dw + 0.5 * dw @ qm.H_K @ dw)
 
 
 def holder_bound(qm: QuadraticModel, spec: UncertaintySpec,

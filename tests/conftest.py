@@ -2,6 +2,7 @@
 session-cached baseline solves (each hour is solved once per session),
 and the environment for child interpreters."""
 
+import dataclasses
 import os
 from pathlib import Path
 
@@ -14,6 +15,17 @@ from gridbase import scenario as sc
 from gridbase.baseline_opt import SolverConfig, solve_baseline
 
 FIXTURE_SEED = 42
+
+
+def scaled_params(n, plant=False):
+    """Nominal parameters for n zones, with the design flow scaled by n/5;
+    with `plant`, both plant ratings (`Q_b_rated`, `Q_e_rated`) too, so
+    the plant grows with the zones it serves."""
+    base = hm.HvacParameters()
+    ratings = dict(Q_b_rated=base.Q_b_rated * n / 5,
+                   Q_e_rated=base.Q_e_rated * n / 5) if plant else {}
+    return dataclasses.replace(base, zone_count=n,
+                               m_design=base.m_design * n / 5, **ratings)
 
 
 @pytest.fixture(scope="session")

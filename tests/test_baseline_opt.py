@@ -17,6 +17,8 @@ from gridbase.baseline_opt import (SolverConfig, _balance_duties,
 from gridbase.errors import (GridbaseError, InfeasibleHourError,
                              NoConvergenceError)
 
+from conftest import scaled_params
+
 
 def _assert_certified(kkt, cfg=SolverConfig()):
     assert kkt.stationarity_residual <= cfg.kkt_tol
@@ -194,6 +196,26 @@ def test_second_polish_round_after_the_point_moves(zero_load_hour,
     assert out.j0 == pytest.approx(kkt.j0, rel=1e-9)
 
 
+def test_certified_anchor_pins_the_gauge():
+    """Every certified anchor of the seed-42 days at N in {1, 5} zones has
+    `T_sa_min` or `q_h_nonneg` active: canonicalization ends the cost-flat
+    (T_sa, q_h) direction on a bound, so the shift's rank test never has
+    to forgive it. Infeasible hours are skipped."""
+    certified = 0
+    for n in (1, 5):
+        labels = hm.layout(n).labels
+        for day in sc.DAY_TYPES:
+            for k in range(7):
+                try:
+                    kkt = solve_baseline(_zone_hour(day, n, k))
+                except InfeasibleHourError:
+                    continue
+                active = {labels[i] for i in kkt.active_set}
+                assert active & {"T_sa_min", "q_h_nonneg"}, (n, day, k)
+                certified += 1
+    assert certified > 0
+
+
 def test_failed_start_falls_through(hot_hour, solve_cached, monkeypatch):
     calls = _count_minimize(monkeypatch, fail=lambda call: call == 1)
     kkt = solve_baseline(hot_hour, SolverConfig())
@@ -216,13 +238,6 @@ def test_multistart_count_caps_starts(hot_hour, solve_cached, monkeypatch,
         assert np.allclose(calls[0] * sx, x_init.to_vector())
 
 
-def _scaled_params(n):
-    """Nominal parameters for n zones, with the design flow scaled by n/5."""
-    base = hm.HvacParameters()
-    return dataclasses.replace(base, zone_count=n,
-                               m_design=base.m_design * n / 5)
-
-
 def _outcome(w, cfg, x_init=None):
     try:
         return solve_baseline(w, cfg, x_init=x_init).j0
@@ -240,7 +255,7 @@ def test_first_certified_start_matches_exhaustive_best():
     cfg = SolverConfig()
     certified = failed = 0
     for n in (1, 3, 8):
-        par = _scaled_params(n)
+        par = scaled_params(n)
         for day in sc.DAY_TYPES:
             # two hours per day keep the 18 x 9 solves near two seconds
             for hour in sc.synth_profile(day, 7, n_zones=n).hours[2::4]:
@@ -290,7 +305,7 @@ def test_diverged_polish_is_a_failed_start():
     hour = sc.synth_profile("cold", 300051, n_zones=8).hours[1]
     assert hour.hour_index == 10
     w = hm.ExogenousVector(t_oa=hour.t_oa, zones=hour.zones,
-                           params=_scaled_params(8))
+                           params=scaled_params(8))
     _raises_with_report(w)
 
 
@@ -448,7 +463,7 @@ def test_snap_sets_exact_bound_values(n):
     value: m_oa on the summed ventilation minima, not on the SLSQP box's 0.
     Entries on no active bound row, and rows that bound no single entry,
     leave x untouched."""
-    par = _scaled_params(n)
+    par = scaled_params(n)
     rng = np.random.default_rng(n)
     w = hm.make_exogenous(20.0, rng.uniform(-3000.0, 3000.0, n),
                           rng.uniform(20.0, 26.0, n),
@@ -487,7 +502,7 @@ def test_snap_covers_the_floor_rows():
     """The snap reads every simple-bound row from the layout's map, so an
     active m_sa_floor_i row puts that zone's flow on the floor exactly."""
     w = hm.make_exogenous(20.0, np.zeros(3), np.full(3, 22.0),
-                          np.full(3, 0.05), _scaled_params(3))
+                          np.full(3, 0.05), scaled_params(3))
     s = baseline_opt.Scaling.of(w)
     lay = s.layout
     xv = np.array([20.0, 0.7, 0.3, 0.001 + 1e-12, 0.4, 100.0, 0.0])
@@ -538,7 +553,7 @@ def _zone_hour(day, n, index):
     """Hour `index` of the seed-42 synthetic day with n zones."""
     hour = sc.synth_profile(day, 42, n_zones=n).hours[index]
     return hm.ExogenousVector(t_oa=hour.t_oa, zones=hour.zones,
-                              params=_scaled_params(n))
+                              params=scaled_params(n))
 
 
 @pytest.mark.parametrize("hour", [
@@ -728,7 +743,7 @@ def test_scaled_record_keeps_the_row_selected_bits(n):
     returns the same objects."""
     hour = sc.synth_profile("moderate", 11 + n, n_zones=n).hours[3]
     w = hm.ExogenousVector(t_oa=hour.t_oa, zones=hour.zones,
-                           params=_scaled_params(n))
+                           params=scaled_params(n))
     s = baseline_opt.Scaling.of(w)
     lay, sx, sh, sj = s.layout, s.x, s.h, s.j
     assert (lay.balance, lay.balance_neg) == (lay.h_dim - 2, lay.h_dim - 1)

@@ -11,6 +11,8 @@ from gridbase import hvac_model as hm
 from gridbase import baseline_opt, numkit
 from gridbase.errors import DegenerateFlowError, InvalidCurveError
 
+from conftest import scaled_params
+
 
 # ---------------------------------------------------------------------------
 # equipment-curve identities (coefficients from the nominal parameter set)
@@ -281,8 +283,7 @@ def test_coupled_rows_match_evaluate(n):
     against the air loop of the structured `evaluate`, which computes
     them its own way: m_ra, each T_da, q_b and Q_ahu. Each row is within
     1e-12 of the solver's scale of that row (`Scaling.h`)."""
-    base = hm.HvacParameters()
-    par = hm.HvacParameters(zone_count=n, m_design=base.m_design * n / 5)
+    par = scaled_params(n)
     c_p, labels = par.c_p, hm.layout(n).labels
     rng = np.random.default_rng(100 + n)
     for _ in range(6):
@@ -320,8 +321,7 @@ def test_simple_bound_rows_are_the_box(n):
     """Each simple-bound row is lo[i] - x[i] or x[i] - hi[i], bit for bit,
     with jac_x h row -e_i or +e_i, at a point and on S rows. The solver's
     box is those values except m_oa >= 0 and m_sa <= m_design."""
-    base = hm.HvacParameters()
-    par = hm.HvacParameters(zone_count=n, m_design=base.m_design * n / 5)
+    par = scaled_params(n)
     lay = hm.layout(n)
     labels = np.array(lay.labels)
     assert list(labels[lay.lower]) == (
@@ -434,10 +434,9 @@ def test_first_order_flat_matches_constraints_and_derivatives():
     # built on that record: the record must hand on its own j, h and v,
     # constraints_flat must be its h, and derivatives_flat must hand on
     # the first-order record's own grad and jac
-    base = hm.HvacParameters()
     rng = np.random.default_rng(11)
     for n in (1, 2, 3, 5, 8, 13):
-        par = hm.HvacParameters(zone_count=n, m_design=base.m_design * n / 5)
+        par = scaled_params(n)
         for k in range(12):
             w = hm.make_exogenous(
                 rng.uniform(-5.0, 38.0), rng.uniform(-6000.0, 4000.0, n),
@@ -491,8 +490,7 @@ def test_second_derivatives_match_gradient_differences(hot_hour):
 def test_constraint_hessians_match_jacobian_differences(n):
     # every row of hess_xx_h and hess_xw_h, zero rows included, against
     # central differences of first_order_flat's jac_x h in x and in w
-    base = hm.HvacParameters()
-    par = hm.HvacParameters(zone_count=n, m_design=base.m_design * n / 5)
+    par = scaled_params(n)
     labels = np.array(hm.constraint_labels(n))
     rng = np.random.default_rng(n)
     for _ in range(3):

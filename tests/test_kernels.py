@@ -1,19 +1,17 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
 from gridbase import hvac_model as hm
 from gridbase import kernels
 
+from conftest import scaled_params
+
 
 def _random_batch(n, size, seed):
     """Decisions and exogenous rows for an n-zone system whose design flow
     scales with n; every seventh row has the chiller off."""
     rng = np.random.default_rng(seed)
-    base = hm.HvacParameters()
-    par = dataclasses.replace(base, zone_count=n,
-                              m_design=base.m_design * n / 5)
+    par = scaled_params(n)
     w = hm.make_exogenous(25.0, np.zeros(n), np.full(n, 23.0),
                           np.full(n, 0.05), par)
     X = np.column_stack([

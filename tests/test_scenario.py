@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import subprocess
@@ -33,23 +34,27 @@ def test_profile_round_trip_bit_exact(tmp_path, day_profiles):
             assert np.array_equal(a.zones.m_oa_min, b.zones.m_oa_min)
 
 
-def test_profile_units_j_per_hr(tmp_path, day_profiles):
-    prof = day_profiles["moderate"]
-    p_w = tmp_path / "w.csv"
-    p_j = tmp_path / "j.csv"
-    sc.write_profile(prof, p_w, units="W")
-    sc.write_profile(prof, p_j, units="J_per_hr")
-    a = sc.load_profile(p_w)
-    b = sc.load_profile(p_j)
-    for ha, hb in zip(a.hours, b.hours):
-        np.testing.assert_allclose(hb.zones.q_zone, ha.zones.q_zone,
-                                   rtol=1e-15)
+def test_profile_units_j_per_hr(tmp_path):
+    """A file in joules per hour loads as watts."""
+    path = tmp_path / "j.csv"
+    _write_lines(path, ["#label=demo,units=J_per_hr",
+                        ",".join(sc._header_fields(2)),
+                        "9,20,22,-7200000,0.05,22,3600000,0.05",
+                        "10,21,22,9000000,0.05,22,-1800000,0.05"])
+    prof = sc.load_profile(path)
+    assert [list(h.zones.q_zone) for h in prof.hours] == [
+        [-2000.0, 1000.0], [2500.0, -500.0]]
 
 
-def test_write_profile_rejects_unknown_units(tmp_path, day_profiles):
-    with pytest.raises(ValueError):
-        sc.write_profile(day_profiles["hot"], tmp_path / "x.csv",
-                         units="BTU")
+@pytest.mark.parametrize("label", ["a,b", "x\ny", " pad "],
+                         ids=["comma", "line-break", "whitespace"])
+def test_write_profile_refuses_a_label_that_does_not_read_back(
+        tmp_path, day_profiles, label):
+    path = tmp_path / "x.csv"
+    prof = dataclasses.replace(day_profiles["hot"], label=label)
+    with pytest.raises(ValueError, match="label"):
+        sc.write_profile(prof, path)
+    assert not path.exists()
 
 
 def _write_lines(path, lines):

@@ -14,6 +14,8 @@ from gridbase import sensitivity as sn
 from gridbase.baseline_opt import solve_baseline
 from gridbase.errors import EvaluationDomainError, RankDeficientError
 
+from conftest import scaled_params
+
 FAN_MASK = ("c_f_1", "c_f_2", "c_f_3", "c_f_4")
 WIDE_MASK = ("T_oa", "Q_zone_1", "Q_zone_2", "Q_zone_3", "Q_zone_4",
              "Q_zone_5") + FAN_MASK + ("alpha_el", "alpha_ng")
@@ -377,17 +379,18 @@ def _null_space_block(s, xv, null):
 
 
 @pytest.mark.parametrize("null, unique", [
-    ((), True), (("gauge",), True), (("m_oa",), False),
+    ((), True), (("gauge",), False), (("m_oa",), False),
     (("gauge", "m_oa"), False)], ids=["none", "gauge", "m_oa", "both"])
-def test_shift_rank_ok_allows_only_the_gauge(null, unique, moderate_hour,
-                                             solve_cached):
+def test_shift_is_unique_only_at_full_column_rank(null, unique,
+                                                  moderate_hour,
+                                                  solve_cached):
     """With no active rows, the shift is unique iff the stationarity block
-    is nonsingular or singular along the cost-flat gauge alone."""
+    is nonsingular: a null direction, the cost-flat gauge included, makes
+    it not unique."""
     s = baseline_opt.Scaling.of(moderate_hour)
     xv = solve_cached(moderate_hour).x0.to_vector()
     A = np.zeros((0, s.layout.x_dim))
-    assert sn._shift_rank_ok(A, _null_space_block(s, xv, null), xv, s) \
-        == unique
+    assert sn._shift_rank_ok(A, _null_space_block(s, xv, null)) == unique
 
 
 def test_rank_deficient_shift_raises(moderate_hour, solve_cached,
@@ -462,19 +465,6 @@ def test_k_tracks_resolved_optimum(hour, mask, request, solve_cached):
         assert abs(k - dj) <= 0.10 * abs(dj) + 1e-9 * abs(anchor.j0)
 
 
-def _plant_scaled_hour(n, day):
-    """Hour index 3 of the seed-42 `day` profile at n zones, with the
-    design flow and both plant ratings (`Q_b_rated`, `Q_e_rated`) scaled
-    by n/5, so the plant grows with the zones it serves."""
-    base = hm.HvacParameters()
-    par = dataclasses.replace(base, zone_count=n,
-                              m_design=base.m_design * n / 5,
-                              Q_b_rated=base.Q_b_rated * n / 5,
-                              Q_e_rated=base.Q_e_rated * n / 5)
-    hour = sc.synth_profile(day, 42, n_zones=n).hours[3]
-    return hm.ExogenousVector(t_oa=hour.t_oa, zones=hour.zones, params=par)
-
-
 @pytest.mark.parametrize("day", sc.DAY_TYPES)
 @pytest.mark.parametrize("n", [13, 20])
 def test_plant_scaled_hour_past_eight_zones(n, day):
@@ -482,7 +472,7 @@ def test_plant_scaled_hour_past_eight_zones(n, day):
     certifies, its operator passes the FD self-check, and K tracks the
     re-solved optimum by acceptance criterion 5's rule: 20 draws in the
     alpha = 0.001 box of T_oa, |K - dJ| <= 0.1 |dJ| + 1e-9 J0."""
-    w = _plant_scaled_hour(n, day)
+    w = _scaled_hour(n, day, plant=True)
     anchor = solve_baseline(w)
     assert anchor.certified
     spec = sn.uncertainty_spec(w, ("T_oa",), 0.001)
@@ -634,8 +624,9 @@ def test_quadratic_model_recovers_known_quadratic(monkeypatch, moderate_hour,
     qm = sn.quadratic_model(op, moderate_hour, spec)
     np.testing.assert_allclose(qm.g, g_true, rtol=0, atol=1e-8)
     np.testing.assert_allclose(qm.H_K, H_true, rtol=0, atol=1e-6)
-    assert sn.quadratic_value(qm, np.array([1.0, -1.0])) == pytest.approx(
-        k_func(np.array([1.0, -1.0])), rel=1e-6)
+    d = np.array([1.0, -1.0])
+    assert qm.g @ d + 0.5 * d @ qm.H_K @ d == pytest.approx(k_func(d),
+                                                          rel=1e-6)
 
 
 def test_quadratic_model_step_refinement(monkeypatch, moderate_hour,
@@ -706,7 +697,8 @@ def test_holder_half_dominates_quadratic_model_samples(
         beta = sn.holder_bound(qm, spec, "holder_half").beta
         d = spec.masked_delta
         samples = rng.uniform(-1.0, 1.0, (2000, d.size)) * d
-        vals = np.abs([sn.quadratic_value(qm, s) for s in samples])
+        vals = np.abs(samples @ qm.g + 0.5 * np.einsum(
+            "ij,jk,ik->i", samples, qm.H_K, samples))
         assert vals.max() <= beta * (1 + 1e-12)
 
 
@@ -774,13 +766,12 @@ def _unblocked_sample(op, spec, n_samples, seed):
     return dW, kvals, ok
 
 
-def _scaled_hour(n, day="moderate", k=3):
-    """Hour k of the seed-42 `day` profile at n zones, with the design
-    flow scaled by n/5."""
-    base = hm.HvacParameters()
-    par = hm.HvacParameters(zone_count=n, m_design=base.m_design * n / 5)
+def _scaled_hour(n, day="moderate", k=3, plant=False):
+    """Hour k of the seed-42 `day` profile at n zones, with the
+    `scaled_params(n, plant)` parameters."""
     hour = sc.synth_profile(day, 42, n_zones=n).hours[k]
-    return hm.ExogenousVector(t_oa=hour.t_oa, zones=hour.zones, params=par)
+    return hm.ExogenousVector(t_oa=hour.t_oa, zones=hour.zones,
+                              params=scaled_params(n, plant))
 
 
 def _blocked_sample(monkeypatch, op, w, spec, n_samples, seed):
