@@ -22,8 +22,11 @@ Exogenous vector (p = 1 + 3N + 20 entries)::
          Q_e_rated, P_pump, c_g_1..3,
          alpha_el, alpha_ng]
 
-c_p (a physical constant of air), the flow floor and the zone count are
-deliberately not exposed as uncertain coordinates.
+The parameter tail is `HvacParameters`' fields in declaration order, one
+entry per curve coefficient, except c_p (a physical constant of air), the
+flow floor and the zone count, which are deliberately not exposed as
+uncertain coordinates. `layout(n)` names every entry of x, w and h, and
+the formulas address them by those names.
 
 Supply and zone discharge air keep to the window [T_SUPPLY_MIN,
 T_SUPPLY_MAX]. `simple_bounds` maps each simple-bound row of h to its x
@@ -155,9 +158,11 @@ class ZoneInputs:
     m_oa_min: np.ndarray  # kg/s
 
     def __post_init__(self):
-        object.__setattr__(self, "q_zone", np.asarray(self.q_zone, dtype=float))
-        object.__setattr__(self, "t_sp", np.asarray(self.t_sp, dtype=float))
-        object.__setattr__(self, "m_oa_min", np.asarray(self.m_oa_min, dtype=float))
+        for name in ("q_zone", "t_sp", "m_oa_min"):
+            value = np.asarray(getattr(self, name), dtype=float)
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, value)
         n = self.q_zone.size
         if self.t_sp.size != n or self.m_oa_min.size != n:
             raise ValueError("zone input arrays must share one length")
@@ -169,18 +174,17 @@ class ZoneInputs:
         return self.q_zone.size
 
 
-# registry parameter attribute layout: (attribute, component index or None)
-_PARAM_REGISTRY = (
-    ("delta_P", None), ("eta_tot", None), ("rho_air", None), ("m_design", None),
-    ("c_f", 0), ("c_f", 1), ("c_f", 2), ("c_f", 3),
-    ("Q_b_rated", None), ("eta_thermal", None),
-    ("c_b", 0), ("c_b", 1), ("c_b", 2),
-    ("Q_e_rated", None), ("P_pump", None),
-    ("c_g", 0), ("c_g", 1), ("c_g", 2),
-    ("alpha_el", None), ("alpha_ng", None),
-)
+# w's parameter tail, (attribute, component index or None) per entry:
+# the fields of HvacParameters but the three kept out of w, in order
+_PARAM_REGISTRY = tuple(
+    (f.name, k) for f in fields(HvacParameters)
+    if f.name not in ("zone_count", "c_p", "flow_floor")
+    for k in (range(len(f.default)) if isinstance(f.default, tuple)
+              else [None]))
 _PARAM_LABELS = tuple(attr if comp is None else f"{attr}_{comp + 1}"
                       for attr, comp in _PARAM_REGISTRY)
+# the tail by label: its values, or their w positions (`Layout.param`)
+Tail = namedtuple("Tail", _PARAM_LABELS)
 
 
 @dataclass(frozen=True)
@@ -194,23 +198,18 @@ class ExogenousVector:
     params: HvacParameters
 
     def __post_init__(self):
+        if not np.isfinite(self.t_oa):
+            raise ValueError("t_oa must be finite")
         if self.zones.count != self.params.zone_count:
             raise ValueError("zone input length does not match zone_count")
 
-    def labels(self) -> list:
-        n = self.zones.count
-        lab = ["T_oa"]
-        lab += [f"Q_zone_{i + 1}" for i in range(n)]
-        lab += [f"T_sp_{i + 1}" for i in range(n)]
-        lab += [f"m_oa_min_{i + 1}" for i in range(n)]
-        return lab + list(_PARAM_LABELS)
+    def labels(self) -> tuple:
+        return layout(self.zones.count).w_labels
 
     def to_vector(self) -> np.ndarray:
         p = self.params
-        tail = []
-        for attr, comp in _PARAM_REGISTRY:
-            v = getattr(p, attr)
-            tail.append(v if comp is None else v[comp])
+        tail = [getattr(p, attr) if comp is None else getattr(p, attr)[comp]
+                for attr, comp in _PARAM_REGISTRY]
         return np.concatenate([
             [self.t_oa], self.zones.q_zone, self.zones.t_sp,
             self.zones.m_oa_min, tail,
@@ -226,23 +225,17 @@ class ExogenousVector:
                            t_sp=vec[lay.t_sp].copy(),
                            m_oa_min=vec[lay.m_oa_min].copy())
         kwargs = {}
-        tail = vec[lay.tail]
-        seq_parts = {}
-        for (attr, comp), value in zip(_PARAM_REGISTRY, tail):
-            if comp is None:
-                kwargs[attr] = float(value)
-            else:
-                seq_parts.setdefault(attr, {})[comp] = float(value)
-        for attr, parts in seq_parts.items():
-            kwargs[attr] = tuple(parts[i] for i in range(len(parts)))
+        for (attr, comp), value in zip(_PARAM_REGISTRY,
+                                       vec[lay.tail].tolist()):
+            kwargs[attr] = value if comp is None \
+                else kwargs.get(attr, ()) + (value,)
         return ExogenousVector(t_oa=float(vec[lay.t_oa]), zones=zones,
                                params=replace(self.params, **kwargs))
 
     def index(self, label: str) -> int:
-        labels = self.labels()
         try:
-            return labels.index(label)
-        except ValueError:
+            return layout(self.zones.count).w_index[label]
+        except KeyError:
             raise KeyError(f"unknown exogenous label {label!r}") from None
 
 
@@ -286,60 +279,72 @@ class DecisionVector:
                               q_h=float(vec[-2]), q_c=float(vec[-1]))
 
 
-def constraint_labels(n_zones: int) -> list:
-    lab = ["T_sa_min", "T_sa_max", "m_oa_min_total", "m_oa_max",
-           "m_ra_nonneg", "m_sa_total_max"]
-    lab += [f"m_sa_floor_{i + 1}" for i in range(n_zones)]
-    lab += [f"ventilation_{i + 1}" for i in range(n_zones)]
-    lab += [f"T_da_low_{i + 1}" for i in range(n_zones)]
-    lab += [f"T_da_high_{i + 1}" for i in range(n_zones)]
-    lab += ["q_h_nonneg", "q_h_max", "q_c_nonneg", "q_c_max",
-            "Q_b_nonneg", "Q_b_max", "ahu_balance_pos", "ahu_balance_neg"]
-    return lab
-
-
 # ---------------------------------------------------------------------------
 # flat layout
 # ---------------------------------------------------------------------------
 
 class Layout:
     """Positions in the flat x, w and h vectors of an n-zone model; use
-    the shared instance from `layout(n)`. `param` maps a parameter label
-    to its w position, and h's row blocks follow `labels`: `air`
-    (T_sa_min .. m_sa_total_max), the zone blocks, `duty` (q_h_nonneg ..
-    Q_b_max), then the balance row and its negation. `index` maps the
-    name of a zone block to its positions as an index array. `lower`,
-    `upper`, `upper_x` and `upper_w` place the simple-bound rows (see
-    `simple_bounds`)."""
+    the shared instance from `layout(n)`. `x_labels`, `w_labels` and
+    `labels` (h's rows) name every entry once, and every position here
+    is read from them. h's row blocks are `air` (T_sa_min ..
+    m_sa_total_max), the zone blocks, `duty` (q_h_nonneg .. Q_b_max),
+    then the balance row and its negation; the rows that the formulas
+    write by hand carry their label as a name (`m_ra_nonneg`, ...).
+    `param` is the `Tail` of the parameters' w positions, `w_index` maps
+    a w label to its position, and `index` maps the name of a zone block
+    to its positions as an index array. `lower`, `upper`, `upper_x` and
+    `upper_w` place the simple-bound rows (see `simple_bounds`)."""
 
     def __init__(self, n: int):
+        def zones(name):
+            return tuple(f"{name}_{i + 1}" for i in range(n))
+
+        def span(pos, labels):  # consecutive entries
+            return slice(pos[labels[0]], pos[labels[-1]] + 1)
+
+        m_sa, q_zone, t_sp, m_oa_min = (zones(k) for k in (
+            "m_sa", "Q_zone", "T_sp", "m_oa_min"))
+        floor, vent, low, high = (zones(k) for k in (
+            "m_sa_floor", "ventilation", "T_da_low", "T_da_high"))
+        air = ("T_sa_min", "T_sa_max", "m_oa_min_total", "m_oa_max",
+               "m_ra_nonneg", "m_sa_total_max")
+        duty = ("q_h_nonneg", "q_h_max", "q_c_nonneg", "q_c_max",
+                "Q_b_nonneg", "Q_b_max")
         self.n = n
-        self.t_sa, self.m_oa = 0, 1
-        self.m_sa = slice(2, 2 + n)
-        self.q_h, self.q_c = 2 + n, 3 + n
-        self.x_dim = n + 4
-        self.t_oa = 0
-        self.q_zone, self.t_sp, self.m_oa_min = (
-            slice(1 + k * n, 1 + (k + 1) * n) for k in range(3))
-        self.tail = slice(1 + 3 * n, 1 + 3 * n + len(_PARAM_LABELS))
-        self.param = {lab: self.tail.start + k
-                      for k, lab in enumerate(_PARAM_LABELS)}
-        self.w_dim = self.tail.stop
-        self.labels = tuple(constraint_labels(n))
-        self.air = slice(0, 6)
-        self.floor, self.ventilation, self.t_da_low, self.t_da_high = (
-            slice(6 + k * n, 6 + (k + 1) * n) for k in range(4))
-        self.duty = slice(6 + 4 * n, 12 + 4 * n)
-        self.balance, self.balance_neg = 12 + 4 * n, 13 + 4 * n
-        self.h_dim = 14 + 4 * n
+        self.x_labels = ("T_sa", "m_oa", *m_sa, "q_h", "q_c")
+        self.w_labels = ("T_oa", *q_zone, *t_sp, *m_oa_min, *_PARAM_LABELS)
+        self.labels = (*air, *floor, *vent, *low, *high, *duty,
+                       "ahu_balance_pos", "ahu_balance_neg")
+        x, w, h = ({lab: i for i, lab in enumerate(labels)} for labels in (
+            self.x_labels, self.w_labels, self.labels))
+        self.x_dim, self.w_dim, self.h_dim = len(x), len(w), len(h)
+        self.t_sa, self.m_oa, self.q_h, self.q_c = (
+            x[k] for k in ("T_sa", "m_oa", "q_h", "q_c"))
+        self.m_sa = span(x, m_sa)
+        self.t_oa, self.w_index = w["T_oa"], w
+        self.q_zone, self.t_sp, self.m_oa_min, self.tail = (
+            span(w, k) for k in (q_zone, t_sp, m_oa_min, _PARAM_LABELS))
+        self.param = Tail._make(w[k] for k in _PARAM_LABELS)
+        self.air, self.floor, self.ventilation, self.t_da_low, \
+            self.t_da_high, self.duty = (span(h, k) for k in (
+                air, floor, vent, low, high, duty))
+        (self.m_oa_min_total, self.m_ra_nonneg, self.m_sa_total_max,
+         self.Q_b_nonneg, self.Q_b_max, self.balance, self.balance_neg) = (
+            h[k] for k in ("m_oa_min_total", "m_ra_nonneg", "m_sa_total_max",
+                           "Q_b_nonneg", "Q_b_max", "ahu_balance_pos",
+                           "ahu_balance_neg"))
         self.index = {k: np.arange(n) + getattr(self, k).start for k in (
             "m_sa", "q_zone", "t_sp", "m_oa_min", "floor", "ventilation",
             "t_da_low", "t_da_high")}
-        self.lower = np.r_[0, 2, self.index["floor"], 6 + 4 * n, 8 + 4 * n]
-        self.upper = np.array([1, 3, 7 + 4 * n, 9 + 4 * n])
+        self.lower = np.array([h[k] for k in (
+            "T_sa_min", "m_oa_min_total", *floor, "q_h_nonneg",
+            "q_c_nonneg")])
+        self.upper = np.array([h[k] for k in (
+            "T_sa_max", "m_oa_max", "q_h_max", "q_c_max")])
         self.upper_x = np.array([self.t_sa, self.m_oa, self.q_h, self.q_c])
-        self.upper_w = np.array([self.param[k] for k in (
-            "m_design", "Q_b_rated", "Q_e_rated")])
+        self.upper_w = np.array([self.param.m_design, self.param.Q_b_rated,
+                                 self.param.Q_e_rated])
 
 
 @functools.lru_cache(maxsize=None)
@@ -441,11 +446,6 @@ def evaluate(x: DecisionVector, w: ExogenousVector) -> OperatingPoint:
     )
 
 
-def objective(x: DecisionVector, w: ExogenousVector) -> float:
-    """Source power J = alpha_el (P_fan + P_chiller) + alpha_ng P_boiler."""
-    return evaluate(x, w).j_source
-
-
 # ---------------------------------------------------------------------------
 # flat-array core (shared with the solver, the sensitivity engine and the
 # batch kernel)
@@ -462,25 +462,26 @@ def loads(T, a, mvec, q_zone, t_sp, c_p):
     return m, s_t, q_zone.sum(axis=0) + c_p * s_t - c_p * m * T + a
 
 
-def values(T, a, b, mvec, q_zone, t_sp, par, c_p) -> Values:
+def values(T, a, b, mvec, q_zone, t_sp, p, c_p) -> Values:
     """Loads and fan, boiler and chiller values of J from T_sa, q_h, q_c,
-    the zone arrays and the parameter tail `par`, elementwise. At a point
-    the zone arrays are 1-D and the rest scalar; on S rows every entry is
-    a column of S, read through the transpose of the (S, m) and (S, p)
-    rows: the zone arrays are (N, S) and `par` is (20, S). Zone sums run
-    along the first axis, so a point has the bits of a "C"-layout row.
-    p_chiller keeps its standby term at q_c = 0."""
-    (dP, eta_tot, rho, m_des, cf1, cf2, cf3, cf4, qbr, eta_th,
-     cb1, cb2, cb3, qer, p_pump, cg1, cg2, cg3, _, _) = par
+    the zone arrays and the parameter tail `p` (a `Tail`), elementwise.
+    At a point the zone arrays are 1-D and the rest scalar; on S rows
+    every entry is a column of S, read through the transpose of the
+    (S, m) and (S, p) rows: the zone arrays are (N, S) and each tail
+    entry is (S,). Zone sums run along the first axis, so a point has the
+    bits of a "C"-layout row. p_chiller keeps its standby term at
+    q_c = 0."""
     m, s_t, q_b = loads(T, a, mvec, q_zone, t_sp, c_p)
-    u = m / m_des
-    f_pl = cf1 + u * (cf2 + u * (cf3 + u * cf4))
-    gain = dP / (eta_tot * rho)
-    r = q_b / qbr
-    eta = cb1 + r * (cb2 + r * cb3)
-    return Values(m, s_t, q_b, u, f_pl, gain, gain * m_des * f_pl, r, eta,
-                  q_b / (eta_th * eta),
-                  cg1 * qer + cg2 * b + cg3 * b * b / qer + p_pump)
+    u = m / p.m_design
+    f_pl = p.c_f_1 + u * (p.c_f_2 + u * (p.c_f_3 + u * p.c_f_4))
+    gain = p.delta_P / (p.eta_tot * p.rho_air)
+    r = q_b / p.Q_b_rated
+    eta = p.c_b_1 + r * (p.c_b_2 + r * p.c_b_3)
+    qer = p.Q_e_rated
+    return Values(m, s_t, q_b, u, f_pl, gain, gain * p.m_design * f_pl, r,
+                  eta, q_b / (p.eta_thermal * eta),
+                  p.c_g_1 * qer + p.c_g_2 * b + p.c_g_3 * b * b / qer
+                  + p.P_pump)
 
 
 def source_power(p_fan, p_chiller, p_boiler, ael, ang):
@@ -500,12 +501,11 @@ def objective_flat(xv: np.ndarray, wv: np.ndarray, n: int, c_p: float):
     batch has the bits of the call at that row's point."""
     lay = layout(n)
     x, w = xv.T, wv.T
-    b = x[lay.q_c]
+    b, p = x[lay.q_c], Tail._make(w[lay.tail])
     v = values(x[lay.t_sa], x[lay.q_h], b, x[lay.m_sa], w[lay.q_zone],
-               w[lay.t_sp], w[lay.tail], c_p)
+               w[lay.t_sp], p, c_p)
     return source_power(v.p_fan, np.where(b == 0.0, 0.0, v.p_chiller),
-                        v.p_boiler, w[lay.param["alpha_el"]],
-                        w[lay.param["alpha_ng"]])
+                        v.p_boiler, p.alpha_el, p.alpha_ng)
 
 
 def simple_bounds(wv, n, flow_floor):
@@ -528,7 +528,7 @@ def x_box(wv, n, flow_floor):
     and m_sa <= m_design."""
     lay = layout(n)
     lo, hi = simple_bounds(wv, n, flow_floor)
-    lo[lay.m_oa], hi[lay.m_sa] = 0.0, wv[lay.param["m_design"]]
+    lo[lay.m_oa], hi[lay.m_sa] = 0.0, wv[lay.param.m_design]
     return lo, hi
 
 
@@ -546,10 +546,8 @@ def value_flat(xv: np.ndarray, wv: np.ndarray, n: int, c_p: float,
     x, w = xv.T, wv.T
     T, o, mvec = x[lay.t_sa], x[lay.m_oa], x[lay.m_sa]
     a, b = x[lay.q_h], x[lay.q_c]
-    q_zone, t_sp, par = w[lay.q_zone], w[lay.t_sp], w[lay.tail]
-    m_des, qbr, ael, ang = (w[lay.param[k]] for k in (
-        "m_design", "Q_b_rated", "alpha_el", "alpha_ng"))
-    v = values(T, a, b, mvec, q_zone, t_sp, par, c_p)
+    q_zone, t_sp, p = w[lay.q_zone], w[lay.t_sp], Tail._make(w[lay.tail])
+    v = values(T, a, b, mvec, q_zone, t_sp, p, c_p)
     m, s_t, q_b = v.m, v.s_t, v.q_b
     q_ahu = ahu_duty(T, o, m, s_t, w[lay.t_oa], c_p)
 
@@ -557,15 +555,16 @@ def value_flat(xv: np.ndarray, wv: np.ndarray, n: int, c_p: float,
     h = out.T
     h[lay.lower] = lo - x
     h[lay.upper] = x[lay.upper_x] - hi[lay.upper_x]
-    h[4], h[5] = o - m, m - m_des
+    h[lay.m_ra_nonneg], h[lay.m_sa_total_max] = o - m, m - p.m_design
     h[lay.ventilation] = m * w[lay.m_oa_min] - mvec * o
     h[lay.t_da_low] = c_p * mvec * (T - t_sp) - q_zone
     h[lay.t_da_high] = q_zone - c_p * mvec * (T_SUPPLY_MAX - t_sp)
-    h[lay.duty.start + 4], h[lay.duty.start + 5] = -q_b, q_b - qbr
+    h[lay.Q_b_nonneg], h[lay.Q_b_max] = -q_b, q_b - p.Q_b_rated
     bal = a - b - q_ahu
     h[lay.balance] = bal
     h[lay.balance_neg] = -bal
-    j = source_power(v.p_fan, v.p_chiller, v.p_boiler, ael, ang)
+    j = source_power(v.p_fan, v.p_chiller, v.p_boiler, p.alpha_el,
+                     p.alpha_ng)
     return Value(j, out, v)
 
 
@@ -593,8 +592,7 @@ def first_order_flat(val: Value, xv: np.ndarray, wv: np.ndarray, n: int,
     T, o, mvec = x[lay.t_sa], x[lay.m_oa], x[lay.m_sa]
     b = x[lay.q_c]
     t_oa, t_sp, v_min = w[lay.t_oa], w[lay.t_sp], w[lay.m_oa_min]
-    (dP, eta_tot, rho, m_des, cf1, cf2, cf3, cf4, qbr, eta_th,
-     cb1, cb2, cb3, qer, p_pump, cg1, cg2, cg3, ael, ang) = w[lay.tail]
+    p = Tail._make(w[lay.tail])
     mdim = lay.x_dim
     rows = xv.shape[:-1]
     iM = lay.m_sa
@@ -602,27 +600,26 @@ def first_order_flat(val: Value, xv: np.ndarray, wv: np.ndarray, n: int,
 
     v = val.v
     m, s_t, u, r, eta = v.m, v.s_t, v.u, v.r, v.eta
-    f_plp = cf2 + u * (2.0 * cf3 + u * 3.0 * cf4)
+    f_plp = p.c_f_2 + u * (2.0 * p.c_f_3 + u * 3.0 * p.c_f_4)
     fan1 = v.gain * f_plp             # dP_fan/dm_i, equal for all zones
-    etap = cb2 + 2.0 * cb3 * r
-    d1 = (eta - r * etap) / (eta_th * eta ** 2)          # dP_b/dQ_b
-    pc1 = cg2 + 2.0 * cg3 * b / qer                      # dP_chiller/dq_c
+    etap = p.c_b_2 + 2.0 * p.c_b_3 * r
+    d1 = (eta - r * etap) / (p.eta_thermal * eta ** 2)   # dP_b/dQ_b
+    pc1 = p.c_g_2 + 2.0 * p.c_g_3 * b / p.Q_e_rated      # dP_chiller/dq_c
 
     # --- gradients of Q_b and Q_ahu ---
     gq = np.zeros((mdim,) + rows)
-    gq[0] = -c_p * m
+    gq[lay.t_sa] = -c_p * m
     gq[iM] = c_p * (t_sp - T)
     gq[iA] = 1.0
     ga = np.zeros((mdim,) + rows)
-    ga[0] = c_p * m
-    ga[1] = c_p * (s_t / m - t_oa)
+    ga[lay.t_sa] = c_p * m
+    ga[lay.m_oa] = c_p * (s_t / m - t_oa)
     ga[iM] = c_p * (T - t_sp + o * (t_sp * m - s_t) / m ** 2)
 
-    grad = ang * d1 * gq
-    grad[iM] += ael * fan1
-    grad[iB] += ael * pc1
+    grad = p.alpha_ng * d1 * gq
+    grad[iM] += p.alpha_el * fan1
+    grad[iB] += p.alpha_el * pc1
 
-    q_b_lo, q_b_hi = lay.duty.start + 4, lay.duty.start + 5
     # index arrays: zone flows in x, and the zone row blocks of h
     xm, vent, low, high = (lay.index[k] for k in (
         "m_sa", "ventilation", "t_da_low", "t_da_high"))
@@ -630,9 +627,9 @@ def first_order_flat(val: Value, xv: np.ndarray, wv: np.ndarray, n: int,
     out[..., lay.lower, np.arange(mdim)] = -1.0
     out[..., lay.upper, lay.upper_x] = 1.0
     jac = out.T.swapaxes(0, 1)
-    jac[4, 1] = 1.0
-    jac[4, iM] = -1.0
-    jac[5, iM] = 1.0
+    jac[lay.m_ra_nonneg, lay.m_oa] = 1.0
+    jac[lay.m_ra_nonneg, iM] = -1.0
+    jac[lay.m_sa_total_max, iM] = 1.0
     # ventilation (bilinear): h = m v_i - m_i o
     jac[vent[:, None], xm[None, :]] = v_min[:, None]
     jac[vent, xm] -= o
@@ -642,8 +639,8 @@ def first_order_flat(val: Value, xv: np.ndarray, wv: np.ndarray, n: int,
     jac[low, lay.t_sa] = c_p * mvec
     jac[low, xm] = c_p * (T - t_sp)
     jac[high, xm] = -c_p * (T_SUPPLY_MAX - t_sp)
-    jac[q_b_lo] = -gq
-    jac[q_b_hi] = gq
+    jac[lay.Q_b_nonneg] = -gq
+    jac[lay.Q_b_max] = gq
     # AHU balance rows: +/- (q_h - q_c - Q_ahu)
     gbal = -ga
     gbal[iA] += 1.0
@@ -689,19 +686,17 @@ def derivatives_flat(first: FirstOrder, xv: np.ndarray, wv: np.ndarray,
     lay = layout(n)
     o, mvec, b = xv[lay.m_oa], xv[lay.m_sa], xv[lay.q_c]
     t_sp = wv[lay.t_sp]
-    (dP, eta_tot, rho, m_des, cf1, cf2, cf3, cf4, qbr, eta_th,
-     cb1, cb2, cb3, qer, p_pump, cg1, cg2, cg3, ael, ang) = wv[lay.tail]
+    p, j = Tail._make(wv[lay.tail]), lay.param    # tail values, positions
+    ael, ang, eta_th, qbr, qer = (p.alpha_el, p.alpha_ng, p.eta_thermal,
+                                  p.Q_b_rated, p.Q_e_rated)
 
     mdim = lay.x_dim
     pdim = lay.w_dim
     iT, iO, iM, iB = lay.t_sa, lay.m_oa, lay.m_sa, lay.q_c
-    jTOA, jQZ, jTSP, jVMIN = lay.t_oa, lay.q_zone, lay.t_sp, lay.m_oa_min
-    (jDP, jETATOT, jRHO, jMDES, jCF1, jCF2, jCF3, jCF4, jQBR, jETATH,
-     jCB1, jCB2, jCB3, jQER, jPPUMP, jCG1, jCG2, jCG3, jAEL,
-     jANG) = range(lay.tail.start, lay.tail.stop)
+    jTOA, jQZ, jTSP = lay.t_oa, lay.q_zone, lay.t_sp
 
     # --- second derivatives and w-sensitivities of the curves ---
-    etapp = 2.0 * cb3
+    etapp = 2.0 * p.c_b_3
     dd1_dr = (-r * etapp * eta - 2.0 * etap * (eta - r * etap)) / (eta_th * eta ** 3)
     d2 = dd1_dr / qbr                                    # d2P_b/dQ_b^2
     dd1_dqbr = -r * d2
@@ -709,15 +704,14 @@ def derivatives_flat(first: FirstOrder, xv: np.ndarray, wv: np.ndarray,
     rk = np.array([1.0, r, r * r])
     dd1_dcb = (2.0 - np.array([1.0, 2.0, 3.0])) * rk / (eta_th * eta ** 2) \
         - 2.0 * d1 * rk / eta
-    f_plpp = 2.0 * cf3 + 6.0 * cf4 * u
-    fan2 = gain * f_plpp / m_des      # d2P_fan/dm_i dm_j
-    pc2 = 2.0 * cg3 / qer
+    f_plpp = 2.0 * p.c_f_3 + 6.0 * p.c_f_4 * u
+    fan2 = gain * f_plpp / p.m_design  # d2P_fan/dm_i dm_j
+    pc2 = 2.0 * p.c_g_3 / qer
 
     hess_xx_h = np.zeros((lay.h_dim, mdim, mdim))
     jac_w_h = np.zeros((lay.h_dim, pdim))
     hess_xw_h = np.zeros((lay.h_dim, mdim, pdim))
-    q_b_lo, q_b_hi = lay.duty.start + 4, lay.duty.start + 5
-    bal_neg = lay.balance_neg
+    q_b_hi, bal_neg = lay.Q_b_max, lay.balance_neg
     # index arrays: zone entries of x and w, and the zone row blocks of h
     xm, wq, wt, wm, vent, low, high = (lay.index[k] for k in (
         "m_sa", "q_zone", "t_sp", "m_oa_min", "ventilation", "t_da_low",
@@ -755,27 +749,27 @@ def derivatives_flat(first: FirstOrder, xv: np.ndarray, wv: np.ndarray,
     hess_xw_j[:, jQZ] = (ang * d2) * gq[:, None]
     hess_xw_j[:, jTSP] = (ang * d2 * c_p) * np.outer(gq, mvec)
     hess_xw_j[iM, jTSP] += ang * d1 * c_p * np.eye(n)
-    hess_xw_j[iM, jDP] = ael * fan1 / dP
-    hess_xw_j[iM, jETATOT] = -ael * fan1 / eta_tot
-    hess_xw_j[iM, jRHO] = -ael * fan1 / rho
-    hess_xw_j[iM, jMDES] = -ael * gain * f_plpp * u / m_des
-    hess_xw_j[iM, jCF2] = ael * gain
-    hess_xw_j[iM, jCF3] = ael * gain * 2.0 * u
-    hess_xw_j[iM, jCF4] = ael * gain * 3.0 * u ** 2
-    hess_xw_j[:, jQBR] = ang * dd1_dqbr * gq
-    hess_xw_j[:, jETATH] = ang * dd1_detath * gq
-    hess_xw_j[:, jCB1:jCB3 + 1] = gq[:, None] * (ang * dd1_dcb)
-    hess_xw_j[iB, jQER] = -ael * 2.0 * cg3 * b / qer ** 2
-    hess_xw_j[iB, jCG2] = ael
-    hess_xw_j[iB, jCG3] = ael * 2.0 * b / qer
-    hess_xw_j[iM, jAEL] = fan1
-    hess_xw_j[iB, jAEL] = pc1
-    hess_xw_j[:, jANG] = d1 * gq
+    hess_xw_j[iM, j.delta_P] = ael * fan1 / p.delta_P
+    hess_xw_j[iM, j.eta_tot] = -ael * fan1 / p.eta_tot
+    hess_xw_j[iM, j.rho_air] = -ael * fan1 / p.rho_air
+    hess_xw_j[iM, j.m_design] = -ael * gain * f_plpp * u / p.m_design
+    hess_xw_j[iM, j.c_f_2] = ael * gain
+    hess_xw_j[iM, j.c_f_3] = ael * gain * 2.0 * u
+    hess_xw_j[iM, j.c_f_4] = ael * gain * 3.0 * u ** 2
+    hess_xw_j[:, j.Q_b_rated] = ang * dd1_dqbr * gq
+    hess_xw_j[:, j.eta_thermal] = ang * dd1_detath * gq
+    hess_xw_j[:, [j.c_b_1, j.c_b_2, j.c_b_3]] = gq[:, None] * (ang * dd1_dcb)
+    hess_xw_j[iB, j.Q_e_rated] = -ael * 2.0 * p.c_g_3 * b / qer ** 2
+    hess_xw_j[iB, j.c_g_2] = ael
+    hess_xw_j[iB, j.c_g_3] = ael * 2.0 * b / qer
+    hess_xw_j[iM, j.alpha_el] = fan1
+    hess_xw_j[iB, j.alpha_el] = pc1
+    hess_xw_j[:, j.alpha_ng] = d1 * gq
 
     # --- constraint blocks (jac_x h comes with the first order) ---
-    jac_w_h[2, jVMIN] = 1.0
+    jac_w_h[lay.m_oa_min_total, lay.m_oa_min] = 1.0
     jac_w_h[lay.upper[1:], lay.upper_w] = -1.0
-    jac_w_h[5, jMDES] = -1.0
+    jac_w_h[lay.m_sa_total_max, j.m_design] = -1.0
     # ventilation (bilinear): h = m v_i - m_i o
     hess_xx_h[vent, iO, xm] = -1.0
     hess_xx_h[vent, xm, iO] = -1.0
@@ -793,9 +787,9 @@ def derivatives_flat(first: FirstOrder, xv: np.ndarray, wv: np.ndarray,
     hess_xw_h[high, xm, wt] = c_p
     # rows -Q_b and (q_h - q_c - Q_ahu) negate the rows filled above
     for blocks in (hess_xx_h, jac_w_h, hess_xw_h):
-        blocks[q_b_lo] = -blocks[q_b_hi]
+        blocks[lay.Q_b_nonneg] = -blocks[q_b_hi]
         blocks[lay.balance] = -blocks[bal_neg]
-    jac_w_h[q_b_hi, jQBR] -= 1.0
+    jac_w_h[q_b_hi, j.Q_b_rated] -= 1.0
 
     return ModelDerivatives(
         grad_x_j=first.grad, hess_xx_j=hess_xx_j, hess_xw_j=hess_xw_j,

@@ -79,6 +79,7 @@ def test_local_optimality_against_feasible_probes(hot_hour, solve_cached):
     kkt = solve_cached(hot_hour)
     par = hot_hour.params
     n = 5
+    lay = hm.layout(n)
     wv = hot_hour.to_vector()
     xv0 = kkt.x0.to_vector()
     rng = np.random.default_rng(0)
@@ -89,20 +90,20 @@ def test_local_optimality_against_feasible_probes(hot_hour, solve_cached):
     for _ in range(500):
         xv = xv0.copy()
         # perturb the air states, then project back onto the feasible set
-        t = float(np.clip(xv[0] + rng.uniform(-1.0, 1.0), 12.0, 30.0))
+        t = float(np.clip(xv[lay.t_sa] + rng.uniform(-1.0, 1.0), 12.0, 30.0))
         m_need = -q_z / (par.c_p * (t_sp - t))  # zone cooling floors
         mvec = np.maximum(m_need, par.flow_floor) + rng.uniform(0.0, 0.05, n)
         m = mvec.sum()
         if m > par.m_design:
             continue
         o_lo = max(v_min.sum(), m * float(np.max(v_min / mvec)))
-        o = float(np.clip(xv[1] + rng.uniform(-0.2, 0.2), o_lo, m))
-        xv[0], xv[1], xv[2:2 + n] = t, o, mvec
+        o = float(np.clip(xv[lay.m_oa] + rng.uniform(-0.2, 0.2), o_lo, m))
+        xv[lay.t_sa], xv[lay.m_oa], xv[lay.m_sa] = t, o, mvec
         # rebalance the coil duties for the perturbed air states
         st = float(mvec @ t_sp)
         q_ahu = par.c_p * (m * t - st + o * st / m - o * hot_hour.t_oa)
-        xv[2 + n] = max(q_ahu, 0.0)
-        xv[3 + n] = max(-q_ahu, 0.0)
+        xv[lay.q_h] = max(q_ahu, 0.0)
+        xv[lay.q_c] = max(-q_ahu, 0.0)
         h = hm.constraints_flat(xv, wv, n, par.c_p, par.flow_floor)
         if h.max() > 1e-9:
             continue
@@ -698,7 +699,7 @@ def test_certificate_not_the_polish_guards_feasibility(monkeypatch):
     real SLSQP runs the later starts."""
     reports, starts = [], []
     real_minimize = baseline_opt.minimize
-    row = hm.constraint_labels(5).index("m_ra_nonneg")
+    row = hm.layout(5).m_ra_nonneg
     real_newton, real_residuals = (baseline_opt._newton_on_active,
                                    baseline_opt._residuals)
 

@@ -191,13 +191,121 @@ def test_registry_mutation_roundtrip(hot_hour):
     assert w2.params.c_f[2] == 0.25
 
 
+@pytest.mark.parametrize("label, field", [
+    ("T_oa", "t_oa"), ("Q_zone_2", "q_zone"), ("T_sp_2", "t_sp"),
+    ("m_oa_min_2", "m_oa_min")])
+def test_hour_inputs_reject_non_finite(hot_hour, label, field):
+    """A NaN or infinite hour input is a ValueError naming its field when
+    the hour is built, by `make_exogenous` or `with_vector`; the solver
+    would read it as an infeasible hour or fail in its random starts."""
+    lay = hm.layout(hot_hour.zones.count)
+    for bad in (math.nan, math.inf, -math.inf):
+        vec = hot_hour.to_vector()
+        vec[hot_hour.index(label)] = bad
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            hot_hour.with_vector(vec)
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            hm.make_exogenous(vec[lay.t_oa], vec[lay.q_zone],
+                              vec[lay.t_sp], vec[lay.m_oa_min],
+                              hot_hour.params)
+
+
 # ---------------------------------------------------------------------------
 # decision vector and constraint layout
 # ---------------------------------------------------------------------------
 
 def test_decision_dimensions():
     assert hm.layout(5).h_dim == 34
-    assert len(hm.constraint_labels(5)) == 34
+    assert len(hm.layout(5).labels) == 34
+
+
+# the parameter tail of w, in `HvacParameters`' field order
+_TAIL_LABELS = (
+    "delta_P", "eta_tot", "rho_air", "m_design", "c_f_1", "c_f_2", "c_f_3",
+    "c_f_4", "Q_b_rated", "eta_thermal", "c_b_1", "c_b_2", "c_b_3",
+    "Q_e_rated", "P_pump", "c_g_1", "c_g_2", "c_g_3", "alpha_el", "alpha_ng")
+_NAMED_ROWS = ("m_oa_min_total", "m_ra_nonneg", "m_sa_total_max",
+               "Q_b_nonneg", "Q_b_max")
+# n: lower, upper, upper_x, upper_w, the named rows, the balance pair,
+# tail, w_dim, h_dim
+_PINNED_POSITIONS = {
+    1: ([0, 2, 6, 10, 12], [1, 3, 11, 13], [0, 1, 3, 4], [7, 12, 17],
+        (2, 4, 5, 14, 15), (16, 17), slice(4, 24), 24, 18),
+    5: ([0, 2, 6, 7, 8, 9, 10, 26, 28], [1, 3, 27, 29], [0, 1, 7, 8],
+        [19, 24, 29], (2, 4, 5, 30, 31), (32, 33), slice(16, 36), 36, 34),
+    8: ([0, 2, 6, 7, 8, 9, 10, 11, 12, 13, 38, 40], [1, 3, 39, 41],
+        [0, 1, 10, 11], [28, 33, 38], (2, 4, 5, 42, 43), (44, 45),
+        slice(25, 45), 45, 46),
+}
+
+
+def test_layout_positions():
+    """`layout(n)` derives every position from its labels, and the
+    positions are today's integers; each named row and each tail entry
+    carries its own label; every parameter in w moves exactly the one
+    `to_vector` entry that carries its label, and c_p and the flow floor
+    move none."""
+    for n, pinned in _PINNED_POSITIONS.items():
+        lay = hm.layout(n)
+        (lower, upper, upper_x, upper_w, named, balance, tail, w_dim,
+         h_dim) = pinned
+        assert lay.lower.tolist() == lower and lay.upper.tolist() == upper
+        assert lay.upper_x.tolist() == upper_x
+        assert lay.upper_w.tolist() == upper_w
+        assert tuple(getattr(lay, k) for k in _NAMED_ROWS) == named
+        assert (lay.balance, lay.balance_neg) == balance
+        assert lay.tail == tail and (lay.w_dim, lay.h_dim) == (w_dim, h_dim)
+        assert [getattr(lay.param, k) for k in _TAIL_LABELS] == list(
+            range(tail.start, tail.stop))
+
+    for n in (1, 2, 3, 5, 8, 13, 40):
+        lay = hm.layout(n)
+        labels = np.array(lay.labels)
+        for name in _NAMED_ROWS:
+            assert lay.labels[getattr(lay, name)] == name
+        assert lay.labels[lay.balance] == "ahu_balance_pos"
+        assert lay.labels[lay.balance_neg] == "ahu_balance_neg"
+        assert list(labels[lay.lower]) == (
+            ["T_sa_min", "m_oa_min_total"]
+            + [f"m_sa_floor_{i + 1}" for i in range(n)]
+            + ["q_h_nonneg", "q_c_nonneg"])
+        assert list(labels[lay.upper]) == ["T_sa_max", "m_oa_max",
+                                           "q_h_max", "q_c_max"]
+        # the row order of Scaling.of's per-block scale tuples
+        assert lay.labels[lay.air] == (
+            "T_sa_min", "T_sa_max", "m_oa_min_total", "m_oa_max",
+            "m_ra_nonneg", "m_sa_total_max")
+        assert lay.labels[lay.duty] == (
+            "q_h_nonneg", "q_h_max", "q_c_nonneg", "q_c_max", "Q_b_nonneg",
+            "Q_b_max")
+        assert lay.w_labels[lay.tail] == _TAIL_LABELS
+        for k in _TAIL_LABELS:
+            assert lay.w_labels[getattr(lay.param, k)] == k
+
+        par = scaled_params(n)
+        rng = np.random.default_rng(n)
+        w = hm.make_exogenous(20.0, rng.uniform(-6000.0, 4000.0, n),
+                              rng.uniform(20.0, 26.0, n),
+                              rng.uniform(0.02, 0.1, n), par)
+        base = w.to_vector()
+        for f in dataclasses.fields(hm.HvacParameters):
+            if f.name == "zone_count":   # fixed by the zone arrays
+                continue
+            value = getattr(par, f.name)
+            parts = range(len(value)) if isinstance(value, tuple) else [None]
+            for k in parts:
+                if k is None:
+                    new, label = 0.5 * value, f.name
+                else:
+                    new = value[:k] + (0.5 * value[k],) + value[k + 1:]
+                    label = f"{f.name}_{k + 1}"
+                moved = np.flatnonzero(dataclasses.replace(w, params=(
+                    dataclasses.replace(par, **{f.name: new}))).to_vector()
+                    != base)
+                if f.name in ("c_p", "flow_floor"):
+                    assert moved.size == 0, f.name
+                else:
+                    assert moved.tolist() == [w.index(label)], label
 
 
 def test_decision_vector_roundtrip():
@@ -236,7 +344,6 @@ def test_evaluate_objective_composition(hot_hour):
     expected = par.alpha_el * (pt.p_fan + pt.p_chiller) \
         + par.alpha_ng * pt.p_boiler
     assert pt.j_source == pytest.approx(expected, rel=1e-14)
-    assert hm.objective(x, hot_hour) == pt.j_source
 
 
 def test_evaluate_rejects_degenerate_flow(hot_hour):
@@ -251,7 +358,8 @@ def test_objective_flat_matches_evaluate(hot_hour):
     x = _feasible_point()
     j_flat = hm.objective_flat(x.to_vector(), hot_hour.to_vector(),
                                5, hot_hour.params.c_p)
-    assert j_flat == pytest.approx(hm.objective(x, hot_hour), rel=1e-14)
+    assert j_flat == pytest.approx(hm.evaluate(x, hot_hour).j_source,
+                                   rel=1e-14)
 
 
 def test_objective_smooth_differs_only_by_standby(hot_hour):
@@ -491,7 +599,7 @@ def test_constraint_hessians_match_jacobian_differences(n):
     # every row of hess_xx_h and hess_xw_h, zero rows included, against
     # central differences of first_order_flat's jac_x h in x and in w
     par = scaled_params(n)
-    labels = np.array(hm.constraint_labels(n))
+    labels = np.array(hm.layout(n).labels)
     rng = np.random.default_rng(n)
     for _ in range(3):
         w = hm.make_exogenous(

@@ -139,7 +139,8 @@ def test_rows_have_the_bits_of_points(n):
 def test_inactive_rows_of_g_are_zero(moderate_hour, solve_cached):
     kkt = solve_cached(moderate_hour)
     op, _ = _operator(solve_cached, moderate_hour)
-    comp = op.G[9:]  # complementarity block, one row per constraint
+    # complementarity block, one row per constraint
+    comp = op.G[hm.layout(moderate_hour.zones.count).x_dim:]
     for i, lam_i in enumerate(kkt.lam):
         if lam_i == 0.0:
             assert np.all(comp[i] == 0.0)
@@ -527,7 +528,8 @@ def test_signed_pair_signs(hot_hour, solve_cached):
 
 def test_domain_error_when_shift_leaves_model(moderate_hour, solve_cached):
     op, spec = _operator(solve_cached, moderate_hour, mask=("Q_zone_1",))
-    col = op.shift_matrix[2:7, 0]  # zone-flow response to Q_zone_1
+    # zone-flow response to Q_zone_1
+    col = op.shift_matrix[hm.layout(moderate_hour.zones.count).m_sa, 0]
     j = int(np.argmax(np.abs(col)))
     flows = op.anchor.x0.m_sa
     # push zone j's flow well below the floor
@@ -540,7 +542,7 @@ def test_k_batch_is_nan_exactly_below_the_floor(moderate_hour, solve_cached):
     """Rows pushed below the flow floor give NaN; every other row gets the
     bits of delta_cost, in either memory layout."""
     op, spec = _operator(solve_cached, moderate_hour, mask=("Q_zone_1",))
-    col = op.shift_matrix[2:7, 0]
+    col = op.shift_matrix[hm.layout(moderate_hour.zones.count).m_sa, 0]
     j = int(np.argmax(np.abs(col)))
     dq = -2.0 * op.anchor.x0.m_sa[j] / col[j]
     dW = np.array([[0.0], [0.1 * dq], [dq], [-0.1 * dq], [1.5 * dq], [5.0]])
@@ -588,7 +590,7 @@ def test_quadratic_model_domain_error_matches_scalar_path(
     """A step that keeps the gradient rows inside the flow floor but not
     the 2h rows of the Hessian raises what delta_cost raises."""
     op, spec = _operator(solve_cached, moderate_hour, mask=("Q_zone_1",))
-    col = op.shift_matrix[2:7, 0]
+    col = op.shift_matrix[hm.layout(moderate_hour.zones.count).m_sa, 0]
     room = (op.anchor.x0.m_sa - moderate_hour.params.flow_floor) / np.abs(col)
     h = 0.75 * room.min()
     fd_scale = h / abs(moderate_hour.zones.q_zone[0])
@@ -928,7 +930,7 @@ def test_blocked_sampler_matches_unblocked_below_the_floor(n, monkeypatch):
     anchor = solve_baseline(w)
     spec = sn.uncertainty_spec(w, ("Q_zone_1",), 0.01)
     op = sn.build_operator(anchor, w, spec)
-    col = op.shift_matrix[2:2 + n, 0]
+    col = op.shift_matrix[hm.layout(n).m_sa, 0]
     room = np.abs((anchor.x0.m_sa - w.params.flow_floor) / col).min()
     skipped = []
     for reach in (1.001, 1.0 / 0.9, 3.0):
@@ -963,7 +965,7 @@ def test_sample_bound_errors_when_box_leaves_domain(moderate_hour,
     anchor = solve_cached(moderate_hour)
     spec0 = sn.uncertainty_spec(moderate_hour, ("Q_zone_1",), 0.01)
     op = sn.build_operator(anchor, moderate_hour, spec0)
-    col = op.shift_matrix[2:7, 0]
+    col = op.shift_matrix[hm.layout(moderate_hour.zones.count).m_sa, 0]
     j = int(np.argmax(np.abs(col)))
     dq = abs(2.0 * op.anchor.x0.m_sa[j] / col[j])
     big = _with_radius(spec0, moderate_hour, "Q_zone_1", dq)

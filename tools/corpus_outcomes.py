@@ -8,14 +8,20 @@ The corpus is the days of `perfbench/bench.py`'s `sweep_days` for
 hour is solved alone at solver seed 0; a certified hour then builds its
 operator for the mask T_oa at alpha 0.05. One line per hour:
 
-    <workload>/<seed>/<sweep>/<day> h<hour>  <outcome>  <repr(J0)>  <shift>
+    <key> h<hour>  <outcome>  <repr(J0)>  <shift>  <blocks>
 
-The outcome is `certified` or the class of the error that the solve or
-the operator build raised; <shift> is the first 16 hex digits of the
-sha256 of the operator's `shift_matrix` bytes. J0 and <shift> read `-`
-where the hour has none. `--root` (default: the checkout holding this
-script) names the checkout whose `src` and `perfbench` are imported, so
-two checkouts compare with `diff`, as with `fixture_hashes.py`:
+<key> is <workload>/<seed>/<sweep>/<day>. The outcome is `certified` or
+the class of the error that the solve or the operator build raised;
+<shift> is the first 16 hex digits of the sha256 of the operator's
+`shift_matrix` bytes, and <blocks> the same of the certified anchor's
+`Scaling.derivatives(x0)`: all seven arrays of `ModelDerivatives`, in
+field order. <shift> covers the T_oa column only; <blocks> covers every
+w column and every second-order entry. J0, <shift> and <blocks> read
+`-` where the hour has none.
+
+`--root` (default: the checkout holding this script) names the checkout
+whose `src` and `perfbench` are imported, so two checkouts compare with
+`diff`, as with `fixture_hashes.py`:
 
     python3 tools/corpus_outcomes.py --root ../parent > parent.txt
     python3 tools/corpus_outcomes.py > change.txt
@@ -26,6 +32,7 @@ README), so run both sides with the same environment.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import os
 import sys
@@ -34,6 +41,14 @@ CORPUS = (("day-toa", (42, 20261017), range(40)),
           ("zone-sweep", (42, 7, 20261017), range(4)))
 MASK = ("T_oa",)
 ALPHA = 0.05
+
+
+def _digest(*arrays):
+    """The first 16 hex digits of the sha256 of the arrays' bytes."""
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(a.tobytes())
+    return h.hexdigest()[:16]
 
 
 def main(argv=None):
@@ -58,19 +73,22 @@ def main(argv=None):
                         w = hm.ExogenousVector(t_oa=hour.t_oa,
                                                zones=hour.zones,
                                                params=day.params)
-                        outcome, j0, shift = "certified", "-", "-"
+                        outcome, j0 = "certified", "-"
+                        shift = blocks = "-"
                         try:
                             kkt = solve_baseline(w, cfg)
                             j0 = repr(kkt.j0)
+                            d = kkt.scaling.derivatives(kkt.x0.to_vector())
+                            blocks = _digest(*(getattr(d, f.name) for f in
+                                               dataclasses.fields(d)))
                             op = sn.build_operator(
                                 kkt, w, sn.uncertainty_spec(w, MASK, ALPHA))
-                            shift = hashlib.sha256(
-                                op.shift_matrix.tobytes()).hexdigest()[:16]
+                            shift = _digest(op.shift_matrix)
                         except (GridbaseError, ValueError) as exc:
                             outcome = type(exc).__name__
                         print(f"{workload}/{seed}/{sweep}/{day.key} "
                               f"h{hour.hour_index}  {outcome}  {j0}  "
-                              f"{shift}", flush=True)
+                              f"{shift}  {blocks}", flush=True)
     return 0
 
 
