@@ -6,9 +6,10 @@ scales). The returned point is then refined in-repo: the cost-flat
 direction shared by (T_sa, q_h) is canonicalized to the minimum-q_h
 endpoint, and an active-set Newton polish drives the KKT residuals to
 machine precision while recovering multipliers for every constraint row.
-The polish drops active rows but never adds one. What it leaves, also
-when Newton fails, ends in a residual report, and the certificate alone
-judges it: on an uncertified report the solve tries the next start.
+The polish keeps the rows it starts from: it never drops or adds one.
+What it leaves, also when Newton fails, ends in a residual report, and
+the certificate alone judges it: on an uncertified report the solve
+tries the next start.
 
 The AHU energy balance appears in the constraint vector as two opposite
 inequality rows; internally it is one equality with a free multiplier mu,
@@ -188,6 +189,19 @@ class Scaling:
         return hm.derivatives_flat(self.evaluate(xv)[0], xv, self.wv,
                                    self.layout.n, self.params.c_p)
 
+    def multipliers(self, rows, lam):
+        """All rows' multipliers in original units, from lam, scaled, over
+        rows with the balance equality's free mu last: a negative entry
+        clips to 0, and mu splits over the balance pair by sign."""
+        act, lay = rows[:-1], self.layout
+        full = np.zeros(lay.h_dim)
+        # Python's max(v, 0.0) entry by entry: -0.0 and nan pass unchanged
+        full[act] = np.where(lam[:-1] < 0.0, 0.0, lam[:-1]) \
+            * self.j / self.h[act]
+        mu = lam[-1] * self.j / self.h[lay.balance]
+        full[[lay.balance, lay.balance_neg]] = max(mu, 0.0), max(-mu, 0.0)
+        return full
+
 
 # ---------------------------------------------------------------------------
 # gauge canonicalization
@@ -221,70 +235,47 @@ def _canonicalize(xv: np.ndarray, s: Scaling) -> np.ndarray:
 # active-set Newton polish
 # ---------------------------------------------------------------------------
 
-def _polish(xv, s: Scaling, act_init):
-    """Refine (x, lambda) on the active-set KKT system.
+def _polish(xv, s: Scaling, act):
+    """Refine (x, lambda) on the KKT system of the active rows `act`.
 
-    Newton runs on the active rows; NNLS recovers a negative multiplier,
-    or else its row is dropped. No row is ever added: `_residuals`, not
-    the polish, rejects an infeasible result.
-
-    Returns (xv, lam_full, ok), ok False when Newton fails; then xv and
-    lam_full are its last iterate. lam_full covers all rows in original
-    units; the balance equality multiplier mu is split over the two
-    opposite rows by sign.
-    """
+    Newton runs at most once on those rows; NNLS on the same rows
+    recovers a negative multiplier it leaves, or else it is clipped. No
+    row is added or removed: `_residuals`, not the polish, judges the
+    result. Returns (xv, lam_full, ok), ok False when Newton fails, with
+    its last iterate; lam_full is over all rows in original units."""
     lay = s.layout
-    act = sorted(set(map(int, act_init)) - {lay.balance, lay.balance_neg})
-    lam_act = np.zeros(len(act))
-    mu = 0.0
-
-    def _assemble(lam_vec, mu_scaled):
-        lam_full = np.zeros(lay.h_dim)
-        for idx, row in enumerate(act):
-            lam_full[row] = max(lam_vec[idx], 0.0) * s.j / s.h[row]
-        mu_orig = mu_scaled * s.j / s.h[lay.balance]
-        lam_full[lay.balance] = max(mu_orig, 0.0)
-        lam_full[lay.balance_neg] = max(-mu_orig, 0.0)
-        return lam_full
+    # _canonicalize leaves T_sa_min or q_h_nonneg active, so rows holds at
+    # least one row besides the balance equality, whose mu comes last
+    rows = sorted(set(map(int, act)) - {lay.balance, lay.balance_neg}) \
+        + [lay.balance]
 
     # a point that is already feasible, sits exactly on its active rows,
     # and admits nonnegative stationarity multipliers needs no Newton
     # refinement — restarting Newton there can diverge when the active
     # rows are linearly dependent (degenerate corners)
     h0 = s.values(xv)[1].h
-    if h0.max() <= _FEAS_KEEP and (
-            not act or np.abs(h0[act]).max() <= 1e-12):
-        lam_nn, mu_nn = _nnls_multipliers(xv, s, act)
-        if lam_nn is not None:
-            return xv, _assemble(lam_nn, mu_nn), True
+    if h0.max() <= _FEAS_KEEP and np.abs(h0[rows[:-1]]).max() <= 1e-12:
+        lam = _nnls_multipliers(xv, s, rows)
+        if lam is not None:
+            return xv, s.multipliers(rows, lam), True
 
-    # each pass that does not return drops a row, so the loop ends
-    while True:
-        xv, lam_act, mu, ok = _newton_on_active(xv, s, act, lam_act, mu)
-        if ok and lam_act.size and lam_act.min() < -1e-9:
-            # at degenerate corners the active rows are dependent and the
-            # Newton multipliers are sign-indefinite; try a nonnegative
-            # recovery on the same rows before dropping any of them
-            lam_nn, mu_nn = _nnls_multipliers(xv, s, act)
-            if lam_nn is not None:
-                lam_act, mu = lam_nn, mu_nn
-            else:
-                worst = int(np.argmin(lam_act))
-                del act[worst]
-                lam_act = np.delete(lam_act, worst)
-                continue
-        return xv, _assemble(lam_act, mu), ok
+    xv, lam, ok = _newton_on_active(xv, s, rows, np.zeros(len(rows)))
+    if ok and lam[:-1].min() < -1e-9:
+        # at degenerate corners the active rows are dependent and the
+        # Newton multipliers are sign-indefinite; try a nonnegative
+        # recovery on the same rows
+        lam_nn = _nnls_multipliers(xv, s, rows)
+        if lam_nn is not None:
+            lam = lam_nn
+    return xv, s.multipliers(rows, lam), ok
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _newton_on_active(xv, s: Scaling, act, lam_act, mu):
-    """Newton iteration on the equality-constrained KKT system for a fixed
-    active set (plus the always-active balance equality)."""
-    lay = s.layout
-    rows = list(act) + [lay.balance]
-    na = len(act)
-    lam = np.concatenate([lam_act, [mu]])
-    mdim = lay.x_dim
+def _newton_on_active(xv, s: Scaling, rows, lam):
+    """Newton iteration on the equality-constrained KKT system of the
+    fixed `rows`, the balance equality last; lam is scaled, over rows.
+    Returns (xv, lam, ok)."""
+    mdim = s.layout.x_dim
     sx, sh, sj = s.x, s.h, s.j
 
     for _it in range(_NEWTON_MAX_ITER):
@@ -294,17 +285,14 @@ def _newton_on_active(xv, s: Scaling, act, lam_act, mu):
         resid_h = scaled.h[rows]
         err = max(np.abs(resid_stat).max(), np.abs(resid_h).max())
         if err < 1e-13:
-            return xv, lam[:na], lam[na], True
+            return xv, lam, True
 
         # the Lagrangian Hessian feeds only the step
         d = s.derivatives(xv)
-        lam_orig = np.zeros(lay.h_dim)
-        for idx, row in enumerate(rows):
-            lam_orig[row] = lam[idx] * sj / sh[row]
         W = d.hess_xx_j.copy()
-        for row in rows:
-            if lam_orig[row] != 0.0:
-                W += lam_orig[row] * d.hess_xx_h[row]
+        for row, weight in zip(rows, lam * sj / sh[rows]):
+            if weight != 0.0:
+                W += weight * d.hess_xx_h[row]
         Wt = (sx[:, None] * W * sx[None, :]) / sj
         nv = mdim + len(rows)
         K = np.zeros((nv, nv))
@@ -313,7 +301,7 @@ def _newton_on_active(xv, s: Scaling, act, lam_act, mu):
         K[mdim:, :mdim] = A
         rhs = np.concatenate([-gj, -resid_h])
         if not (np.isfinite(K).all() and np.isfinite(rhs).all()):
-            return xv, lam[:na], lam[na], False  # dependent rows diverged
+            return xv, lam, False  # dependent rows diverged
         step = None
         for eps in (0.0, 1e-10, 1e-8, 1e-6):
             Kr = K.copy()
@@ -328,32 +316,31 @@ def _newton_on_active(xv, s: Scaling, act, lam_act, mu):
         if step is None:
             sol, *_ = np.linalg.lstsq(K, rhs, rcond=None)
             if not np.isfinite(sol).all():
-                return xv, lam[:na], lam[na], False
+                return xv, lam, False
             step = sol
-        dz = step[:mdim]
-        lam_new = step[mdim:]
+        dz, lam_new = step[:mdim], step[mdim:]
         # damp very long steps; the quadratic phase takes full steps
         norm = np.abs(dz).max()
         alpha = 1.0 if norm < 0.5 else 0.5 / norm
         xv = xv + alpha * dz * sx
         lam = lam + alpha * (lam_new - lam)
-    return xv, lam[:na], lam[na], err < 1e-9
+    return xv, lam, err < 1e-9
 
 
-def _nnls_multipliers(xv, s: Scaling, act):
-    """Nonnegative multipliers for a fixed active set at a fixed point.
+def _nnls_multipliers(xv, s: Scaling, rows):
+    """Nonnegative multipliers for the fixed `rows` at a fixed point.
 
     Solves min ||grad J + sum lam_i grad h_i|| (scaled) subject to
-    lam >= 0, with the balance-equality multiplier free in sign. Returns
-    (lam_act, mu) in scaled units, or (None, 0.0) when no nonnegative
+    lam >= 0, with the balance-equality multiplier, last in rows, free in
+    sign. Returns lam, scaled, over rows, or None when no nonnegative
     combination reaches stationarity."""
     scaled = s.evaluate(xv)[1]
-    a_eq = scaled.jac[s.layout.balance]
-    M = np.column_stack([scaled.jac[list(act)].T, a_eq, -a_eq])
+    a_eq = scaled.jac[rows[-1]]
+    M = np.column_stack([scaled.jac[rows[:-1]].T, a_eq, -a_eq])
     z, resid = scipy_nnls(M, -scaled.grad)
     if resid > _NNLS_TOL * max(1.0, np.abs(scaled.grad).max()):
-        return None, 0.0
-    return z[:len(act)], float(z[-2] - z[-1])
+        return None
+    return np.append(z[:-2], z[-2] - z[-1])
 
 
 def _snap_active_bounds(xv, s: Scaling, active):

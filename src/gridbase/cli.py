@@ -68,7 +68,10 @@ def _check_out(path: str) -> None:
 
 
 def _mask_list(text: str) -> list:
+    # an empty mask (an unset shell variable) would give all-zero bounds
     labels = [s.strip() for s in text.split(",") if s.strip()]
+    if not labels:
+        raise ValueError(f"--mask names no label: {text!r}")
     return labels
 
 

@@ -103,6 +103,13 @@ class HvacParameters:
         object.__setattr__(self, "c_f", tuple(float(c) for c in self.c_f))
         object.__setattr__(self, "c_b", tuple(float(c) for c in self.c_b))
         object.__setattr__(self, "c_g", tuple(float(c) for c in self.c_g))
+        # the Q_b rows hold the part-load ratio r in [0, 1]: the efficiency
+        # must be positive at both ends and at a vertex between them
+        c1, c2, c3 = self.c_b
+        vertex = min(max(-c2 / (2.0 * c3), 0.0), 1.0) if c3 else 0.0
+        if min(c1 + r * (c2 + r * c3) for r in (0.0, 1.0, vertex)) <= 0.0:
+            raise ValueError("c_b must give a positive boiler efficiency "
+                             "for part-load ratios in [0, 1]")
 
 
 _PARAM_FILE_KEYS = tuple(f.name for f in fields(HvacParameters))

@@ -311,10 +311,11 @@ def test_diverged_polish_is_a_failed_start():
 
 
 # SLSQP's end point of the first (center) start on hour 15 of two nominal
-# 5-zone days, scaled as SLSQP returns it (x / Scaling.x), recorded with
-# OpenBLAS on two threads. SLSQP's path depends on the BLAS thread count,
-# while `_finalize` from a fixed point gives the same bits under any, so a
-# test that needs what the polish does at one end point starts from these.
+# 5-zone days and on hour 12 of a third, scaled as SLSQP returns it
+# (x / Scaling.x), recorded with OpenBLAS on two threads. SLSQP's path
+# depends on the BLAS thread count, while `_finalize` from a fixed point
+# gives the same bits under any, so a test that needs what the polish does
+# at one end point starts from these.
 _HOT_S100045_H15_END = [
     "0x1.3333333334947p+0", "0x1.95331e278ca9cp-4", "0x1.749511c8ee6d5p-4",
     "0x1.6615dd1c9bbd0p-4", "0x1.622c3b3ac632ap-4", "0x1.1edfc69878ac6p-4",
@@ -323,6 +324,10 @@ _COLD_S29961308_H15_END = [
     "0x1.605242eb3754bp+1", "0x1.579fc90527e38p-4", "0x1.636eba78562aap-4",
     "0x1.636eba78563b0p-4", "0x1.636eba78562a7p-4", "0x1.636eba7856282p-4",
     "0x1.636eba785629ep-4", "0x1.c9e2d1ace5615p-2", "0x1.3de0000000000p-53"]
+_HOT_S3800156_H12_END = [
+    "0x1.3333333333333p+0", "0x1.b779dd2da702ap-3", "0x1.b17fd28dcf69bp-3",
+    "0x1.7bf10f02e63acp-3", "0x1.6f8f7953ae793p-3", "0x1.b17fd28dcf606p-3",
+    "0x1.b17fd28dcf667p-3", "0x0.0p+0", "0x1.0000000000000p+0"]
 
 
 def _hour_15(day, seed):
@@ -350,6 +355,36 @@ def test_nominal_cold_hour_reports_its_failure():
         _end_point(_COLD_S29961308_H15_END) * s.x, s, 0)
     assert not report.certified
     assert report.feasibility_violation < 1e-5
+
+
+def test_polish_runs_newton_at_most_once(monkeypatch):
+    """From the first start's stored end point of hour 12 of this nominal
+    5-zone hot day, Newton converges with a negative multiplier that NNLS
+    on the same rows cannot recover. The polish keeps its rows, so each
+    polish runs Newton once, and the certificate refuses the start."""
+    hour = sc.synth_profile("hot", 3800156).hours[3]
+    assert hour.hour_index == 12
+    w = hm.ExogenousVector(t_oa=hour.t_oa, zones=hour.zones,
+                           params=hm.HvacParameters())
+    newtons = []
+    real_polish, real_newton = (baseline_opt._polish,
+                                baseline_opt._newton_on_active)
+
+    def polish(*args):
+        newtons.append(0)
+        return real_polish(*args)
+
+    def newton(*args):
+        newtons[-1] += 1
+        return real_newton(*args)
+
+    monkeypatch.setattr(baseline_opt, "_polish", polish)
+    monkeypatch.setattr(baseline_opt, "_newton_on_active", newton)
+    s = baseline_opt.Scaling.of(w)
+    report = baseline_opt._finalize(
+        _end_point(_HOT_S3800156_H12_END) * s.x, s, 0)
+    assert newtons and max(newtons) <= 1
+    assert not report.certified
 
 
 @pytest.mark.parametrize("stationarity", [
@@ -703,12 +738,12 @@ def test_certificate_not_the_polish_guards_feasibility(monkeypatch):
     real_newton, real_residuals = (baseline_opt._newton_on_active,
                                    baseline_opt._residuals)
 
-    def newton(xv, s, act, lam_act, mu):
+    def newton(xv, s, rows, lam):
         if reports:
-            return real_newton(xv, s, act, lam_act, mu)
+            return real_newton(xv, s, rows, lam)
         lay, xv = s.layout, xv.copy()
         xv[lay.m_oa] = xv[lay.m_sa].sum() + 1e-4 * s.h[row]
-        return _balance_duties(xv, s), np.zeros(len(act)), 0.0, True
+        return _balance_duties(xv, s), np.zeros(len(rows)), True
 
     def residuals(xv, lam, s):
         reports.append((xv.copy(), real_residuals(xv, lam, s)))

@@ -162,7 +162,7 @@ def test_bad_mask_exits_before_solving(capsys, profile_path, monkeypatch,
     solves = []
     monkeypatch.setattr(cli, "solve_baseline",
                         lambda *args, **kw: solves.append(args))
-    for mask in ("T_oa,T_oa", "T_surface"):
+    for mask in ("T_oa,T_oa", "T_surface", "", ","):
         code, _, _ = _run(capsys, command, "--profile", profile_path,
                           "--hour", "12", "--mask", mask, "--alpha", "0.01")
         assert code == 2
@@ -174,9 +174,9 @@ def test_bad_mask_exits_before_solving(capsys, profile_path, monkeypatch,
     ({"alpha_el": float("inf")}, "alpha_el"),
     ({"zone_count": 5.7}, "zone_count"),
     ({"delta_P": None}, "delta_P"), ({"c_f": 5}, "c_f"),
-    ([1, 2], "JSON object"),
+    ([1, 2], "JSON object"), ({"c_b": [0.97, 0.0633, -2.0]}, "c_b"),
 ], ids=["nan", "infinity", "fractional-zone-count", "null", "number-curve",
-        "list"])
+        "list", "boiler-curve-negative-at-rated"])
 def test_bad_params_file_exits_before_solving(capsys, profile_path, tmp_path,
                                               monkeypatch, doc, named):
     solves = []
@@ -230,9 +230,11 @@ def test_zero_samples_exits_before_solving(capsys, profile_path, monkeypatch,
     ("--mask", "T_oa,T_oa"), ("--mask", "T_surface"), ("--alpha", "-1"),
     ("--alpha", "nan"), ("--samples", "0"), ("--threads", "0"),
     ("--threads", "-1"), ("--out", "no-such-dir/out.csv"), ("--out", "."),
+    ("--mask", ""), ("--mask", ","),
 ], ids=["repeated-label", "unknown-label", "negative-alpha", "nan-alpha",
         "zero-samples", "zero-threads", "negative-threads",
-        "missing-out-directory", "out-is-directory"])
+        "missing-out-directory", "out-is-directory", "empty-mask",
+        "comma-mask"])
 def test_run_day_bad_input_exits_before_solving(capsys, profile_path,
                                                 tmp_path, monkeypatch, flags):
     solves = []

@@ -53,10 +53,25 @@ def test_boiler_power_zero_load_is_zero(params):
 
 
 def test_boiler_rejects_nonpositive_efficiency(params):
-    from dataclasses import replace
-    bad = replace(params, c_b=(0.1, -0.5, 0.0))
+    """The curve is positive on part-load ratios in [0, 1], so the
+    parameters build, but not at twice the rated load."""
+    bad = dataclasses.replace(params, c_b=(0.1, 0.0, -0.05))
     with pytest.raises(InvalidCurveError):
-        hm.boiler_power(0.5 * bad.Q_b_rated, bad)
+        hm.boiler_power(2.0 * bad.Q_b_rated, bad)
+
+
+@pytest.mark.parametrize("c_b", [
+    (0.97, 0.0633, -2.0), (0.0, 0.5, 0.0), (0.6, -2.0, 1.6), (0.1, -0.5, 0.0),
+], ids=["negative-at-rated", "zero-at-no-load", "negative-at-vertex",
+        "negative-past-0.2"])
+def test_parameters_reject_boiler_curve_not_positive_on_unit_interval(
+        params, c_b):
+    """The Q_b rows hold the part-load ratio in [0, 1], where the flat
+    model divides by the boiler efficiency: a curve that is not positive
+    there would bill negative source energy, so it does not build. The
+    third curve is positive at both ends, with -0.025 at r = 0.625."""
+    with pytest.raises(ValueError, match="c_b"):
+        dataclasses.replace(params, c_b=c_b)
 
 
 def test_chiller_hard_off_at_zero_load(params):

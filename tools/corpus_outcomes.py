@@ -8,7 +8,7 @@ The corpus is the days of `perfbench/bench.py`'s `sweep_days` for
 hour is solved alone at solver seed 0; a certified hour then builds its
 operator for the mask T_oa at alpha 0.05. One line per hour:
 
-    <key> h<hour>  <outcome>  <repr(J0)>  <shift>  <blocks>
+    <key> h<hour>  <outcome>  <repr(J0)>  <shift>  <blocks>  <anchor>
 
 <key> is <workload>/<seed>/<sweep>/<day>. The outcome is `certified` or
 the class of the error that the solve or the operator build raised;
@@ -16,8 +16,10 @@ the class of the error that the solve or the operator build raised;
 `shift_matrix` bytes, and <blocks> the same of the certified anchor's
 `Scaling.derivatives(x0)`: all seven arrays of `ModelDerivatives`, in
 field order. <shift> covers the T_oa column only; <blocks> covers every
-w column and every second-order entry. J0, <shift> and <blocks> read
-`-` where the hour has none.
+w column and every second-order entry, and x0 only through them.
+<anchor> is the same of the anchor's `x0.to_vector()` and `lam` bytes,
+so it covers the point and its multipliers themselves. J0, <shift>,
+<blocks> and <anchor> read `-` where the hour has none.
 
 `--root` (default: the checkout holding this script) names the checkout
 whose `src` and `perfbench` are imported, so two checkouts compare with
@@ -74,10 +76,11 @@ def main(argv=None):
                                                zones=hour.zones,
                                                params=day.params)
                         outcome, j0 = "certified", "-"
-                        shift = blocks = "-"
+                        shift = blocks = anchor = "-"
                         try:
                             kkt = solve_baseline(w, cfg)
                             j0 = repr(kkt.j0)
+                            anchor = _digest(kkt.x0.to_vector(), kkt.lam)
                             d = kkt.scaling.derivatives(kkt.x0.to_vector())
                             blocks = _digest(*(getattr(d, f.name) for f in
                                                dataclasses.fields(d)))
@@ -88,7 +91,7 @@ def main(argv=None):
                             outcome = type(exc).__name__
                         print(f"{workload}/{seed}/{sweep}/{day.key} "
                               f"h{hour.hour_index}  {outcome}  {j0}  "
-                              f"{shift}  {blocks}", flush=True)
+                              f"{shift}  {blocks}  {anchor}", flush=True)
     return 0
 
 
