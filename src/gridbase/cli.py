@@ -178,15 +178,17 @@ def _cmd_validate(args) -> int:
     def check(name, ok, detail=""):
         checks.append((name, bool(ok), detail))
 
-    # equipment-curve identities at rated conditions
-    c = params.c_f
+    # equipment-curve identities at rated conditions: the constants
+    # describe the built-in curves, not those of a --params file
+    nominal = hm.HvacParameters()
+    c = nominal.c_f
     f_pl1 = c[0] + c[1] + c[2] + c[3]
     check("fan part-load curve at design flow",
           abs(f_pl1 - 0.9898) < 1e-12, f"f_pl(1) = {f_pl1!r}")
-    b = params.c_b
+    b = nominal.c_b
     check("boiler efficiency curve at rated load",
           abs(b[0] + b[1] + b[2] - 1.0) < 1e-12)
-    g = params.c_g
+    g = nominal.c_g
     check("chiller generation curve at rated load",
           abs(g[0] + g[1] + g[2] - 1.00003) < 1e-12)
 

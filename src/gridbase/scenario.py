@@ -45,6 +45,9 @@ class DayProfile:
         idx = [h.hour_index for h in self.hours]
         if any(b <= a for a, b in zip(idx, idx[1:])):
             raise ValueError("hour_index must be strictly increasing")
+        if idx[0] < 0:
+            # run_day seeds an hour's sampling with seed ^ hour_index
+            raise ValueError(f"hour_index must be >= 0, got {idx[0]}")
 
 
 @dataclass(frozen=True)
@@ -140,6 +143,9 @@ def load_profile(path, params: hm.HvacParameters | None = None) -> DayProfile:
         hour = int(vals[0])
         if hour != vals[0]:
             raise ProfileParseError("hour must be an integer", line=lineno)
+        if hour < 0:
+            raise ProfileParseError(f"hour must be >= 0, got {hour}",
+                                    line=lineno)
         if hours and hour <= hours[-1].hour_index:
             raise ProfileParseError("hour_index must be strictly increasing",
                                     line=lineno)
@@ -229,11 +235,12 @@ def run_day(profile: DayProfile, mask, alpha: float, *,
 
     `seed` seeds every hour's random solver starts; the per-hour
     sampling seeds are seed XOR hour_index. Hours run in turn unless
-    `max_workers` > 1 asks for threads, which do not help: the work holds
-    the interpreter lock. Results do not depend on worker count or
-    scheduling. Hours that fail record the error in their
-    warnings; if every hour fails, the last error is re-raised with a
-    day-level summary. A bad mask, alpha or sample count raises
+    `max_workers` > 1 asks for threads, which make a day no faster and
+    often slower, as the work holds the interpreter lock. They stay
+    because acceptance criterion 8 checks that results do not depend on
+    worker count or scheduling. Hours that fail record the error in
+    their warnings; if every hour fails, the last error is re-raised
+    with a day-level summary. A bad mask, alpha or sample count raises
     ValueError (KeyError for an unknown label) before any hour is solved.
     """
     if n_samples < 1:

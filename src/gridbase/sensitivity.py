@@ -53,28 +53,24 @@ _NOT_FINITE = "objective is not finite at the shifted point; reduce alpha"
 
 @dataclass(frozen=True)
 class UncertaintySpec:
-    """Box uncertainty |dw| <= delta on a masked subset of coordinates."""
+    """Box uncertainty |dw_j| <= masked_delta[j] on the masked coordinates."""
 
     mask: tuple
     alpha: float
-    delta: np.ndarray      # full length p; zero outside the mask
-    indices: tuple         # positions of the masked coordinates in w
+    masked_delta: np.ndarray   # one radius per entry of indices
+    indices: tuple             # positions of the masked coordinates in w
 
     def __post_init__(self):
         if not (np.isfinite(self.alpha) and self.alpha >= 0):
             raise ValueError("alpha must be finite and >= 0")
-        d = np.asarray(self.delta, dtype=float)
+        d = np.asarray(self.masked_delta, dtype=float)
         if not (np.isfinite(d).all() and (d >= 0).all()):
             raise ValueError("delta must be finite and nonnegative")
+        if d.shape != (len(self.indices),):
+            raise ValueError("masked_delta needs one radius per index of "
+                             f"{self.indices}, got shape {d.shape}")
         if len(set(self.indices)) < len(self.indices):
             raise ValueError(f"indices {self.indices} repeat a coordinate")
-        off = np.setdiff1d(np.arange(d.size), np.asarray(self.indices, int))
-        if off.size and np.any(d[off] != 0.0):
-            raise ValueError("masked-out coordinates must have delta = 0")
-
-    @property
-    def masked_delta(self) -> np.ndarray:
-        return self.delta[list(self.indices)]
 
 
 def uncertainty_spec(w0: hm.ExogenousVector, mask,
@@ -83,27 +79,22 @@ def uncertainty_spec(w0: hm.ExogenousVector, mask,
 
     `mask` is a sequence of ExogenousVector labels, each at most once.
     Another box on the same coordinates is `dataclasses.replace(spec,
-    delta=...)`, which `UncertaintySpec` checks again.
+    masked_delta=...)`, which `UncertaintySpec` checks again.
     """
     mask = tuple(mask)
     for k, lab in enumerate(mask):
         if lab in mask[:k]:
             raise ValueError(f"mask label {lab!r} appears more than once")
     idx = tuple(w0.index(lab) for lab in mask)
-    wv = w0.to_vector()
-    delta = np.zeros(wv.size)
-    for i in idx:
-        delta[i] = alpha * abs(wv[i])
+    delta = alpha * np.abs(w0.to_vector()[list(idx)])
     return UncertaintySpec(mask=mask, alpha=float(alpha),
-                           delta=delta, indices=idx)
+                           masked_delta=delta, indices=idx)
 
 
 @dataclass(frozen=True)
 class SensitivityOperator:
     anchor: KktPoint
     spec: UncertaintySpec
-    G: np.ndarray          # (m + n) x m
-    W_jac: np.ndarray      # (m + n) x p_masked
     shift_matrix: np.ndarray   # m x p_masked, dx = shift_matrix @ dw
 
 
@@ -159,7 +150,7 @@ def build_operator(anchor: KktPoint, w0: hm.ExogenousVector,
     Raises ValueError unless the anchor is `certified`; the shift keeps
     the anchor's `active_set` rows active. Raises RankDeficientError when
     those rows and the stationarity block of G leave a null direction
-    (see `_shift_rank_ok`): the shift map would not be unique and the
+    (see `_shift_map`): the shift map would not be unique and the
     analysis is out of scope.
     """
     s = anchor.scaling.check(w0)
@@ -188,26 +179,10 @@ def build_operator(anchor: KktPoint, w0: hm.ExogenousVector,
     act = np.array(anchor.active_set, dtype=int)
     A = (d.jac_x_h[act] / sh[act, None]) * sx[None, :]
     S = (sx[:, None] * G[:sx.size] * sx[None, :]) / sj
-    if not _shift_rank_ok(A, S):
-        raise RankDeficientError(
-            "the linearized KKT map is rank deficient at the anchor; the "
-            "primal shift is not unique and sensitivity analysis does not "
-            "apply")
-
     B = -(d.jac_w_h[np.ix_(act, list(spec.indices))]) / sh[act, None]
     Ds = -(sx[:, None] * W_jac[:sx.size]) / sj
-    shift_matrix = _shift_map(A, B, S, Ds, sx)
-    return SensitivityOperator(
-        anchor=anchor, spec=spec, G=G, W_jac=W_jac, shift_matrix=shift_matrix)
-
-
-def _shift_rank_ok(A, S) -> bool:
-    """The shift is unique iff the stacked active-constraint and
-    stationarity blocks have full column rank. The heat split's cost-flat
-    direction never reaches this test: canonicalization leaves every
-    certified anchor on a bound that pins it (`baseline_opt._canonicalize`)."""
-    sv = np.linalg.svd(np.vstack([A, S]), compute_uv=False)
-    return bool(sv[-1] > numkit.RANK_RTOL * sv[0])
+    return SensitivityOperator(anchor=anchor, spec=spec,
+                               shift_matrix=_shift_map(A, B, S, Ds, sx))
 
 
 def _shift_map(A, B, S, Ds, sx):
@@ -227,11 +202,16 @@ def _shift_map(A, B, S, Ds, sx):
     multipliers are not unique. The stationarity block then fixes any
     remaining tangent freedom in the least-squares sense. A and B (S and
     Ds) are the scaled active-row (stationarity) blocks of G and -grad_w H.
+
+    The shift is unique iff [A; S] has full column rank m, that is iff
+    rank(A) + rank(S Z) = m for the basis Z of null(A); the SVD of A and
+    the lstsq on S Z that solve the system give both ranks, and
+    RankDeficientError is raised where they fall short. The heat split's
+    cost-flat direction never gets here: canonicalization leaves every
+    certified anchor on a bound that pins it (`baseline_opt._canonicalize`).
     """
-    # a certified anchor has feasibility_violation <= feas_tol < act_tol,
-    # so both AHU-balance rows are active and A has at least two rows
     U, s, Vt = np.linalg.svd(A, full_matrices=True)
-    cutoff = numkit.RANK_RTOL * s[0]
+    cutoff = numkit.RANK_RTOL * s.max(initial=0.0)
     rank = int((s > cutoff).sum())
     inv_s = np.zeros(s.size)
     inv_s[:rank] = 1.0 / s[:rank]
@@ -240,8 +220,17 @@ def _shift_map(A, B, S, Ds, sx):
 
     if Z.shape[1]:
         SZ = S @ Z
-        Y, *_ = np.linalg.lstsq(SZ, Ds - S @ Zc, rcond=numkit.RANK_RTOL)
+        Y, _, rank_sz, s_sz = np.linalg.lstsq(SZ, Ds - S @ Zc,
+                                              rcond=numkit.RANK_RTOL)
+        # lstsq's cutoff is relative to S Z alone, so a one-column S Z
+        # would count at any size: A's cutoff holds too
+        rank += min(rank_sz, int((s_sz > cutoff).sum()))
         Zc = Zc + Z @ Y
+    if rank < sx.size:
+        raise RankDeficientError(
+            "the linearized KKT map is rank deficient at the anchor; the "
+            "primal shift is not unique and sensitivity analysis does not "
+            "apply")
     return sx[:, None] * Zc
 
 
@@ -335,7 +324,7 @@ def signed_shift_pair(op: SensitivityOperator, w0: hm.ExogenousVector,
     """K at the deterministic +/- alpha*|w0| scenario pair."""
     wv = _stage_scaling(op, w0, spec).wv
     idx = list(spec.indices)
-    dw = spec.delta[idx] * np.where(np.sign(wv[idx]) < 0, -1.0, 1.0)
+    dw = spec.masked_delta * np.where(np.sign(wv[idx]) < 0, -1.0, 1.0)
     k_plus, k_minus = _k_rows(op, np.array([dw, -dw]))
     return {"K_plus": float(k_plus), "K_minus": float(k_minus)}
 

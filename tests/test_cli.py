@@ -106,6 +106,18 @@ def test_validate_passes(capsys):
     assert lines and all(l.startswith("PASS") for l in lines)
 
 
+def test_validate_passes_with_another_valid_fan_curve(capsys, tmp_path):
+    """The curve identities test the built-in curves their constants
+    describe; a --params file with another valid fan curve still passes
+    the suite, which solves and bounds its hour with that curve."""
+    pfile = tmp_path / "params.json"
+    pfile.write_text(json.dumps({"c_f": [0.36, 0.31, -0.54, 0.87]}))
+    code, out, _ = _run(capsys, "validate", "--params", str(pfile))
+    assert code == 0
+    lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
+    assert len(lines) == 7 and all(l.startswith("PASS") for l in lines)
+
+
 def test_params_env_var(capsys, profile_path, tmp_path, monkeypatch):
     pfile = tmp_path / "params.json"
     pfile.write_text(json.dumps({"alpha_el": 6.334}))
@@ -230,11 +242,11 @@ def test_zero_samples_exits_before_solving(capsys, profile_path, monkeypatch,
     ("--mask", "T_oa,T_oa"), ("--mask", "T_surface"), ("--alpha", "-1"),
     ("--alpha", "nan"), ("--samples", "0"), ("--threads", "0"),
     ("--threads", "-1"), ("--out", "no-such-dir/out.csv"), ("--out", "."),
-    ("--mask", ""), ("--mask", ","),
+    ("--mask", ""), ("--mask", ","), ("--profile", "negative-hour.csv"),
 ], ids=["repeated-label", "unknown-label", "negative-alpha", "nan-alpha",
         "zero-samples", "zero-threads", "negative-threads",
         "missing-out-directory", "out-is-directory", "empty-mask",
-        "comma-mask"])
+        "comma-mask", "negative-hour"])
 def test_run_day_bad_input_exits_before_solving(capsys, profile_path,
                                                 tmp_path, monkeypatch, flags):
     solves = []
@@ -242,10 +254,15 @@ def test_run_day_bad_input_exits_before_solving(capsys, profile_path,
     monkeypatch.setattr(sc, "solve_baseline",
                         lambda *args: solves.append(args) or solve(*args))
     monkeypatch.chdir(tmp_path)
-    argv = {"--mask": "T_oa", "--alpha": "0.01", "--samples": "64",
-            "--out": "out.csv"}
+    # the profile with its first hour at -1 instead of 9
+    lines = Path(profile_path).read_text(encoding="utf-8").splitlines(True)
+    lines[2] = "-1" + lines[2][1:]
+    (tmp_path / "negative-hour.csv").write_text("".join(lines),
+                                                encoding="utf-8")
+    argv = {"--profile": profile_path, "--mask": "T_oa", "--alpha": "0.01",
+            "--samples": "64", "--out": "out.csv"}
     argv.update([flags])
-    code, _, err = _run(capsys, "run-day", "--profile", profile_path,
+    code, _, err = _run(capsys, "run-day",
                         *(a for kv in argv.items() for a in kv))
     assert code == 2
     assert "error:" in err

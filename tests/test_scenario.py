@@ -103,6 +103,8 @@ def test_load_profile_parses_minimal_file(tmp_path):
         lambda ls: ls[:3] + [ls[3].replace("10,", "11,", 1), ls[3]], 5,
         id="<lambda>-5"),
     pytest.param(lambda ls: ls[:2], 3, id="<lambda>-3_4"),   # no data rows
+    pytest.param(lambda ls: ls[:2] + [ls[2].replace("9,", "-1,", 1)] + ls[3:],
+                 3, id="negative-hour"),
 ])
 def test_load_profile_errors_carry_line_numbers(tmp_path, mutate,
                                                 expect_line):
@@ -147,6 +149,15 @@ def test_day_profile_requires_increasing_hours(params):
         sc.DayProfile(label="x", hours=(h, h))
     with pytest.raises(ValueError):
         sc.DayProfile(label="x", hours=())
+
+
+def test_day_profile_refuses_negative_hour():
+    """run_day seeds an hour's sampling with seed ^ hour_index, which numpy
+    refuses below 0; the profile refuses such an hour before any solve."""
+    z = hm.ZoneInputs(np.zeros(5), np.full(5, 22.0), np.full(5, 0.05))
+    with pytest.raises(ValueError, match="hour_index must be >= 0"):
+        sc.DayProfile(label="x", hours=(sc.ProfileHour(-1, 20.0, z),
+                                        sc.ProfileHour(9, 20.0, z)))
 
 
 # ---------------------------------------------------------------------------

@@ -37,11 +37,11 @@ def _buffers(op, dX, order):
 
 
 def _with_radius(spec, w0, label, radius):
-    """spec with an explicit box radius on one coordinate, which
-    `UncertaintySpec` checks again."""
-    delta = spec.delta.copy()
-    delta[w0.index(label)] = radius
-    return dataclasses.replace(spec, delta=delta)
+    """spec with an explicit box radius on the masked coordinate `label`
+    of w0, which `UncertaintySpec` checks again."""
+    delta = spec.masked_delta.copy()
+    delta[spec.indices.index(w0.index(label))] = radius
+    return dataclasses.replace(spec, masked_delta=delta)
 
 
 # ---------------------------------------------------------------------------
@@ -52,15 +52,17 @@ def test_spec_delta_is_alpha_scaled(moderate_hour):
     spec = sn.uncertainty_spec(moderate_hour, ("T_oa", "Q_zone_1"), 0.02)
     assert spec.masked_delta[0] == pytest.approx(0.02 * 18.0)
     assert spec.masked_delta[1] == pytest.approx(0.02 * 2500.0)
-    assert np.count_nonzero(spec.delta) == 2
+    assert spec.masked_delta.shape == (2,)
 
 
 def test_spec_rejects_bad_inputs(moderate_hour):
     with pytest.raises(ValueError):
         sn.uncertainty_spec(moderate_hour, ("T_oa",), -0.1)
     spec = sn.uncertainty_spec(moderate_hour, ("T_oa",), 0.1)
-    with pytest.raises(ValueError):
-        _with_radius(spec, moderate_hour, "Q_zone_1", 5.0)
+    # a radius for a coordinate outside the mask
+    with pytest.raises(ValueError, match="one radius per index"):
+        dataclasses.replace(spec,
+                            masked_delta=np.r_[spec.masked_delta, 5.0])
     with pytest.raises(KeyError):
         sn.uncertainty_spec(moderate_hour, ("no_such_label",), 0.1)
 
@@ -73,7 +75,7 @@ def test_spec_rejects_repeated_labels(moderate_hour):
                             0.01)
     with pytest.raises(ValueError, match="repeat a coordinate"):
         sn.UncertaintySpec(mask=("T_oa", "T_oa"), alpha=0.01,
-                           delta=np.r_[0.18, np.zeros(33)], indices=(0, 0))
+                           masked_delta=np.r_[0.18, 0.18], indices=(0, 0))
 
 
 @pytest.mark.parametrize("alpha, radius", [
@@ -136,11 +138,19 @@ def test_rows_have_the_bits_of_points(n):
         assert np.array_equal(H[i], sn.kkt_map(X[i], W[i], lam, *args))
 
 
+def _jacobians(anchor, spec):
+    """G and the masked columns of grad_w H at the anchor, as
+    `build_operator` assembles them."""
+    d = anchor.scaling.derivatives(anchor.x0.to_vector())
+    return sn._assemble_jacobians(d, anchor.lam, spec.indices)
+
+
 def test_inactive_rows_of_g_are_zero(moderate_hour, solve_cached):
     kkt = solve_cached(moderate_hour)
-    op, _ = _operator(solve_cached, moderate_hour)
+    spec = sn.uncertainty_spec(moderate_hour, ("T_oa",), 0.01)
+    G, _ = _jacobians(kkt, spec)
     # complementarity block, one row per constraint
-    comp = op.G[hm.layout(moderate_hour.zones.count).x_dim:]
+    comp = G[hm.layout(moderate_hour.zones.count).x_dim:]
     for i, lam_i in enumerate(kkt.lam):
         if lam_i == 0.0:
             assert np.all(comp[i] == 0.0)
@@ -148,10 +158,10 @@ def test_inactive_rows_of_g_are_zero(moderate_hour, solve_cached):
 
 def test_w_jacobian_has_one_column_per_masked_coordinate(
         moderate_hour, solve_cached):
-    op, _ = _operator(solve_cached, moderate_hour, mask=("T_oa",))
-    assert op.W_jac.shape == (9 + 34, 1)
-    op4, _ = _operator(solve_cached, moderate_hour, mask=FAN_MASK)
-    assert op4.W_jac.shape == (9 + 34, 4)
+    kkt = solve_cached(moderate_hour)
+    for mask in (("T_oa",), FAN_MASK):
+        spec = sn.uncertainty_spec(moderate_hour, mask, 0.01)
+        assert _jacobians(kkt, spec)[1].shape == (9 + 34, len(mask))
 
 
 def test_fd_verification_tight(moderate_hour, hot_hour, cold_hour,
@@ -225,7 +235,8 @@ def test_fd_verification_catches_a_wrong_entry(moderate_hour, solve_cached,
     lifts the self-check above its 1e-6 gate, so build_operator raises."""
     anchor = solve_cached(moderate_hour)
     spec = sn.uncertainty_spec(moderate_hour, ("T_oa",) + FAN_MASK, 0.01)
-    op = sn.build_operator(anchor, moderate_hour, spec)
+    sn.build_operator(anchor, moderate_hour, spec)
+    G0, W0 = _jacobians(anchor, spec)
     sw = np.maximum(1.0, np.abs(moderate_hour.to_vector()[list(spec.indices)]))
 
     def scaled(M, col_scale):
@@ -234,8 +245,7 @@ def test_fd_verification_catches_a_wrong_entry(moderate_hour, solve_cached,
         return M
 
     sx = baseline_opt.Scaling.of(moderate_hour).x
-    for G, W_jac in ((scaled(op.G, sx), op.W_jac),
-                     (op.G, scaled(op.W_jac, sw))):
+    for G, W_jac in ((scaled(G0, sx), W0), (G0, scaled(W0, sw))):
         err = sn.verify_operator_fd(anchor, moderate_hour, spec, n_probes=4,
                                     seed=0, G=G, W_jac=W_jac)
         assert err > 1e-6
@@ -244,7 +254,7 @@ def test_fd_verification_catches_a_wrong_entry(moderate_hour, solve_cached,
         with pytest.raises(ValueError, match="finite differences"):
             sn.build_operator(anchor, moderate_hour, spec)
     assert sn.verify_operator_fd(anchor, moderate_hour, spec, n_probes=4,
-                                 seed=0, G=op.G, W_jac=op.W_jac) <= 1e-6
+                                 seed=0, G=G0, W_jac=W0) <= 1e-6
 
 
 @pytest.mark.parametrize("field, value", [
@@ -387,19 +397,71 @@ def test_shift_is_unique_only_at_full_column_rank(null, unique,
                                                   solve_cached):
     """With no active rows, the shift is unique iff the stationarity block
     is nonsingular: a null direction, the cost-flat gauge included, makes
-    it not unique."""
+    it not unique, and `_shift_map` raises instead of returning a shift."""
     s = baseline_opt.Scaling.of(moderate_hour)
     xv = solve_cached(moderate_hour).x0.to_vector()
-    A = np.zeros((0, s.layout.x_dim))
-    assert sn._shift_rank_ok(A, _null_space_block(s, xv, null)) == unique
+    m = s.layout.x_dim
+    S = _null_space_block(s, xv, null)
+    Ds = np.arange(1.0, m + 1.0)[:, None]
+    args = (np.zeros((0, m)), np.zeros((0, 1)), S, Ds, np.ones(m))
+    if unique:
+        assert np.allclose(sn._shift_map(*args), Ds, rtol=1e-12, atol=0.0)
+    else:
+        with pytest.raises(RankDeficientError):
+            sn._shift_map(*args)
+
+
+def _scaled_blocks(anchor, spec):
+    """`build_operator`'s scaled blocks A, B, S, Ds at the anchor and the
+    x scale sx: the arguments of `_shift_map`."""
+    s = anchor.scaling
+    d = s.derivatives(anchor.x0.to_vector())
+    G, W_jac = sn._assemble_jacobians(d, anchor.lam, spec.indices)
+    sx, sh, sj = s.x, s.h, s.j
+    act = np.array(anchor.active_set, dtype=int)
+    A = (d.jac_x_h[act] / sh[act, None]) * sx[None, :]
+    S = (sx[:, None] * G[:sx.size] * sx[None, :]) / sj
+    B = -(d.jac_w_h[np.ix_(act, list(spec.indices))]) / sh[act, None]
+    Ds = -(sx[:, None] * W_jac[:sx.size]) / sj
+    return A, B, S, Ds, sx
+
+
+def test_shift_map_refuses_a_stationarity_block_blind_inside_null_a(
+        params, solve_cached):
+    """A real anchor's active rows, the AHU-balance pair included, leave
+    a tangent space null(A) (one direction at hour 10 of the seed-42
+    moderate day); a stationarity block projected to lose it leaves
+    [A; S] a null direction, so the shift is not unique and `_shift_map`
+    raises. The unprojected block gives the operator's shift, bit for
+    bit."""
+    hour = sc.synth_profile("moderate", 42).hours[1]
+    w = hm.ExogenousVector(t_oa=hour.t_oa, zones=hour.zones, params=params)
+    anchor = solve_cached(w)
+    spec = sn.uncertainty_spec(w, ("T_oa",), 0.01)
+    A, B, S, Ds, sx = _scaled_blocks(anchor, spec)
+    lay = anchor.scaling.layout
+    assert {lay.balance, lay.balance_neg} <= set(anchor.active_set)
+    op = sn.build_operator(anchor, w, spec)
+    assert np.array_equal(sn._shift_map(A, B, S, Ds, sx), op.shift_matrix)
+
+    _, sv, Vt = np.linalg.svd(A)
+    rank = int((sv > numkit.RANK_RTOL * sv[0]).sum())
+    assert rank == lay.x_dim - 1
+    z = Vt[rank]                                  # unit vector of null(A)
+    S_blind = S @ (np.eye(lay.x_dim) - np.outer(z, z))
+    with pytest.raises(RankDeficientError):
+        sn._shift_map(A, B, S_blind, Ds, sx)
 
 
 def test_rank_deficient_shift_raises(moderate_hour, solve_cached,
                                      monkeypatch):
-    monkeypatch.setattr(sn, "_shift_rank_ok", lambda *args: False)
+    """With a rank cutoff at the largest singular value, `_shift_map`
+    counts no rank in A or in S Z, and `build_operator` raises."""
+    anchor = solve_cached(moderate_hour)
     spec = sn.uncertainty_spec(moderate_hour, ("T_oa",), 0.01)
+    monkeypatch.setattr(numkit, "RANK_RTOL", 1.0)
     with pytest.raises(RankDeficientError):
-        sn.build_operator(solve_cached(moderate_hour), moderate_hour, spec)
+        sn.build_operator(anchor, moderate_hour, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +716,7 @@ def _toy_spec(w0, delta):
 def test_holder_bound_hand_computed():
     qm = sn.QuadraticModel(g=np.array([2.0]), H_K=np.array([[4.0]]))
     spec = sn.UncertaintySpec(mask=("T_oa",), alpha=0.1,
-                              delta=np.array([0.5]), indices=(0,))
+                              masked_delta=np.array([0.5]), indices=(0,))
     # p = 1, ||g||_1 = 2, sigma = 4, ||Delta||_inf = 0.5
     assert sn.holder_bound(qm, spec, "holder_half").beta == pytest.approx(
         2 * 0.5 + 0.5 * 1 * 4 * 0.25)
@@ -682,7 +744,7 @@ def test_holder_bound_zero_radius(moderate_hour, solve_cached):
 def test_holder_rejects_unknown_method():
     qm = sn.QuadraticModel(g=np.zeros(1), H_K=np.zeros((1, 1)))
     spec = sn.UncertaintySpec(mask=("T_oa",), alpha=0.1,
-                              delta=np.array([0.5]), indices=(0,))
+                              masked_delta=np.array([0.5]), indices=(0,))
     with pytest.raises(ValueError):
         sn.holder_bound(qm, spec, "supremum")
 
