@@ -192,9 +192,12 @@ def _cmd_validate(args) -> int:
     check("chiller generation curve at rated load",
           abs(g[0] + g[1] + g[2] - 1.00003) < 1e-12)
 
-    q = np.array([-5200.0, -4100.0, -6300.0, -3800.0, -4700.0])
-    tsp = np.array([23.0, 23.5, 22.5, 24.0, 23.0])
-    v = np.array([0.10, 0.08, 0.12, 0.07, 0.09])
+    # the five zones cycled to zone_count, with the loads and ventilation
+    # minima scaled so the hour's totals stay those of five zones
+    n = params.zone_count
+    q = np.resize([-5200.0, -4100.0, -6300.0, -3800.0, -4700.0], n) * (5 / n)
+    tsp = np.resize([23.0, 23.5, 22.5, 24.0, 23.0], n)
+    v = np.resize([0.10, 0.08, 0.12, 0.07, 0.09], n) * (5 / n)
     w = hm.make_exogenous(34.0, q, tsp, v, params)
     kkt = solve_baseline(w)
     check("baseline KKT residuals within tolerance",

@@ -71,6 +71,7 @@ class UncertaintySpec:
                              f"{self.indices}, got shape {d.shape}")
         if len(set(self.indices)) < len(self.indices):
             raise ValueError(f"indices {self.indices} repeat a coordinate")
+        object.__setattr__(self, "masked_delta", d)
 
 
 def uncertainty_spec(w0: hm.ExogenousVector, mask,

@@ -106,12 +106,17 @@ def test_validate_passes(capsys):
     assert lines and all(l.startswith("PASS") for l in lines)
 
 
-def test_validate_passes_with_another_valid_fan_curve(capsys, tmp_path):
+@pytest.mark.parametrize("override", [
+    {"c_f": [0.36, 0.31, -0.54, 0.87]}, {"zone_count": 3}],
+    ids=["fan_curve", "zone_count"])
+def test_validate_passes_with_another_valid_fan_curve(capsys, tmp_path,
+                                                      override):
     """The curve identities test the built-in curves their constants
     describe; a --params file with another valid fan curve still passes
-    the suite, which solves and bounds its hour with that curve."""
+    the suite, which solves and bounds its hour with that curve. The
+    hour's five zones are cycled to the file's zone_count."""
     pfile = tmp_path / "params.json"
-    pfile.write_text(json.dumps({"c_f": [0.36, 0.31, -0.54, 0.87]}))
+    pfile.write_text(json.dumps(override))
     code, out, _ = _run(capsys, "validate", "--params", str(pfile))
     assert code == 0
     lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]

@@ -713,10 +713,14 @@ def _toy_spec(w0, delta):
                         delta)
 
 
-def test_holder_bound_hand_computed():
+@pytest.mark.parametrize("delta", [np.array([0.5]), [0.5]],
+                         ids=["array", "list"])
+def test_holder_bound_hand_computed(delta):
+    """A spec stores the float array it checked, so a list radius bounds
+    as the same radius given as an array."""
     qm = sn.QuadraticModel(g=np.array([2.0]), H_K=np.array([[4.0]]))
     spec = sn.UncertaintySpec(mask=("T_oa",), alpha=0.1,
-                              masked_delta=np.array([0.5]), indices=(0,))
+                              masked_delta=delta, indices=(0,))
     # p = 1, ||g||_1 = 2, sigma = 4, ||Delta||_inf = 0.5
     assert sn.holder_bound(qm, spec, "holder_half").beta == pytest.approx(
         2 * 0.5 + 0.5 * 1 * 4 * 0.25)
