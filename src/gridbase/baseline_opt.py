@@ -560,42 +560,3 @@ def _finalize(xv, s: Scaling, seed):
     xv = _snap_active_bounds(xv, s, active)
     return KktPoint(**vars(_residuals(xv, lam, s)), scaling=s, lam=lam,
                     x0=hm.DecisionVector.from_vector(xv), seed=seed)
-
-
-# ---------------------------------------------------------------------------
-# report
-# ---------------------------------------------------------------------------
-
-def kkt_report(kkt: KktPoint, w: hm.ExogenousVector) -> dict:
-    """JSON-ready report of a solved hour."""
-    from . import __version__
-    labels = hm.layout(w.zones.count).labels
-    return {
-        "version": __version__,
-        "J0_W": kkt.j0,
-        "x0": {
-            "T_sa_C": kkt.x0.t_sa,
-            "m_oa_kg_s": kkt.x0.m_oa,
-            "m_sa_kg_s": list(kkt.x0.m_sa),
-            "q_h_W": kkt.x0.q_h,
-            "q_c_W": kkt.x0.q_c,
-        },
-        "lambda": list(kkt.lam),
-        "residuals": {
-            "stationarity": kkt.stationarity_residual,
-            "complementarity": kkt.complementarity_residual,
-            "feasibility": kkt.feasibility_violation,
-        },
-        "active_set": [labels[i] for i in kkt.active_set],
-        "strict_complementarity_ok": kkt.strict_complementarity_ok,
-        "seed": kkt.seed,
-        "prng": kkt.prng,
-        "config": {
-            "kkt_tol": SolverConfig.kkt_tol,
-            "feas_tol": SolverConfig.feas_tol,
-            "act_tol": SolverConfig.act_tol,
-            "multistart_count": SolverConfig.multistart_count,
-            "max_iterations": SolverConfig.max_iterations,
-        },
-        "parameters": hm.dump_parameters(w.params),
-    }

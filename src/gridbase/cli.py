@@ -13,9 +13,10 @@ import numpy as np
 
 from . import __version__
 from . import hvac_model as hm
+from . import numkit
 from . import scenario as sc
 from . import sensitivity as sn
-from .baseline_opt import SolverConfig, kkt_report, solve_baseline, verify_kkt
+from .baseline_opt import KktPoint, SolverConfig, solve_baseline, verify_kkt
 from .errors import GridbaseError, ProfileParseError
 
 EXIT_OK = 0
@@ -23,8 +24,12 @@ EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 
 
-def _emit(doc: dict) -> None:
-    """Print `doc` as JSON; numpy scalars and arrays as plain numbers."""
+def _emit(doc: dict, params: hm.HvacParameters | None = None) -> None:
+    """Print `doc` as JSON with the package version and, when given, the
+    run's parameters; numpy scalars and arrays as plain numbers."""
+    doc = {**doc, "version": __version__}
+    if params is not None:
+        doc["parameters"] = hm.dump_parameters(params)
     json.dump(doc, sys.stdout, indent=2, sort_keys=True,
               default=lambda obj: obj.tolist())
     sys.stdout.write("\n")
@@ -79,11 +84,87 @@ def _mask_list(text: str) -> list:
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _solve_doc(kkt: KktPoint, w: hm.ExogenousVector) -> dict:
+    """A solved hour: its optimum, multipliers, certificate and settings."""
+    labels = hm.layout(w.zones.count).labels
+    return {
+        "J0_W": kkt.j0,
+        "x0": {
+            "T_sa_C": kkt.x0.t_sa,
+            "m_oa_kg_s": kkt.x0.m_oa,
+            "m_sa_kg_s": list(kkt.x0.m_sa),
+            "q_h_W": kkt.x0.q_h,
+            "q_c_W": kkt.x0.q_c,
+        },
+        "lambda": list(kkt.lam),
+        "residuals": {
+            "stationarity": kkt.stationarity_residual,
+            "complementarity": kkt.complementarity_residual,
+            "feasibility": kkt.feasibility_violation,
+        },
+        "active_set": [labels[i] for i in kkt.active_set],
+        "strict_complementarity_ok": kkt.strict_complementarity_ok,
+        "seed": kkt.seed,
+        "prng": kkt.prng,
+        "config": {
+            "kkt_tol": SolverConfig.kkt_tol,
+            "feas_tol": SolverConfig.feas_tol,
+            "act_tol": SolverConfig.act_tol,
+            "multistart_count": SolverConfig.multistart_count,
+            "max_iterations": SolverConfig.max_iterations,
+        },
+    }
+
+
+def _sensitivity_doc(op: sn.SensitivityOperator, w: hm.ExogenousVector,
+                     spec: sn.UncertaintySpec, n_samples: int,
+                     seed: int) -> dict:
+    """Every bound, the quadratic model and the signed pair at one anchor."""
+    qm = sn.quadratic_model(op, w, spec)
+    b_half = sn.holder_bound(qm, spec, "holder_half")
+    b_lit = sn.holder_bound(qm, spec, "holder_paper_literal")
+    b_mc = sn.sample_bound(op, w, spec, n_samples, seed)
+    pair = sn.signed_shift_pair(op, w, spec)
+    doc = {
+        "anchor": {
+            "J0_W": op.anchor.j0,
+            "stationarity_residual": op.anchor.stationarity_residual,
+            "complementarity_residual": op.anchor.complementarity_residual,
+            "feasibility_violation": op.anchor.feasibility_violation,
+            "strict_complementarity_ok": op.anchor.strict_complementarity_ok,
+        },
+        "mask": list(spec.mask),
+        "alpha": spec.alpha,
+        "Delta": list(spec.masked_delta),
+        "gradient_K": list(qm.g),
+        "spectral_norm_H_K": numkit.spectral_norm(qm.H_K),
+        "beta": {
+            "holder_half": b_half.beta,
+            "holder_paper_literal": b_lit.beta,
+            "monte_carlo": b_mc.beta,
+        },
+        "monte_carlo": {
+            "samples": b_mc.samples,
+            "seed": b_mc.seed,
+            "argmax_dw": list(b_mc.argmax_dw),
+        },
+        "K_plus": pair["K_plus"],
+        "K_minus": pair["K_minus"],
+        # build_operator raises RankDeficientError on any other outcome
+        "rank_ok": True,
+    }
+    if not op.anchor.strict_complementarity_ok:
+        doc["warning"] = ("anchor is degenerate (a constraint is active "
+                          "with zero multiplier); the active set may not "
+                          "be stable under perturbation")
+    return doc
+
+
 def _cmd_solve(args) -> int:
     params = _load_params(args.params)
     w = _load_hour(args, params)
     kkt = solve_baseline(w, SolverConfig(rng_seed=args.seed))
-    _emit(kkt_report(kkt, w))
+    _emit(_solve_doc(kkt, w), params)
     return EXIT_OK
 
 
@@ -98,10 +179,7 @@ def _sensitivity_objects(args):
 
 def _cmd_sensitivity(args) -> int:
     w, kkt, spec, op = _sensitivity_objects(args)
-    report = sn.sensitivity_report(op, w, spec, n_samples=args.samples,
-                                   seed=args.seed)
-    report["parameters"] = hm.dump_parameters(w.params)
-    _emit(report)
+    _emit(_sensitivity_doc(op, w, spec, args.samples, args.seed), w.params)
     return EXIT_OK
 
 
@@ -114,8 +192,7 @@ def _cmd_bound(args) -> int:
         method = ("holder_half" if args.method == "holder"
                   else "holder_paper_literal")
         result = sn.holder_bound(qm, spec, method)
-    doc = {
-        "version": __version__,
+    _emit({
         "beta_W": result.beta,
         "method": result.method,
         "samples": result.samples,
@@ -125,9 +202,7 @@ def _cmd_bound(args) -> int:
         "mask": list(spec.mask),
         "alpha": spec.alpha,
         "J0_W": kkt.j0,
-        "parameters": hm.dump_parameters(w.params),
-    }
-    _emit(doc)
+    }, w.params)
     return EXIT_OK
 
 
@@ -135,25 +210,23 @@ def _cmd_run_day(args) -> int:
     _check_out(args.out)      # before the day is solved, not after
     params = _load_params(args.params)
     profile = sc.load_profile(args.profile, params)
-    results = sc.run_day(profile, _mask_list(args.mask), args.alpha,
+    mask = _mask_list(args.mask)
+    results = sc.run_day(profile, mask, args.alpha,
                          params=params, n_samples=args.samples,
                          seed=args.seed, max_workers=args.threads)
     sc.export_results(results, args.out, args.format)
-    summary = {
-        "version": __version__,
+    _emit({
         "profile": args.profile,
         "label": profile.label,
         "hours": len(results),
         "failed_hours": sum(1 for r in results if r.j0 != r.j0),
-        "mask": _mask_list(args.mask),
+        "mask": mask,
         "alpha": args.alpha,
         "seed": args.seed,
         "samples": args.samples,
         "out": args.out,
         "format": args.format,
-        "parameters": hm.dump_parameters(params),
-    }
-    _emit(summary)
+    }, params)
     return EXIT_OK
 
 
@@ -162,7 +235,6 @@ def _cmd_synth(args) -> int:
     profile = sc.synth_profile(args.day, args.seed)
     sc.write_profile(profile, args.out)
     _emit({
-        "version": __version__,
         "day": args.day,
         "seed": args.seed,
         "hours": len(profile.hours),

@@ -458,7 +458,7 @@ def evaluate(x: DecisionVector, w: ExogenousVector) -> OperatingPoint:
 # batch kernel)
 # ---------------------------------------------------------------------------
 
-Values = namedtuple("Values", "m s_t q_b u f_pl gain p_fan r eta p_boiler "
+Values = namedtuple("Values", "m s_t q_b u gain p_fan r eta p_boiler "
                               "p_chiller")
 
 
@@ -485,8 +485,8 @@ def values(T, a, b, mvec, q_zone, t_sp, p, c_p) -> Values:
     r = q_b / p.Q_b_rated
     eta = p.c_b_1 + r * (p.c_b_2 + r * p.c_b_3)
     qer = p.Q_e_rated
-    return Values(m, s_t, q_b, u, f_pl, gain, gain * p.m_design * f_pl, r,
-                  eta, q_b / (p.eta_thermal * eta),
+    return Values(m, s_t, q_b, u, gain, gain * p.m_design * f_pl, r, eta,
+                  q_b / (p.eta_thermal * eta),
                   p.c_g_1 * qer + p.c_g_2 * b + p.c_g_3 * b * b / qer
                   + p.P_pump)
 

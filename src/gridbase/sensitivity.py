@@ -24,6 +24,7 @@ K stages also refuse a spec whose coordinates are not the operator's.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +62,10 @@ class UncertaintySpec:
     indices: tuple             # positions of the masked coordinates in w
 
     def __post_init__(self):
+        # tuples of labels and ints, so specs compare by their coordinates
+        object.__setattr__(self, "mask", tuple(self.mask))
+        object.__setattr__(self, "indices",
+                           tuple(operator.index(i) for i in self.indices))
         if not (np.isfinite(self.alpha) and self.alpha >= 0):
             raise ValueError("alpha must be finite and >= 0")
         d = np.asarray(self.masked_delta, dtype=float)
@@ -468,53 +473,3 @@ def _k_batch(op: SensitivityOperator, dW: np.ndarray, X: np.ndarray,
     kvals = kernels.objective_batch(X, W, lay.n, par.c_p) - op.anchor.j0
     kvals[~ok] = np.nan
     return kvals, ok
-
-
-# ---------------------------------------------------------------------------
-# report
-# ---------------------------------------------------------------------------
-
-def sensitivity_report(op: SensitivityOperator, w0: hm.ExogenousVector,
-                       spec: UncertaintySpec,
-                       n_samples: int = 10000, seed: int = 0) -> dict:
-    """JSON-ready sensitivity summary at one anchor."""
-    from . import __version__
-    qm = quadratic_model(op, w0, spec)
-    b_half = holder_bound(qm, spec, "holder_half")
-    b_lit = holder_bound(qm, spec, "holder_paper_literal")
-    b_mc = sample_bound(op, w0, spec, n_samples, seed)
-    pair = signed_shift_pair(op, w0, spec)
-    report = {
-        "version": __version__,
-        "anchor": {
-            "J0_W": op.anchor.j0,
-            "stationarity_residual": op.anchor.stationarity_residual,
-            "complementarity_residual": op.anchor.complementarity_residual,
-            "feasibility_violation": op.anchor.feasibility_violation,
-            "strict_complementarity_ok": op.anchor.strict_complementarity_ok,
-        },
-        "mask": list(spec.mask),
-        "alpha": spec.alpha,
-        "Delta": list(spec.masked_delta),
-        "gradient_K": list(qm.g),
-        "spectral_norm_H_K": numkit.spectral_norm(qm.H_K),
-        "beta": {
-            "holder_half": b_half.beta,
-            "holder_paper_literal": b_lit.beta,
-            "monte_carlo": b_mc.beta,
-        },
-        "monte_carlo": {
-            "samples": b_mc.samples,
-            "seed": b_mc.seed,
-            "argmax_dw": list(b_mc.argmax_dw),
-        },
-        "K_plus": pair["K_plus"],
-        "K_minus": pair["K_minus"],
-        # build_operator raises RankDeficientError on any other outcome
-        "rank_ok": True,
-    }
-    if not op.anchor.strict_complementarity_ok:
-        report["warning"] = ("anchor is degenerate (a constraint is active "
-                             "with zero multiplier); the active set may not "
-                             "be stable under perturbation")
-    return report

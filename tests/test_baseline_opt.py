@@ -12,7 +12,7 @@ from gridbase import hvac_model as hm
 from gridbase import scenario as sc
 from gridbase import sensitivity as sn
 from gridbase.baseline_opt import (SolverConfig, _balance_duties,
-                                   _center_start, _random_start, kkt_report,
+                                   _center_start, _random_start,
                                    solve_baseline, verify_kkt)
 from gridbase.errors import (GridbaseError, InfeasibleHourError,
                              NoConvergenceError)
@@ -465,20 +465,8 @@ def test_verify_kkt_rejects_wrong_multiplier_count(hot_hour, solve_cached):
         verify_kkt(kkt.x0, kkt.lam[:-1], hot_hour)
 
 
-def test_report_structure(hot_hour, solve_cached):
-    kkt = solve_cached(hot_hour)
-    doc = kkt_report(kkt, hot_hour)
-    assert doc["J0_W"] == kkt.j0
-    assert len(doc["lambda"]) == 34
-    assert set(doc["residuals"]) == {"stationarity", "complementarity",
-                                     "feasibility"}
-    assert doc["prng"] == "PCG64"
-    assert "parameters" in doc and "version" in doc
-
-
-def test_solver_config_validation(hot_hour, solve_cached):
-    """The seed is the one setting; the tolerances and caps are fixed, and
-    the report's config block states them."""
+def test_solver_config_validation():
+    """The seed is the one setting; the tolerances and caps are fixed."""
     fixed = {"kkt_tol": 1e-6, "feas_tol": 1e-8, "act_tol": 1e-6,
              "multistart_count": 8, "max_iterations": 300}
     assert [f.name for f in dataclasses.fields(SolverConfig)] == ["rng_seed"]
@@ -486,7 +474,6 @@ def test_solver_config_validation(hot_hour, solve_cached):
         assert getattr(SolverConfig(), name) == value
         with pytest.raises(TypeError):
             SolverConfig(**{name: value})
-    assert kkt_report(solve_cached(hot_hour), hot_hour)["config"] == fixed
 
 
 def _row(lay, label):

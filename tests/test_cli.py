@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import shutil
@@ -12,6 +13,7 @@ import gridbase
 from gridbase import cli
 from gridbase import hvac_model as hm
 from gridbase import scenario as sc
+from gridbase import sensitivity as sn
 from gridbase.cli import main
 
 
@@ -139,6 +141,92 @@ def test_version_flag(capsys):
     code, out, _ = _run(capsys, "--version")
     assert code == 0
     assert out.startswith("gridbase ")
+
+
+# ---------------------------------------------------------------------------
+# documents
+# ---------------------------------------------------------------------------
+
+def _emitted(capsys, doc, params):
+    """`doc` as `_emit` prints it, parsed back."""
+    cli._emit(doc, params)
+    return json.loads(capsys.readouterr().out)
+
+
+def _moderate_operator(solve_cached, moderate_hour):
+    spec = sn.uncertainty_spec(moderate_hour, ("T_oa",), 0.02)
+    return sn.build_operator(solve_cached(moderate_hour), moderate_hour,
+                             spec), spec
+
+
+def test_report_structure(capsys, hot_hour, solve_cached):
+    kkt = solve_cached(hot_hour)
+    doc = _emitted(capsys, cli._solve_doc(kkt, hot_hour), hot_hour.params)
+    assert doc["J0_W"] == kkt.j0
+    assert len(doc["lambda"]) == 34
+    assert set(doc["residuals"]) == {"stationarity", "complementarity",
+                                     "feasibility"}
+    assert doc["prng"] == "PCG64"
+    assert "parameters" in doc and "version" in doc
+
+
+def test_solve_doc_states_the_solver_config(hot_hour, solve_cached):
+    fixed = {"kkt_tol": 1e-6, "feas_tol": 1e-8, "act_tol": 1e-6,
+             "multistart_count": 8, "max_iterations": 300}
+    assert cli._solve_doc(solve_cached(hot_hour), hot_hour)["config"] == fixed
+
+
+def test_report_contents(moderate_hour, solve_cached):
+    op, spec = _moderate_operator(solve_cached, moderate_hour)
+    rep = cli._sensitivity_doc(op, moderate_hour, spec, n_samples=256,
+                               seed=5)
+    assert rep["anchor"]["J0_W"] == op.anchor.j0
+    assert rep["mask"] == ["T_oa"]
+    assert rep["alpha"] == 0.02
+    assert set(rep["beta"]) == {"holder_half", "holder_paper_literal",
+                                "monte_carlo"}
+    assert rep["beta"]["holder_paper_literal"] >= rep["beta"]["holder_half"]
+    assert rep["monte_carlo"]["seed"] == 5
+    assert rep["rank_ok"] is True
+    # the warning appears exactly when the anchor is weakly degenerate
+    assert ("warning" in rep) == (not op.anchor.strict_complementarity_ok)
+
+
+def test_report_flags_degenerate_anchor(moderate_hour, solve_cached):
+    op, spec = _moderate_operator(solve_cached, moderate_hour)
+    weak = dataclasses.replace(op.anchor, strict_complementarity_ok=False)
+    op2 = dataclasses.replace(op, anchor=weak)
+    rep = cli._sensitivity_doc(op2, moderate_hour, spec, n_samples=64,
+                               seed=0)
+    assert "warning" in rep
+
+
+@pytest.mark.parametrize("params_file", [False, True],
+                         ids=["nominal", "params_file"])
+@pytest.mark.parametrize("command", [
+    "solve", "sensitivity", "bound", "run-day", "synth"])
+def test_every_document_carries_the_envelope(capsys, profile_path, tmp_path,
+                                             command, params_file):
+    """Every JSON document carries the package version, and each one that
+    solves carries the run's parameters; `synth` solves nothing."""
+    hour = ["--profile", profile_path, "--hour", "12"]
+    bound = ["--mask", "T_oa", "--alpha", "0.01", "--samples", "64"]
+    out = ["--out", str(tmp_path / "out.csv")]
+    argv = {"solve": hour, "sensitivity": hour + bound, "bound": hour + bound,
+            "run-day": ["--profile", profile_path] + bound + out,
+            "synth": ["--day", "hot"] + out}[command]
+    params = hm.HvacParameters()
+    if params_file:
+        pfile = tmp_path / "params.json"
+        pfile.write_text(json.dumps({"alpha_ng": 1.5}))
+        argv = argv + ["--params", str(pfile)]
+        params = hm.load_parameters(pfile)
+    doc = _run_json(capsys, command, *argv)
+    assert doc["version"] == gridbase.__version__
+    if command == "synth":
+        assert "parameters" not in doc
+    else:
+        assert doc["parameters"] == hm.dump_parameters(params)
 
 
 # ---------------------------------------------------------------------------

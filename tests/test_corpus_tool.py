@@ -6,6 +6,7 @@ as `test_tracer_names.py` loads the benchmark's tracer.
 """
 
 import importlib.util
+import os
 from pathlib import Path
 
 import pytest
@@ -96,3 +97,16 @@ def test_plant_days_scale_the_plant_with_the_zones(corpus, monkeypatch):
         assert p.m_design == base.m_design * n / 5
         assert p.Q_b_rated == base.Q_b_rated * n / 5
         assert p.Q_e_rated == base.Q_e_rated * n / 5
+
+
+def test_cli_corpus_size(corpus, monkeypatch):
+    """37 lines: on each of 3 days, 10 documents and 2 exports, then
+    `validate`; every path the table names is relative."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    fmt, rows = corpus.CORPORA["cli"]
+    runs = [argv for _, day in corpus.days(rows)
+            for argv in corpus.cli_table(day)]
+    exports = sum(argv[0] == "run-day" for argv in runs)
+    assert fmt == "cli" and (len(runs), exports) == (30, 6)
+    assert len(runs) + exports + 1 == 37
+    assert not any(os.path.isabs(arg) for argv in runs for arg in argv)

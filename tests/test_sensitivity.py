@@ -88,6 +88,31 @@ def test_spec_rejects_non_finite(moderate_hour, alpha, radius):
         _with_radius(spec, moderate_hour, "T_oa", radius)
 
 
+def test_spec_holds_tuples(params, solve_cached):
+    """A spec given a list mask and list indices holds them as tuples, so
+    the K stages take it for the operator's own and give its numbers; a
+    non-integer index is refused when the spec is built."""
+    hour = sc.synth_profile("hot", 42).hours[3]
+    assert hour.hour_index == 12
+    w = hm.ExogenousVector(t_oa=hour.t_oa, zones=hour.zones, params=params)
+    spec = sn.uncertainty_spec(w, ["T_oa", "Q_zone_1"], 0.05)
+    op = sn.build_operator(solve_cached(w), w, spec)
+    listed = dataclasses.replace(spec, mask=list(spec.mask),
+                                 indices=list(spec.indices))
+    assert (listed.mask, listed.indices) == (spec.mask, spec.indices)
+    assert sn.signed_shift_pair(op, w, listed) == \
+        sn.signed_shift_pair(op, w, spec)
+    qm, qm_listed = (sn.quadratic_model(op, w, s) for s in (spec, listed))
+    assert (qm.g.tolist(), qm.H_K.tolist()) == \
+        (qm_listed.g.tolist(), qm_listed.H_K.tolist())
+    mc, mc_listed = (sn.sample_bound(op, w, s, 300, seed=0)
+                     for s in (spec, listed))
+    assert (mc.beta, mc.argmax_dw.tolist()) == \
+        (mc_listed.beta, mc_listed.argmax_dw.tolist())
+    with pytest.raises(TypeError):
+        dataclasses.replace(spec, indices=(0.5, spec.indices[1]))
+
+
 # ---------------------------------------------------------------------------
 # the KKT map and its Jacobians
 # ---------------------------------------------------------------------------
@@ -1052,32 +1077,3 @@ def test_empty_mask_gives_zero_everything(moderate_hour, solve_cached):
     qm = sn.quadratic_model(op, moderate_hour, spec)
     assert sn.holder_bound(qm, spec).beta == 0.0
     assert sn.sample_bound(op, moderate_hour, spec, 10, seed=0).beta == 0.0
-
-
-# ---------------------------------------------------------------------------
-# report
-# ---------------------------------------------------------------------------
-
-def test_report_contents(moderate_hour, solve_cached):
-    op, spec = _operator(solve_cached, moderate_hour, alpha=0.02)
-    rep = sn.sensitivity_report(op, moderate_hour, spec, n_samples=256,
-                                seed=5)
-    assert rep["anchor"]["J0_W"] == op.anchor.j0
-    assert rep["mask"] == ["T_oa"]
-    assert rep["alpha"] == 0.02
-    assert set(rep["beta"]) == {"holder_half", "holder_paper_literal",
-                                "monte_carlo"}
-    assert rep["beta"]["holder_paper_literal"] >= rep["beta"]["holder_half"]
-    assert rep["monte_carlo"]["seed"] == 5
-    assert rep["rank_ok"] is True
-    # the warning appears exactly when the anchor is weakly degenerate
-    assert ("warning" in rep) == (not op.anchor.strict_complementarity_ok)
-
-
-def test_report_flags_degenerate_anchor(moderate_hour, solve_cached):
-    op, spec = _operator(solve_cached, moderate_hour, alpha=0.02)
-    weak = dataclasses.replace(op.anchor, strict_complementarity_ok=False)
-    op2 = dataclasses.replace(op, anchor=weak)
-    rep = sn.sensitivity_report(op2, moderate_hour, spec, n_samples=64,
-                                seed=0)
-    assert "warning" in rep

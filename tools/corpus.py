@@ -23,6 +23,16 @@ sha256 of: the operator's `shift_matrix` (the T_oa column only); the
 seven `ModelDerivatives` arrays of `Scaling.derivatives(x0)`, in field
 order; the anchor's `x0.to_vector()` and `lam`. Absent values read `-`.
 
+`cli` (3 days, 37 lines) runs the table of `cli_table` through
+`gridbase.cli.main` in a temporary working directory that holds the
+day's profile and a parameter file that changes `alpha_ng`, and prints
+the sha256 of each printed document and of each `run-day` export:
+
+    <sha256>  <key> <argv>        <sha256>  <key> <export>
+
+then `<sha256>  - validate`. Every path in the table is relative, so no
+document carries the temporary directory.
+
 `--root` (default: this script's checkout) names the checkout whose `src`
 and `perfbench` are imported, so two checkouts compare:
 
@@ -37,8 +47,11 @@ configuration (see README), so run both sides in the same environment.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
+import io
+import json
 import os
 import sys
 import tempfile
@@ -53,9 +66,12 @@ CORPORA = {
     "wide": ("outcomes", (("day-toa", (42, 20261017, 7, 1, 2, 3), range(60)),
                           ("zone-sweep", (*SEEDS, 1, 2, 3, 4, 5), range(10)),
                           ("plant", range(20), range(1)))),
+    "cli": ("cli", (("day-toa", (42,), range(1)),)),
 }
 MASK = ("T_oa",)
 ALPHA = 0.05
+CLI_MASK = "T_oa,c_f_2,Q_zone_1"
+CLI_PARAMS = {"alpha_ng": 1.3}
 
 
 def plant_days(seed):
@@ -94,9 +110,12 @@ def fixture_lines(rows):
             for fmt in ("csv", "json"):
                 path = os.path.join(tmp, f"out.{fmt}")
                 sc.export_results(results, path, fmt)
-                with open(path, "rb") as fh:
-                    digest = hashlib.sha256(fh.read()).hexdigest()
-                yield f"{digest}  {key}.{fmt}"
+                yield f"{_file_digest(path)}  {key}.{fmt}"
+
+
+def _file_digest(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def _digest(*arrays):
@@ -136,6 +155,52 @@ def outcome_lines(rows):
                    f"{blocks}  {anchor}")
 
 
+def cli_table(day):
+    """The argv of each CLI run on one day; a `run-day` ends with the
+    `--out` file it exports."""
+    hours = [str(h.hour_index) for h in day.profile.hours]
+    mid = hours[len(hours) // 2]
+    at = ["--profile", "profile.csv"]
+    box = ["--mask", CLI_MASK, "--alpha", str(ALPHA), "--samples", "300"]
+    sens = at + ["--hour", mid] + box
+    return ([["solve", *at, "--hour", h] for h in (hours[0], mid, hours[-1])]
+            + [["sensitivity", *sens],
+               ["sensitivity", *sens, "--params", "params.json"]]
+            + [["bound", *sens, "--method", m]
+               for m in ("holder", "holder-literal", "sample")]
+            + [["run-day", *at, *box, "--format", fmt,
+                "--out", f"results.{fmt}"] for fmt in ("csv", "json")])
+
+
+def cli_lines(rows):
+    from gridbase import cli
+    from gridbase import scenario as sc
+
+    def printed(argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv)
+        if code != cli.EXIT_OK:
+            sys.exit(f"gridbase {' '.join(argv)} exited {code}")
+        return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            with open("params.json", "w", encoding="utf-8") as fh:
+                json.dump(CLI_PARAMS, fh)
+            for key, day in days(rows):
+                sc.write_profile(day.profile, "profile.csv")
+                for argv in cli_table(day):
+                    yield f"{printed(argv)}  {key} {' '.join(argv)}"
+                    if argv[0] == "run-day":
+                        yield f"{_file_digest(argv[-1])}  {key} {argv[-1]}"
+            yield f"{printed(['validate'])}  - validate"
+        finally:
+            os.chdir(home)
+
+
 def compare(base_path, head_path):
     """Print the hours certified in BASE and lost in HEAD and the count of
     other differing lines; 1 if any hour was lost, else 0."""
@@ -169,7 +234,9 @@ def main(argv=None):
     root = os.path.abspath(args.root)
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
     fmt, rows = CORPORA[args.corpus]
-    for line in (fixture_lines if fmt == "fixtures" else outcome_lines)(rows):
+    printer = {"fixtures": fixture_lines, "outcomes": outcome_lines,
+               "cli": cli_lines}[fmt]
+    for line in printer(rows):
         print(line, flush=True)
     return 0
 
