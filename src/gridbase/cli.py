@@ -8,6 +8,7 @@ import argparse
 import json
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -211,9 +212,10 @@ def _cmd_run_day(args) -> int:
     params = _load_params(args.params)
     profile = sc.load_profile(args.profile, params)
     mask = _mask_list(args.mask)
-    results = sc.run_day(profile, mask, args.alpha,
-                         params=params, n_samples=args.samples,
-                         seed=args.seed, max_workers=args.threads)
+    with ThreadPoolExecutor(args.threads) as pool:
+        results = sc.run_day(profile, mask, args.alpha,
+                             params=params, n_samples=args.samples,
+                             seed=args.seed, mapper=pool.map)
     sc.export_results(results, args.out, args.format)
     _emit({
         "profile": args.profile,
@@ -368,7 +370,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--samples", type=_int_at_least(1),
                    default=sc.DEFAULT_SAMPLES)
-    p.add_argument("--threads", type=_int_at_least(1), default=None,
+    p.add_argument("--threads", type=_int_at_least(1), default=1,
                    help="worker threads (default: 1)")
     add_common(p)
     p.set_defaults(func=_cmd_run_day)
@@ -376,7 +378,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="write a synthetic day profile")
     p.add_argument("--day", choices=sc.DAY_TYPES, required=True)
     p.add_argument("--out", required=True)
-    add_common(p)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("validate",

@@ -9,8 +9,8 @@ plot-ready rows.
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -48,6 +48,10 @@ class DayProfile:
         if idx[0] < 0:
             # run_day seeds an hour's sampling with seed ^ hour_index
             raise ValueError(f"hour_index must be >= 0, got {idx[0]}")
+        counts = [h.zones.count for h in self.hours]
+        if len(set(counts)) > 1:
+            # write_profile writes every hour with the first's columns
+            raise ValueError(f"hours differ in zone count: {counts}")
 
 
 @dataclass(frozen=True)
@@ -230,34 +234,25 @@ def synth_profile(day_type: str, seed: int, n_zones: int = 5,
 def run_day(profile: DayProfile, mask, alpha: float, *,
             params: hm.HvacParameters | None = None,
             n_samples: int = DEFAULT_SAMPLES, seed: int = 0,
-            max_workers: int | None = None) -> list:
+            mapper=map) -> list:
     """Solve and analyze every hour; output order matches input order.
 
     `seed` seeds every hour's random solver starts; the per-hour
-    sampling seeds are seed XOR hour_index. Hours run in turn unless
-    `max_workers` > 1 asks for threads, which make a day no faster and
-    often slower, as the work holds the interpreter lock. They stay
-    because acceptance criterion 8 checks that results do not depend on
-    worker count or scheduling. Hours that fail record the error in
-    their warnings; if every hour fails, the last error is re-raised
-    with a day-level summary. A bad mask, alpha or sample count raises
+    sampling seeds are seed XOR hour_index. `mapper(fn, hours)` runs the
+    hours and yields fn's results in input order: the builtin `map` in
+    turn, an executor's `map` on its threads or processes (fn pickles),
+    with the same results. Hours that fail record the error in their
+    warnings; if every hour fails, the last error is re-raised with a
+    day-level summary. A bad mask, alpha or sample count raises
     ValueError (KeyError for an unknown label) before any hour is solved.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    cfg = SolverConfig(rng_seed=seed)
-    params = params or hm.HvacParameters()
-    workers = max_workers or 1
-
-    def one(hour: ProfileHour) -> HourResult:
-        return _run_hour(hour, mask, alpha, cfg, params, n_samples,
-                         seed ^ hour.hour_index)
-
-    if workers <= 1:
-        results = [one(h) for h in profile.hours]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(workers) as pool:
-            results = list(pool.map(one, profile.hours))
+    hour = functools.partial(
+        _run_hour, mask=tuple(mask), alpha=alpha,
+        cfg=SolverConfig(rng_seed=seed),
+        params=params or hm.HvacParameters(), n_samples=n_samples)
+    results = list(mapper(hour, profile.hours))
     if all(math.isnan(r.j0) for r in results):
         raise GridbaseError(
             "every hour of the day failed: " +
@@ -265,8 +260,8 @@ def run_day(profile: DayProfile, mask, alpha: float, *,
     return results
 
 
-def _run_hour(hour: ProfileHour, mask, alpha, cfg, params, n_samples,
-              seed) -> HourResult:
+def _run_hour(hour: ProfileHour, mask, alpha, cfg, params,
+              n_samples) -> HourResult:
     warnings = []
     try:
         w = hm.ExogenousVector(t_oa=hour.t_oa, zones=hour.zones,
@@ -280,7 +275,8 @@ def _run_hour(hour: ProfileHour, mask, alpha, cfg, params, n_samples,
         pair = sn.signed_shift_pair(op, w, spec)
         qm = sn.quadratic_model(op, w, spec)
         holder = sn.holder_bound(qm, spec, "holder_paper_literal")
-        sample = sn.sample_bound(op, w, spec, n_samples, seed)
+        sample = sn.sample_bound(op, w, spec, n_samples,
+                                 cfg.rng_seed ^ hour.hour_index)
         labels = hm.layout(hour.zones.count).labels
         return HourResult(
             hour_index=hour.hour_index,

@@ -208,7 +208,8 @@ def test_report_flags_degenerate_anchor(moderate_hour, solve_cached):
 def test_every_document_carries_the_envelope(capsys, profile_path, tmp_path,
                                              command, params_file):
     """Every JSON document carries the package version, and each one that
-    solves carries the run's parameters; `synth` solves nothing."""
+    solves carries the run's parameters; `synth` solves nothing, so it
+    refuses `--params` as a usage error."""
     hour = ["--profile", profile_path, "--hour", "12"]
     bound = ["--mask", "T_oa", "--alpha", "0.01", "--samples", "64"]
     out = ["--out", str(tmp_path / "out.csv")]
@@ -221,6 +222,11 @@ def test_every_document_carries_the_envelope(capsys, profile_path, tmp_path,
         pfile.write_text(json.dumps({"alpha_ng": 1.5}))
         argv = argv + ["--params", str(pfile)]
         params = hm.load_parameters(pfile)
+        if command == "synth":
+            code, _, err = _run(capsys, command, *argv)
+            assert code == 2 and "--params" in err
+            assert not (tmp_path / "out.csv").exists()
+            return
     doc = _run_json(capsys, command, *argv)
     assert doc["version"] == gridbase.__version__
     if command == "synth":

@@ -100,13 +100,15 @@ def test_plant_days_scale_the_plant_with_the_zones(corpus, monkeypatch):
 
 
 def test_cli_corpus_size(corpus, monkeypatch):
-    """37 lines: on each of 3 days, 10 documents and 2 exports, then
-    `validate`; every path the table names is relative."""
+    """41 lines: on each of 3 days, 10 documents and 2 exports, then the 3
+    documents of `CLI_ONCE` and the 2 files its `synth` and `run-day`
+    write; every path the tables name is relative."""
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     fmt, rows = corpus.CORPORA["cli"]
     runs = [argv for _, day in corpus.days(rows)
-            for argv in corpus.cli_table(day)]
-    exports = sum(argv[0] == "run-day" for argv in runs)
-    assert fmt == "cli" and (len(runs), exports) == (30, 6)
-    assert len(runs) + exports + 1 == 37
+            for argv in corpus.cli_table(day)] + list(corpus.CLI_ONCE)
+    files = sum("--out" in argv for argv in runs)
+    assert fmt == "cli" and (len(runs), files) == (33, 8)
+    assert len(runs) + files == 41
     assert not any(os.path.isabs(arg) for argv in runs for arg in argv)
+    assert all(argv[-2] == "--out" for argv in runs if "--out" in argv)

@@ -168,6 +168,46 @@ def test_parameters_file_rejects_non_numbers(tmp_path, text, named):
         hm.load_parameters(path)
 
 
+def _zones(n=5, m_oa_min=0.05):
+    return hm.ZoneInputs(np.zeros(n), np.full(n, 22.0), np.full(n, m_oa_min))
+
+
+def _hour():
+    return hm.ExogenousVector(t_oa=20.0, zones=_zones(),
+                              params=hm.HvacParameters())
+
+
+_POSITIVE = ("c_p", "delta_P", "rho_air", "m_design", "Q_b_rated",
+             "Q_e_rated", "P_pump", "flow_floor")
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: hm.HvacParameters(zone_count=0), "zone_count must be >= 1"),
+    *[(lambda name=name: hm.HvacParameters(**{name: 0.0}),
+       f"{name} must be positive") for name in _POSITIVE],
+    *[(lambda name=name, v=v: hm.HvacParameters(**{name: v}),
+       rf"{name} must be in \(0, 1\]")
+      for name in ("eta_tot", "eta_thermal") for v in (0.0, 1.5)],
+    *[(lambda curve=curve: hm.HvacParameters(
+        **{curve: getattr(hm.HvacParameters, curve)[:-1]}),
+       "curve coefficient lengths") for curve in ("c_f", "c_b", "c_g")],
+    (lambda: hm.ZoneInputs(np.zeros(5), np.full(4, 22.0), np.zeros(5)),
+     "share one length"),
+    (lambda: _zones(m_oa_min=-0.01), "m_oa_min must be non-negative"),
+    (lambda: hm.ExogenousVector(t_oa=20.0, zones=_zones(4),
+                                params=hm.HvacParameters()),
+     "does not match zone_count"),
+    (lambda: _hour().with_vector(_hour().to_vector()[:-1]),
+     "expected 36 entries, got 35"),
+], ids=["zone-count", *_POSITIVE, "eta_tot-0", "eta_tot-1.5",
+        "eta_thermal-0", "eta_thermal-1.5", "c_f-length", "c_b-length",
+        "c_g-length", "zone-lengths", "negative-m_oa_min",
+        "zones-vs-zone_count", "with-vector-size"])
+def test_inputs_refuse_bad_values(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # registry vector
 # ---------------------------------------------------------------------------

@@ -11,6 +11,34 @@ def test_check_matrix_rejects_nonfinite():
         numkit.check_matrix(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
 
+def _nan_at(row):
+    """Hessian stencil values at n = 3 (19 rows), NaN at `row`."""
+    vals = np.ones(19)
+    vals[row] = np.nan
+    return vals
+
+
+# At n = 3 the Hessian rows are: 0 the point, then per coordinate i its
+# two diagonal rows followed by four rows per pair (i, j > i).
+@pytest.mark.parametrize("call, match", [
+    (lambda: numkit._fd_point(np.zeros(2), [1e-4, 0.0]),
+     "steps must be positive"),
+    (lambda: numkit.check_matrix(np.zeros(3)), "ndim=1"),
+    (lambda: numkit.check_matrix(np.zeros((2, 3)), square=True),
+     r"square matrix, got shape \(2, 3\)"),
+    (lambda: numkit._hessian_from(_nan_at(0), np.ones(3)),
+     "at the expansion point"),
+    (lambda: numkit._hessian_from(_nan_at(12), np.ones(3)),
+     "for coordinate 1$"),
+    (lambda: numkit._hessian_from(_nan_at(9), np.ones(3)),
+     r"for coordinates \(0, 2\)"),
+], ids=["zero-step", "ndim", "not-square", "hessian-point",
+        "hessian-diagonal-row", "hessian-corner-row"])
+def test_refuses_bad_input(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_spectral_norm_diagonal():
     assert numkit.spectral_norm(np.diag([3.0, -7.0, 2.0])) == 7.0
 

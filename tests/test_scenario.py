@@ -4,6 +4,8 @@ import json
 import math
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -105,6 +107,10 @@ def test_load_profile_parses_minimal_file(tmp_path):
     pytest.param(lambda ls: ls[:2], 3, id="<lambda>-3_4"),   # no data rows
     pytest.param(lambda ls: ls[:2] + [ls[2].replace("9,", "-1,", 1)] + ls[3:],
                  3, id="negative-hour"),
+    pytest.param(lambda ls: [ls[0], ls[1].replace("Q_zone", "Q_room")]
+                 + ls[2:], 2, id="header-names"),
+    pytest.param(lambda ls: ls[:3] + [ls[3].replace(",0.05", ",-0.05", 1)], 4,
+                 id="negative-ventilation"),
 ])
 def test_load_profile_errors_carry_line_numbers(tmp_path, mutate,
                                                 expect_line):
@@ -142,6 +148,22 @@ def test_load_profile_rejects_non_finite_cells(tmp_path, column, value):
     assert column in str(err.value)
 
 
+def test_load_profile_refuses_an_empty_file(tmp_path):
+    # the table's "empty file" case writes one line break, not 0 bytes
+    path = tmp_path / "empty.csv"
+    path.write_bytes(b"")
+    with pytest.raises(ProfileParseError, match="empty profile file") as err:
+        sc.load_profile(path)
+    assert err.value.line == 1
+
+
+def test_load_profile_skips_a_blank_line(tmp_path):
+    lines = _valid_lines()
+    path = tmp_path / "blank.csv"
+    _write_lines(path, lines[:3] + ["  "] + lines[3:])
+    assert [h.hour_index for h in sc.load_profile(path).hours] == [9, 10]
+
+
 def test_day_profile_requires_increasing_hours(params):
     z = hm.ZoneInputs(np.zeros(5), np.full(5, 22.0), np.full(5, 0.05))
     h = sc.ProfileHour(9, 20.0, z)
@@ -158,6 +180,17 @@ def test_day_profile_refuses_negative_hour():
     with pytest.raises(ValueError, match="hour_index must be >= 0"):
         sc.DayProfile(label="x", hours=(sc.ProfileHour(-1, 20.0, z),
                                         sc.ProfileHour(9, 20.0, z)))
+
+
+def test_day_profile_refuses_mixed_zone_counts():
+    """write_profile writes every hour with the first hour's columns, so a
+    day whose hours differ in zone count would lose zones on the way."""
+    def hour(k, n):
+        return sc.ProfileHour(k, 20.0, hm.ZoneInputs(
+            np.zeros(n), np.full(n, 22.0), np.full(n, 0.05)))
+
+    with pytest.raises(ValueError, match=r"zone count: \[3, 5\]"):
+        sc.DayProfile(label="x", hours=(hour(9, 3), hour(10, 5)))
 
 
 # ---------------------------------------------------------------------------
@@ -209,24 +242,28 @@ def test_run_day_covers_all_hours(day_profiles, moderate_results):
 
 
 def test_run_day_thread_count_invariant(day_profiles, moderate_results):
-    serial = sc.run_day(day_profiles["moderate"], ("T_oa",), 0.01,
-                        n_samples=256, seed=FIXTURE_SEED, max_workers=1)
-    wide = sc.run_day(day_profiles["moderate"], ("T_oa",), 0.01,
-                      n_samples=256, seed=FIXTURE_SEED, max_workers=7)
-    for a, b, c in zip(serial, wide, moderate_results):
-        assert a.j0 == b.j0 == c.j0
-        assert a.beta_sample == b.beta_sample == c.beta_sample
-        assert a.k_plus == b.k_plus == c.k_plus
+    with ThreadPoolExecutor(7) as pool:
+        wide = sc.run_day(day_profiles["moderate"], ("T_oa",), 0.01,
+                          n_samples=256, seed=FIXTURE_SEED, mapper=pool.map)
+    for a, b in zip(wide, moderate_results):
+        assert a.j0 == b.j0
+        assert a.beta_sample == b.beta_sample
+        assert a.k_plus == b.k_plus
 
 
 def test_run_day_is_serial_by_default(day_profiles, moderate_results,
                                       monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("run_day started a thread pool")
+    threads = []
+    real = sc.solve_baseline
 
-    monkeypatch.setattr(sc.concurrent.futures, "ThreadPoolExecutor", no_pool)
+    def spy(w, cfg=None, x_init=None):
+        threads.append(threading.get_ident())
+        return real(w, cfg, x_init)
+
+    monkeypatch.setattr(sc, "solve_baseline", spy)
     serial = sc.run_day(day_profiles["moderate"], ("T_oa",), 0.01,
                         n_samples=256, seed=FIXTURE_SEED)
+    assert threads == [threading.get_ident()] * len(serial)
     assert [r.j0 for r in serial] == [r.j0 for r in moderate_results]
 
 
@@ -237,11 +274,13 @@ def test_first_solve_imports_scipy_under_threads(child_env, tmp_path):
     threaded, serial = tmp_path / "threaded.csv", tmp_path / "serial.csv"
     code = f"""
 import sys
+from concurrent.futures import ThreadPoolExecutor
 import gridbase.scenario as sc
 
 prof = sc.synth_profile("hot", 42, n_hours=2)
 assert "scipy.optimize" not in sys.modules
-results = sc.run_day(prof, ["T_oa"], 0.05, max_workers=5)
+with ThreadPoolExecutor(5) as pool:
+    results = sc.run_day(prof, ["T_oa"], 0.05, mapper=pool.map)
 assert "scipy.optimize" in sys.modules
 sc.export_results(results, {str(threaded)!r}, "csv")
 sc.export_results(sc.run_day(prof, ["T_oa"], 0.05), {str(serial)!r}, "csv")
@@ -250,6 +289,48 @@ sc.export_results(sc.run_day(prof, ["T_oa"], 0.05), {str(serial)!r}, "csv")
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert threaded.read_bytes() == serial.read_bytes()
+
+
+def test_run_day_on_a_process_pool(child_env, tmp_path):
+    """Hours mapped over a spawned 2-process pool export a serial run's
+    CSV and JSON bytes."""
+    code = f"""
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
+import gridbase.scenario as sc
+
+if __name__ == "__main__":
+    prof = sc.synth_profile("moderate", 42)
+    with ProcessPoolExecutor(2, mp_context=get_context("spawn")) as pool:
+        pooled = sc.run_day(prof, ["T_oa"], 0.05, n_samples=256, seed=42,
+                            mapper=pool.map)
+    serial = sc.run_day(prof, ["T_oa"], 0.05, n_samples=256, seed=42)
+    for name, results in (("pooled", pooled), ("serial", serial)):
+        for fmt in ("csv", "json"):
+            sc.export_results(results, f"{{name}}.{{fmt}}", fmt)
+"""
+    out = subprocess.run([sys.executable, "-c", code], env=child_env,
+                         cwd=tmp_path, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    for fmt in ("csv", "json"):
+        assert ((tmp_path / f"pooled.{fmt}").read_bytes()
+                == (tmp_path / f"serial.{fmt}").read_bytes())
+
+
+def test_run_day_reads_a_one_shot_mask_once():
+    """A generator mask serves every hour, not only the first."""
+    prof = sc.synth_profile("moderate", FIXTURE_SEED, n_hours=3)
+    listed = sc.run_day(prof, ["T_oa"], 0.05, n_samples=64)
+    once = sc.run_day(prof, (lab for lab in ["T_oa"]), 0.05, n_samples=64)
+    for a, b in zip(once, listed, strict=True):
+        assert (a.k_plus, a.beta_holder, a.beta_sample) == (
+            b.k_plus, b.beta_holder, b.beta_sample)
+    assert all(r.beta_sample > 0 for r in listed)
+
+
+def test_run_day_refuses_zero_samples(day_profiles):
+    with pytest.raises(ValueError, match="n_samples"):
+        sc.run_day(day_profiles["hot"], ("T_oa",), 0.05, n_samples=0)
 
 
 def test_run_day_seeds_solver_starts(day_profiles, monkeypatch):

@@ -23,15 +23,16 @@ sha256 of: the operator's `shift_matrix` (the T_oa column only); the
 seven `ModelDerivatives` arrays of `Scaling.derivatives(x0)`, in field
 order; the anchor's `x0.to_vector()` and `lam`. Absent values read `-`.
 
-`cli` (3 days, 37 lines) runs the table of `cli_table` through
+`cli` (3 days, 41 lines) runs the table of `cli_table` through
 `gridbase.cli.main` in a temporary working directory that holds the
 day's profile and a parameter file that changes `alpha_ng`, and prints
-the sha256 of each printed document and of each `run-day` export:
+the sha256 of each printed document and of each file a command writes
+(its `--out`):
 
-    <sha256>  <key> <argv>        <sha256>  <key> <export>
+    <sha256>  <key> <argv>        <sha256>  <key> <out>
 
-then `<sha256>  - validate`. Every path in the table is relative, so no
-document carries the temporary directory.
+then the same, keyed `-`, for each command of `CLI_ONCE`. Every path in
+the tables is relative, so no document carries the temporary directory.
 
 `--root` (default: this script's checkout) names the checkout whose `src`
 and `perfbench` are imported, so two checkouts compare:
@@ -156,8 +157,8 @@ def outcome_lines(rows):
 
 
 def cli_table(day):
-    """The argv of each CLI run on one day; a `run-day` ends with the
-    `--out` file it exports."""
+    """The argv of each CLI run on one day; a command that writes a file
+    ends with its `--out`."""
     hours = [str(h.hour_index) for h in day.profile.hours]
     mid = hours[len(hours) // 2]
     at = ["--profile", "profile.csv"]
@@ -172,6 +173,18 @@ def cli_table(day):
                 "--out", f"results.{fmt}"] for fmt in ("csv", "json")])
 
 
+# run once, after the days: `synth` writes the seed-42 moderate day, and a
+# `run-day` on two threads reads it back, so its export has the hash of
+# that day's serial `results.csv`
+CLI_ONCE = (
+    ["synth", "--day", "moderate", "--seed", "42", "--out", "synth.csv"],
+    ["run-day", "--profile", "synth.csv", "--mask", CLI_MASK,
+     "--alpha", str(ALPHA), "--samples", "300", "--threads", "2",
+     "--format", "csv", "--out", "threaded.csv"],
+    ["validate"],
+)
+
+
 def cli_lines(rows):
     from gridbase import cli
     from gridbase import scenario as sc
@@ -184,6 +197,12 @@ def cli_lines(rows):
             sys.exit(f"gridbase {' '.join(argv)} exited {code}")
         return hashlib.sha256(out.getvalue().encode()).hexdigest()
 
+    def run(key, table):
+        for argv in table:
+            yield f"{printed(argv)}  {key} {' '.join(argv)}"
+            if "--out" in argv:
+                yield f"{_file_digest(argv[-1])}  {key} {argv[-1]}"
+
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
@@ -192,11 +211,8 @@ def cli_lines(rows):
                 json.dump(CLI_PARAMS, fh)
             for key, day in days(rows):
                 sc.write_profile(day.profile, "profile.csv")
-                for argv in cli_table(day):
-                    yield f"{printed(argv)}  {key} {' '.join(argv)}"
-                    if argv[0] == "run-day":
-                        yield f"{_file_digest(argv[-1])}  {key} {argv[-1]}"
-            yield f"{printed(['validate'])}  - validate"
+                yield from run(key, cli_table(day))
+            yield from run("-", CLI_ONCE)
         finally:
             os.chdir(home)
 
