@@ -142,7 +142,7 @@ class Scaling:
         j = par.alpha_el * (hm.fan_power(md, par) + 0.5 * qer) \
             + par.alpha_ng * 0.5 * qbr / par.eta_thermal
         return cls(wv, par, lay, x, h, j,
-                   *hm.simple_bounds(wv, lay.n, par.flow_floor))
+                   *hm.simple_bounds(wv, par.flow_floor))
 
     def check(self, w: hm.ExogenousVector) -> "Scaling":
         """Return self if w is this hour (equal parameters and a byte-equal
@@ -160,8 +160,8 @@ class Scaling:
         key = xv.tobytes()
         hit = self._memo.get(key)
         if hit is None:
-            raw = hm.value_flat(xv, self.wv, self.layout.n, self.params.c_p,
-                                self.lo, self.hi)
+            raw = hm.value_flat(xv, self.wv, self.params.c_p, self.lo,
+                                self.hi)
             scaled = Scaled(raw.j / self.j, None, raw.h / self.h, None)
             raw.h.flags.writeable = scaled.h.flags.writeable = False
             hit = self._memo[key] = (raw, scaled)
@@ -173,8 +173,7 @@ class Scaling:
         the kept entry is upgraded, so nothing is computed twice."""
         val, scaled = hit = self.values(xv)
         if scaled.grad is None:
-            raw = hm.first_order_flat(val, xv, self.wv, self.layout.n,
-                                      self.params.c_p)
+            raw = hm.first_order_flat(val, xv, self.wv, self.params.c_p)
             scaled = scaled._replace(
                 grad=raw.grad * self.x / self.j,
                 jac=raw.jac * self.x[None, :] / self.h[:, None])
@@ -187,7 +186,7 @@ class Scaling:
         """`hm.derivatives_flat` on the raw record `evaluate` keeps at xv,
         so the point's first order is not computed again."""
         return hm.derivatives_flat(self.evaluate(xv)[0], xv, self.wv,
-                                   self.layout.n, self.params.c_p)
+                                   self.params.c_p)
 
     def multipliers(self, rows, lam):
         """All rows' multipliers in original units, from lam, scaled, over
@@ -372,11 +371,8 @@ def _residuals(xv, lam, s: Scaling) -> KktResiduals:
     lam = np.asarray(lam, dtype=float)
     if lam.size != lay.h_dim:
         raise ValueError(f"expected {lay.h_dim} multipliers, got {lam.size}")
-    if xv.size != lay.x_dim:
-        raise ValueError(
-            f"expected {lay.x_dim} decision entries, got {xv.size}")
     raw, scaled = s.evaluate(xv)
-    j0 = hm.objective_flat(xv, s.wv, lay.n, s.params.c_p)
+    j0 = hm.objective_flat(xv, s.wv, s.params.c_p)
 
     grad_l = raw.grad + lam @ raw.jac
     stat = np.abs(grad_l * sx).max() / max(1.0, np.abs(raw.grad * sx).max())
@@ -489,7 +485,7 @@ def solve_baseline(w: hm.ExogenousVector, cfg: SolverConfig | None = None,
          "jac": lambda z: first(z).jac[eq:eq + 1]},
     ]
 
-    lo, hi = hm.x_box(s.wv, lay.n, par.flow_floor)
+    lo, hi = hm.x_box(s.wv, par.flow_floor)
     lo, hi = lo / sx, hi / sx
     bounds = list(zip(lo, hi))
 

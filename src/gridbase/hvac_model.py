@@ -26,7 +26,8 @@ The parameter tail is `HvacParameters`' fields in declaration order, one
 entry per curve coefficient, except c_p (a physical constant of air), the
 flow floor and the zone count, which are deliberately not exposed as
 uncertain coordinates. `layout(n)` names every entry of x, w and h, and
-the formulas address them by those names.
+the formulas address them by those names. The flat functions take no
+zone count: `layout_of` reads N from w's length and checks x against it.
 
 Supply and zone discharge air keep to the window [T_SUPPLY_MIN,
 T_SUPPLY_MAX]. `simple_bounds` maps each simple-bound row of h to its x
@@ -292,7 +293,8 @@ class DecisionVector:
 
 class Layout:
     """Positions in the flat x, w and h vectors of an n-zone model; use
-    the shared instance from `layout(n)`. `x_labels`, `w_labels` and
+    the shared instance from `layout(n)`, or from `layout_of(wv)`, which
+    reads n from w's length. `x_labels`, `w_labels` and
     `labels` (h's rows) name every entry once, and every position here
     is read from them. h's row blocks are `air` (T_sa_min ..
     m_sa_total_max), the zone blocks, `duty` (q_h_nonneg .. Q_b_max),
@@ -357,6 +359,21 @@ class Layout:
 @functools.lru_cache(maxsize=None)
 def layout(n_zones: int) -> Layout:
     return Layout(n_zones)
+
+
+def layout_of(wv, xv=None) -> Layout:
+    """The layout of the N that w's length fixes: w (the last axis of
+    rows) holds 3N + 21 entries. Raises ValueError for any other length,
+    and for an x that is not N + 4 long."""
+    p = wv.shape[-1]
+    n, rest = divmod(p - 1 - len(_PARAM_LABELS), 3)
+    if rest or n < 1:
+        raise ValueError(f"w has {p} entries, not 3N + 21 for an N >= 1")
+    lay = layout(n)
+    if xv is not None and xv.shape[-1] != lay.x_dim:
+        raise ValueError(f"x has {xv.shape[-1]} entries and w {p}: "
+                         f"w's N = {n} needs {lay.x_dim}")
+    return lay
 
 
 # ---------------------------------------------------------------------------
@@ -501,12 +518,12 @@ def ahu_duty(T, o, m, s_t, t_oa, c_p):
     return c_p * (m * T - s_t + o * s_t / m - o * t_oa)
 
 
-def objective_flat(xv: np.ndarray, wv: np.ndarray, n: int, c_p: float):
+def objective_flat(xv: np.ndarray, wv: np.ndarray, c_p: float):
     """Reported objective from flat arrays: J with zero chiller power at
     q_c = 0 (off switch). Elementwise like `first_order_flat`: on S rows,
     (S, m) and (S, p), it returns the S values, and a row of a "C"-layout
     batch has the bits of the call at that row's point."""
-    lay = layout(n)
+    lay = layout_of(wv, xv)
     x, w = xv.T, wv.T
     b, p = x[lay.q_c], Tail._make(w[lay.tail])
     v = values(x[lay.t_sa], x[lay.q_h], b, x[lay.m_sa], w[lay.q_zone],
@@ -515,13 +532,13 @@ def objective_flat(xv: np.ndarray, wv: np.ndarray, n: int, c_p: float):
                         v.p_boiler, p.alpha_el, p.alpha_ng)
 
 
-def simple_bounds(wv, n, flow_floor):
-    """(lo, hi): simple-bound row `lower[i]` of `layout(n)` is lo[i] - x[i]
+def simple_bounds(wv, flow_floor):
+    """(lo, hi): simple-bound row `lower[i]` of w's layout is lo[i] - x[i]
     for each x entry i, and row `upper[k]` is x[i] - hi[i] for i =
     `upper_x[k]`; hi[i] is T_SUPPLY_MAX for T_sa_max and the w entry
     `upper_w[k - 1]` for the others. hi is inf at the m_sa, which no row
     caps. Elementwise: a point's w gives (m,) arrays, (S, p) rows (m, S)."""
-    lay, w = layout(n), wv.T
+    lay, w = layout_of(wv), wv.T
     lo = np.zeros((lay.x_dim,) + wv.shape[:-1])
     hi = np.full_like(lo, np.inf)
     lo[lay.t_sa], hi[lay.t_sa] = T_SUPPLY_MIN, T_SUPPLY_MAX
@@ -530,11 +547,11 @@ def simple_bounds(wv, n, flow_floor):
     return lo, hi
 
 
-def x_box(wv, n, flow_floor):
+def x_box(wv, flow_floor):
     """The solver's box of x at a point: `simple_bounds` with m_oa >= 0
     and m_sa <= m_design."""
-    lay = layout(n)
-    lo, hi = simple_bounds(wv, n, flow_floor)
+    lay = layout_of(wv)
+    lo, hi = simple_bounds(wv, flow_floor)
     lo[lay.m_oa], hi[lay.m_sa] = 0.0, wv[lay.param.m_design]
     return lo, hi
 
@@ -542,14 +559,14 @@ def x_box(wv, n, flow_floor):
 Value = namedtuple("Value", "j h v")
 
 
-def value_flat(xv: np.ndarray, wv: np.ndarray, n: int, c_p: float,
+def value_flat(xv: np.ndarray, wv: np.ndarray, c_p: float,
                lo: np.ndarray, hi: np.ndarray) -> Value:
     """J_smooth, the ordered inequality vector h (h <= 0 feasible, also
     at infeasible points) and the `values` v at (x, w): the record that
     `first_order_flat` builds on, elementwise like it. (lo, hi) are w's
     `simple_bounds`. J_smooth keeps the chiller standby term at q_c = 0,
     where `objective_flat` drops it."""
-    lay = layout(n)
+    lay = layout_of(wv, xv)
     x, w = xv.T, wv.T
     T, o, mvec = x[lay.t_sa], x[lay.m_oa], x[lay.m_sa]
     a, b = x[lay.q_h], x[lay.q_c]
@@ -575,15 +592,15 @@ def value_flat(xv: np.ndarray, wv: np.ndarray, n: int, c_p: float,
     return Value(j, out, v)
 
 
-def constraints_flat(xv, wv, n, c_p, flow_floor) -> np.ndarray:
+def constraints_flat(xv, wv, c_p, flow_floor) -> np.ndarray:
     """h(x, w) alone: `value_flat`'s h."""
-    return value_flat(xv, wv, n, c_p, *simple_bounds(wv, n, flow_floor)).h
+    return value_flat(xv, wv, c_p, *simple_bounds(wv, flow_floor)).h
 
 
 FirstOrder = namedtuple("FirstOrder", "j grad h jac v gq fan1 etap d1 pc1")
 
 
-def first_order_flat(val: Value, xv: np.ndarray, wv: np.ndarray, n: int,
+def first_order_flat(val: Value, xv: np.ndarray, wv: np.ndarray,
                      c_p: float) -> FirstOrder:
     """The first order at (x, w), built on `val`, the point's `value_flat`
     record: J_smooth, grad_x J, h, jac_x h, then the `values` v, the Q_b
@@ -594,7 +611,7 @@ def first_order_flat(val: Value, xv: np.ndarray, wv: np.ndarray, n: int,
     the bits of the call at that row's point; gq is (m, S), and v and
     the slopes are (S,), scalars at a point.
     """
-    lay = layout(n)
+    lay = layout_of(wv, xv)
     x, w = xv.T, wv.T
     T, o, mvec = x[lay.t_sa], x[lay.m_oa], x[lay.m_sa]
     b = x[lay.q_c]
@@ -680,17 +697,17 @@ class ModelDerivatives:
 
 
 def derivatives_flat(first: FirstOrder, xv: np.ndarray, wv: np.ndarray,
-                     n: int, c_p: float) -> ModelDerivatives:
+                     c_p: float) -> ModelDerivatives:
     """All derivative blocks at (x, w), built on `first`, the point's
     `first_order_flat` record; the chiller term is the smooth expanded
     form (identical to the reported objective wherever q_c > 0).
     grad_x J and jac_x h are the record's own arrays; this adds the
     second-order blocks and the blocks in w, and writes nothing into
     the record."""
+    lay = layout_of(wv, xv)
     v, gq, d1 = first.v, first.gq, first.d1
     fan1, etap, pc1 = first.fan1, first.etap, first.pc1
     m, s_t, u, gain, r, eta = v.m, v.s_t, v.u, v.gain, v.r, v.eta
-    lay = layout(n)
     o, mvec, b = xv[lay.m_oa], xv[lay.m_sa], xv[lay.q_c]
     t_sp = wv[lay.t_sp]
     p, j = Tail._make(wv[lay.tail]), lay.param    # tail values, positions
@@ -731,7 +748,7 @@ def derivatives_flat(first: FirstOrder, xv: np.ndarray, wv: np.ndarray,
     Hq[iM, iT] = -c_p
     gwq[jQZ] = 1.0
     gwq[jTSP] = c_p * mvec
-    xwq[iM, jTSP] = c_p * np.eye(n)
+    xwq[iM, jTSP] = c_p * np.eye(lay.n)
     Ha, gwa, xwa = hess_xx_h[bal_neg], jac_w_h[bal_neg], hess_xw_h[bal_neg]
     Ha[iT, iM] = c_p
     Ha[iM, iT] = c_p
@@ -744,7 +761,7 @@ def derivatives_flat(first: FirstOrder, xv: np.ndarray, wv: np.ndarray,
     gwa[jTSP] = -c_p * mvec * (m - o) / m
     xwa[iO, jTOA] = -c_p
     xwa[iO, jTSP] = c_p * mvec / m
-    xwa[iM, jTSP] = -c_p * (o / m ** 2) * np.outer(np.ones(n), mvec)
+    xwa[iM, jTSP] = -c_p * (o / m ** 2) * np.outer(np.ones(lay.n), mvec)
     xwa[xm, wt] += c_p * (o / m - 1.0)
 
     # --- objective blocks ---
@@ -755,7 +772,7 @@ def derivatives_flat(first: FirstOrder, xv: np.ndarray, wv: np.ndarray,
     hess_xw_j = np.zeros((mdim, pdim))
     hess_xw_j[:, jQZ] = (ang * d2) * gq[:, None]
     hess_xw_j[:, jTSP] = (ang * d2 * c_p) * np.outer(gq, mvec)
-    hess_xw_j[iM, jTSP] += ang * d1 * c_p * np.eye(n)
+    hess_xw_j[iM, jTSP] += ang * d1 * c_p * np.eye(lay.n)
     hess_xw_j[iM, j.delta_P] = ael * fan1 / p.delta_P
     hess_xw_j[iM, j.eta_tot] = -ael * fan1 / p.eta_tot
     hess_xw_j[iM, j.rho_air] = -ael * fan1 / p.rho_air

@@ -127,14 +127,14 @@ class BoundResult:
 # the map H and its Jacobians
 # ---------------------------------------------------------------------------
 
-def kkt_map(xv, wv, lam, n, c_p, flow_floor) -> np.ndarray:
+def kkt_map(xv, wv, lam, c_p, flow_floor) -> np.ndarray:
     """H(x, w; lambda): stationarity rows then complementarity rows, from
     `first_order_flat` on `value_flat`. Its h is the value record's and its
     gradients are coded apart from the second-order blocks, so differences
     of H check each level of G and grad_w H against the level below. On S
     rows, (S, m) and (S, p), H is (S, m + n) with each point's bits."""
-    val = hm.value_flat(xv, wv, n, c_p, *hm.simple_bounds(wv, n, flow_floor))
-    f = hm.first_order_flat(val, xv, wv, n, c_p)
+    val = hm.value_flat(xv, wv, c_p, *hm.simple_bounds(wv, flow_floor))
+    f = hm.first_order_flat(val, xv, wv, c_p)
     return np.concatenate([f.grad + lam @ f.jac, lam * f.h], axis=-1)
 
 
@@ -247,7 +247,7 @@ def verify_operator_fd(anchor: KktPoint, w0: hm.ExogenousVector,
     random direction in x and (with a mask) one in w per probe; returns
     the worst relative error. All points go through one `kkt_map` call."""
     s = anchor.scaling.check(w0)
-    n, par, wv, sx = s.layout.n, s.params, s.wv, s.x
+    par, wv, sx = s.params, s.wv, s.x
     xv = anchor.x0.to_vector()
     lam = np.asarray(anchor.lam, dtype=float)
     if G is None or W_jac is None:
@@ -274,7 +274,7 @@ def verify_operator_fd(anchor: KktPoint, w0: hm.ExogenousVector,
             W += [wv + dw, wv - dw]
             ana.append(W_jac @ (sw * u))
     H = kkt_map(np.reshape(X, (-1, xv.size)), np.reshape(W, (-1, wv.size)),
-                lam, n, par.c_p, par.flow_floor)
+                lam, par.c_p, par.flow_floor)
     fd = (H[0::2] - H[1::2]) / (2 * t)
     ana = np.reshape(ana, fd.shape)
     scale = np.maximum(1.0, np.abs(ana).max(axis=1))
@@ -470,6 +470,6 @@ def _k_batch(op: SensitivityOperator, dW: np.ndarray, X: np.ndarray,
     # every row goes through the kernel: dropping rows would copy X and W
     # into "C" layout and change the bits of the rows that stay
     ok = X[:, lay.m_sa].min(axis=1) >= par.flow_floor
-    kvals = kernels.objective_batch(X, W, lay.n, par.c_p) - op.anchor.j0
+    kvals = kernels.objective_batch(X, W, par.c_p) - op.anchor.j0
     kvals[~ok] = np.nan
     return kvals, ok

@@ -104,11 +104,11 @@ def test_local_optimality_against_feasible_probes(hot_hour, solve_cached):
         q_ahu = par.c_p * (m * t - st + o * st / m - o * hot_hour.t_oa)
         xv[lay.q_h] = max(q_ahu, 0.0)
         xv[lay.q_c] = max(-q_ahu, 0.0)
-        h = hm.constraints_flat(xv, wv, n, par.c_p, par.flow_floor)
+        h = hm.constraints_flat(xv, wv, par.c_p, par.flow_floor)
         if h.max() > 1e-9:
             continue
         tried += 1
-        j = hm.objective_flat(xv, wv, n, par.c_p)
+        j = hm.objective_flat(xv, wv, par.c_p)
         assert j >= kkt.j0 - 1e-6 * kkt.j0
     assert tried > 50  # the probe generator actually exercised the test
 
@@ -779,9 +779,9 @@ def test_scaled_record_keeps_the_row_selected_bits(n):
         assert isinstance(raw, hm.FirstOrder)
         assert isinstance(scaled, baseline_opt.Scaled)
         first = hm.first_order_flat(
-            hm.value_flat(xv, s.wv, n, w.params.c_p,
-                          *hm.simple_bounds(s.wv, n, w.params.flow_floor)),
-            xv, s.wv, n, w.params.c_p)
+            hm.value_flat(xv, s.wv, w.params.c_p,
+                          *hm.simple_bounds(s.wv, w.params.flow_floor)),
+            xv, s.wv, w.params.c_p)
         for a, b in zip(raw, first):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
         pairs = [

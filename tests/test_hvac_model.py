@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from gridbase import hvac_model as hm
 from gridbase import baseline_opt, numkit
+from gridbase import sensitivity as sn
 from gridbase.errors import DegenerateFlowError, InvalidCurveError
 
 from conftest import scaled_params
@@ -412,7 +413,7 @@ def test_evaluate_rejects_degenerate_flow(hot_hour):
 def test_objective_flat_matches_evaluate(hot_hour):
     x = _feasible_point()
     j_flat = hm.objective_flat(x.to_vector(), hot_hour.to_vector(),
-                               5, hot_hour.params.c_p)
+                               hot_hour.params.c_p)
     assert j_flat == pytest.approx(hm.evaluate(x, hot_hour).j_source,
                                    rel=1e-14)
 
@@ -422,9 +423,9 @@ def test_objective_smooth_differs_only_by_standby(hot_hour):
     x = hm.DecisionVector(t_sa=22.0, m_oa=0.6,
                           m_sa=np.full(5, 0.4), q_h=5000.0, q_c=0.0)
     xv, wv = x.to_vector(), hot_hour.to_vector()
-    j_hard = hm.objective_flat(xv, wv, 5, par.c_p)
-    j_smooth = hm.value_flat(xv, wv, 5, par.c_p,
-                             *hm.simple_bounds(wv, 5, par.flow_floor)).j
+    j_hard = hm.objective_flat(xv, wv, par.c_p)
+    j_smooth = hm.value_flat(xv, wv, par.c_p,
+                             *hm.simple_bounds(wv, par.flow_floor)).j
     standby = par.alpha_el * (par.c_g[0] * par.Q_e_rated + par.P_pump)
     assert j_smooth - j_hard == pytest.approx(standby, rel=1e-12)
 
@@ -432,7 +433,7 @@ def test_objective_smooth_differs_only_by_standby(hot_hour):
 def test_constraint_rows_sign_convention(hot_hour):
     x = _feasible_point()
     par = hot_hour.params
-    h = hm.constraints_flat(x.to_vector(), hot_hour.to_vector(), 5, par.c_p,
+    h = hm.constraints_flat(x.to_vector(), hot_hour.to_vector(), par.c_p,
                             par.flow_floor)
     assert h.size == 34
     # strictly feasible interior rows are negative, balance rows cancel
@@ -458,8 +459,8 @@ def test_coupled_rows_match_evaluate(n):
             m_sa=rng.uniform(0.1, 0.6, n), q_h=rng.uniform(0.0, 5000.0),
             q_c=rng.uniform(0.0, 30000.0))
         pt = hm.evaluate(x, w)
-        val = hm.value_flat(x.to_vector(), w.to_vector(), n, c_p,
-                            *hm.simple_bounds(w.to_vector(), n,
+        val = hm.value_flat(x.to_vector(), w.to_vector(), c_p,
+                            *hm.simple_bounds(w.to_vector(),
                                               par.flow_floor))
         h = dict(zip(labels, val.h))
         scale = dict(zip(labels, baseline_opt.Scaling.of(w).h))
@@ -505,8 +506,8 @@ def test_simple_bound_rows_are_the_box(n):
         rng.uniform(0.0, 30000.0, S)])
     X[0, lay.t_sa], X[1, lay.q_h] = 12.0, 0.0   # on a bound
     up_x = lay.upper_x
-    lo, hi = hm.simple_bounds(W, n, par.flow_floor)
-    rows = _first_order(X, W, n, par)
+    lo, hi = hm.simple_bounds(W, par.flow_floor)
+    rows = _first_order(X, W, par)
     h_rows, jac_rows = rows.h, rows.jac
     assert np.array_equal(h_rows[:, lay.lower], lo.T - X)
     assert np.array_equal(h_rows[:, lay.upper], X[:, up_x] - hi.T[:, up_x])
@@ -516,20 +517,20 @@ def test_simple_bound_rows_are_the_box(n):
     assert np.array_equal(jac_rows[:, lay.upper], np.broadcast_to(
         eye[up_x], (S, up_x.size, lay.x_dim)))
     for xv, wv, lo_row, hi_row in zip(X, W, lo.T, hi.T):
-        lo, hi = hm.simple_bounds(wv, n, par.flow_floor)
+        lo, hi = hm.simple_bounds(wv, par.flow_floor)
         assert np.array_equal(lo, lo_row) and np.array_equal(hi, hi_row)
         assert list(lo) == [12.0, wv[lay.m_oa_min].sum()] \
             + [par.flow_floor] * n + [0.0, 0.0]
         assert list(hi[up_x]) == [37.0, par.m_design, par.Q_b_rated,
                                   par.Q_e_rated]
         assert np.isinf(hi[lay.m_sa]).all()
-        h = hm.constraints_flat(xv, wv, n, par.c_p, par.flow_floor)
-        jac = _derivatives(xv, wv, n, par).jac_x_h
+        h = hm.constraints_flat(xv, wv, par.c_p, par.flow_floor)
+        jac = _derivatives(xv, wv, par).jac_x_h
         assert np.array_equal(h[lay.lower], lo - xv)
         assert np.array_equal(h[lay.upper], xv[up_x] - hi[up_x])
         assert np.array_equal(jac[lay.lower], -eye)
         assert np.array_equal(jac[lay.upper], eye[up_x])
-        box_lo, box_hi = hm.x_box(wv, n, par.flow_floor)
+        box_lo, box_hi = hm.x_box(wv, par.flow_floor)
         moved_lo = np.flatnonzero(box_lo != lo)
         moved_hi = np.flatnonzero(box_hi != hi)
         assert list(moved_lo) == [lay.m_oa] and box_lo[lay.m_oa] == 0.0
@@ -538,20 +539,85 @@ def test_simple_bound_rows_are_the_box(n):
 
 
 # ---------------------------------------------------------------------------
+# the zone count comes from the arrays
+# ---------------------------------------------------------------------------
+
+def _flat_point(n):
+    """The flat (x, w) of an n-zone hour."""
+    w = hm.make_exogenous(30.0, np.full(n, -3000.0), np.full(n, 23.0),
+                          np.full(n, 0.05), scaled_params(n))
+    x = hm.DecisionVector(t_sa=16.0, m_oa=0.6, m_sa=np.full(n, 0.4),
+                          q_h=0.0, q_c=18000.0)
+    return x.to_vector(), w.to_vector()
+
+
+_C_P, _FLOOR = hm.HvacParameters().c_p, hm.HvacParameters().flow_floor
+# the eight functions that read N from w, each at (x, w); the lengths are
+# checked before a record, a bound or a multiplier is read, so those are
+# None here
+_FLAT = {
+    "value_flat": lambda x, w: hm.value_flat(x, w, _C_P, None, None),
+    "first_order_flat": lambda x, w: hm.first_order_flat(None, x, w, _C_P),
+    "derivatives_flat": lambda x, w: hm.derivatives_flat(None, x, w, _C_P),
+    "objective_flat": lambda x, w: hm.objective_flat(x, w, _C_P),
+    "constraints_flat": lambda x, w: hm.constraints_flat(x, w, _C_P, _FLOOR),
+    "kkt_map": lambda x, w: sn.kkt_map(x, w, None, _C_P, _FLOOR),
+    "simple_bounds": lambda x, w: hm.simple_bounds(w, _FLOOR),
+    "x_box": lambda x, w: hm.x_box(w, _FLOOR),
+}
+
+
+@pytest.mark.parametrize("name", list(_FLAT))
+def test_mismatched_zone_counts_raise(name):
+    """Each flat function raises ValueError for a w that is not 3N + 21
+    long, and each that takes x for an x and a w of different N, naming
+    both lengths."""
+    call = _FLAT[name]
+    for n in (1, 5, 8):
+        xv, wv = _flat_point(n)
+        for bad in (wv[:-1], np.append(wv, 0.0), wv[:21]):
+            with pytest.raises(ValueError,
+                               match=f"^w has {bad.size} entries, not 3N"):
+                call(xv, bad)
+        if name in ("simple_bounds", "x_box"):
+            continue
+        for m in {1, 5, 8} - {n}:
+            other = _flat_point(m)[1]
+            with pytest.raises(ValueError, match=(
+                    f"^x has {n + 4} entries and w {3 * m + 21}: ")):
+                call(xv, other)
+
+
+def test_a_five_zone_hour_is_not_read_as_three_zones(hot_hour):
+    """Read as 3 zones (x's first 7 and w's first 30 entries), this
+    5-zone hour's J is -1,466,484.3 W, where its J is 44,935.6 W. A zone
+    count passed beside the arrays could ask for that reading; with N
+    read from w, a 3-zone cut of either array against the other raises."""
+    xv, wv = _feasible_point().to_vector(), hot_hour.to_vector()
+    c_p = hot_hour.params.c_p
+    with pytest.raises(ValueError, match="^x has 7 entries and w 36: "):
+        hm.objective_flat(xv[:7], wv, c_p)
+    with pytest.raises(ValueError, match="^x has 9 entries and w 30: "):
+        hm.objective_flat(xv, wv[:30], c_p)
+    assert hm.objective_flat(xv[:7], wv[:30], c_p) == pytest.approx(
+        -1466484.3, abs=0.05)
+    assert hm.objective_flat(xv, wv, c_p) == pytest.approx(44935.6, abs=0.05)
+
+
+# ---------------------------------------------------------------------------
 # analytic derivatives vs finite differences
 # ---------------------------------------------------------------------------
 
-def _first_order(xv, wv, n, par):
+def _first_order(xv, wv, par):
     """first_order_flat on the point's own value_flat record."""
-    val = hm.value_flat(xv, wv, n, par.c_p,
-                        *hm.simple_bounds(wv, n, par.flow_floor))
-    return hm.first_order_flat(val, xv, wv, n, par.c_p)
+    val = hm.value_flat(xv, wv, par.c_p,
+                        *hm.simple_bounds(wv, par.flow_floor))
+    return hm.first_order_flat(val, xv, wv, par.c_p)
 
 
-def _derivatives(xv, wv, n, par):
+def _derivatives(xv, wv, par):
     """derivatives_flat on the point's own first_order_flat record."""
-    return hm.derivatives_flat(_first_order(xv, wv, n, par), xv, wv, n,
-                               par.c_p)
+    return hm.derivatives_flat(_first_order(xv, wv, par), xv, wv, par.c_p)
 
 
 def _random_interior_points(w, count, seed):
@@ -573,19 +639,19 @@ def test_first_derivatives_match_fd(hot_hour):
     c_p = hot_hour.params.c_p
     floor = hot_hour.params.flow_floor
     for xv in _random_interior_points(hot_hour, 5, seed=0):
-        d = _derivatives(xv, wv, 5, hot_hour.params)
+        d = _derivatives(xv, wv, hot_hour.params)
         g_fd = numkit.fd_gradient(
             lambda z: hm.value_flat(
-                z, wv, 5, c_p, *hm.simple_bounds(wv, 5, floor)).j, xv)
+                z, wv, c_p, *hm.simple_bounds(wv, floor)).j, xv)
         scale = np.abs(d.grad_x_j).max()
         assert np.abs(g_fd - d.grad_x_j).max() < 1e-6 * scale
 
-        h0 = hm.constraints_flat(xv, wv, 5, c_p, floor)
+        h0 = hm.constraints_flat(xv, wv, c_p, floor)
         for k in range(xv.size):
             e = np.zeros(xv.size)
             e[k] = 1e-5 * max(1.0, abs(xv[k]))
-            hp = hm.constraints_flat(xv + e, wv, 5, c_p, floor)
-            hmn = hm.constraints_flat(xv - e, wv, 5, c_p, floor)
+            hp = hm.constraints_flat(xv + e, wv, c_p, floor)
+            hmn = hm.constraints_flat(xv - e, wv, c_p, floor)
             fd = (hp - hmn) / (2 * e[k])
             err = np.abs(fd - d.jac_x_h[:, k]).max()
             assert err < 1e-5 * max(1.0, np.abs(d.jac_x_h[:, k]).max())
@@ -610,31 +676,31 @@ def test_first_order_flat_matches_constraints_and_derivatives():
                 [rng.uniform(0.0, 5000.0),
                  0.0 if k % 3 == 0 else rng.uniform(100.0, 30000.0)]])
             wv = w.to_vector()
-            val = hm.value_flat(xv, wv, n, par.c_p,
-                                *hm.simple_bounds(wv, n, par.flow_floor))
-            first = hm.first_order_flat(val, xv, wv, n, par.c_p)
-            d = hm.derivatives_flat(first, xv, wv, n, par.c_p)
+            val = hm.value_flat(xv, wv, par.c_p,
+                                *hm.simple_bounds(wv, par.flow_floor))
+            first = hm.first_order_flat(val, xv, wv, par.c_p)
+            d = hm.derivatives_flat(first, xv, wv, par.c_p)
             assert first.j is val.j and first.h is val.h
             assert first.v is val.v
             assert np.array_equal(first.h, hm.constraints_flat(
-                xv, wv, n, par.c_p, par.flow_floor))
+                xv, wv, par.c_p, par.flow_floor))
             assert d.grad_x_j is first.grad
             assert d.jac_x_h is first.jac
             if xv[-1] > 0.0:
-                assert first.j == hm.objective_flat(xv, wv, n, par.c_p)
+                assert first.j == hm.objective_flat(xv, wv, par.c_p)
 
 
 def test_second_derivatives_match_gradient_differences(hot_hour):
     wv = hot_hour.to_vector()
     par = hot_hour.params
     xv = _random_interior_points(hot_hour, 1, seed=3)[0]
-    d = _derivatives(xv, wv, 5, par)
+    d = _derivatives(xv, wv, par)
     # hess_xx_j columns = FD of grad_x_j
     for k in range(xv.size):
         e = np.zeros(xv.size)
         e[k] = 1e-5 * max(1.0, abs(xv[k]))
-        gp = _derivatives(xv + e, wv, 5, par).grad_x_j
-        gm = _derivatives(xv - e, wv, 5, par).grad_x_j
+        gp = _derivatives(xv + e, wv, par).grad_x_j
+        gm = _derivatives(xv - e, wv, par).grad_x_j
         fd = (gp - gm) / (2 * e[k])
         scale = max(1.0, np.abs(d.hess_xx_j[:, k]).max())
         assert np.abs(fd - d.hess_xx_j[:, k]).max() < 1e-5 * scale
@@ -642,8 +708,8 @@ def test_second_derivatives_match_gradient_differences(hot_hour):
     for k in range(wv.size):
         e = np.zeros(wv.size)
         e[k] = 1e-5 * max(1.0, abs(wv[k]))
-        gp = _derivatives(xv, wv + e, 5, par).grad_x_j
-        gm = _derivatives(xv, wv - e, 5, par).grad_x_j
+        gp = _derivatives(xv, wv + e, par).grad_x_j
+        gm = _derivatives(xv, wv - e, par).grad_x_j
         fd = (gp - gm) / (2 * e[k])
         scale = max(1.0, np.abs(d.hess_xw_j[:, k]).max())
         assert np.abs(fd - d.hess_xw_j[:, k]).max() < 1e-4 * scale
@@ -665,10 +731,10 @@ def test_constraint_hessians_match_jacobian_differences(n):
             [rng.uniform(13.0, 30.0), rng.uniform(0.2, 1.5)],
             rng.uniform(0.1, 0.6, n),
             [rng.uniform(100.0, 5000.0), rng.uniform(100.0, 30000.0)]])
-        d = _derivatives(xv, wv, n, par)
+        d = _derivatives(xv, wv, par)
 
         def jac_at(x, v):
-            return _first_order(x, v, n, par).jac
+            return _first_order(x, v, par).jac
 
         for z, block, jac in ((xv, d.hess_xx_h, lambda z: jac_at(z, wv)),
                               (wv, d.hess_xw_h, lambda z: jac_at(xv, z))):
@@ -693,12 +759,12 @@ def test_constraint_jacobian_w_matches_fd_random_points(seed):
     c_p = w.params.c_p
     floor = w.params.flow_floor
     xv = _random_interior_points(w, 1, seed=seed)[0]
-    d = _derivatives(xv, wv, 5, w.params)
+    d = _derivatives(xv, wv, w.params)
     rng = np.random.default_rng(seed + 1)
     u = rng.standard_normal(wv.size) * np.maximum(1.0, np.abs(wv))
     t = 1e-6
-    hp = hm.constraints_flat(xv, wv + t * u, 5, c_p, floor)
-    hmn = hm.constraints_flat(xv, wv - t * u, 5, c_p, floor)
+    hp = hm.constraints_flat(xv, wv + t * u, c_p, floor)
+    hmn = hm.constraints_flat(xv, wv - t * u, c_p, floor)
     fd = (hp - hmn) / (2 * t)
     ana = d.jac_w_h @ u
     assert np.abs(fd - ana).max() < 1e-5 * max(1.0, np.abs(ana).max())

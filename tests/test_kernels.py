@@ -39,7 +39,7 @@ def test_python_backend_matches_scalar_objective():
             .j_source for x, wv in zip(X, W)])
         for order in ("C", "F"):
             out = kernels.objective_batch(np.asarray(X, order=order),
-                                          np.asarray(W, order=order), n,
+                                          np.asarray(W, order=order),
                                           w.params.c_p)
             assert out == pytest.approx(ref, rel=1e-12, abs=0.0), (n, order)
 
@@ -50,7 +50,7 @@ def test_objective_flat_is_a_c_layout_kernel_row():
     for n in (1, 3, 5, 8, 13):
         X, W, w = _random_batch(n, 64, seed=100 + n)
         out = kernels.objective_batch(np.ascontiguousarray(X),
-                                      np.ascontiguousarray(W), n,
+                                      np.ascontiguousarray(W),
                                       w.params.c_p)
         for i in range(X.shape[0]):
-            assert hm.objective_flat(X[i], W[i], n, w.params.c_p) == out[i]
+            assert hm.objective_flat(X[i], W[i], w.params.c_p) == out[i]

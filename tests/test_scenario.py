@@ -83,7 +83,7 @@ def test_load_profile_parses_minimal_file(tmp_path):
 # the ones pytest numbered these cases with before, kept so that each
 # case's history stays under one name; the comments say what each tests.
 @pytest.mark.parametrize("mutate,expect_line", [
-    pytest.param(lambda ls: [], 1, id="<lambda>-1_0"),          # empty file
+    pytest.param(lambda ls: [""], 1, id="blank-header"),  # line 1 is blank
     pytest.param(lambda ls: ["#label=demo,units=furlongs"] + ls[1:], 1,
                  id="<lambda>-1_1"),                             # bad units
     pytest.param(lambda ls: ["#labeldemo"] + ls[1:], 1,
@@ -115,7 +115,7 @@ def test_load_profile_parses_minimal_file(tmp_path):
 def test_load_profile_errors_carry_line_numbers(tmp_path, mutate,
                                                 expect_line):
     path = tmp_path / "bad.csv"
-    _write_lines(path, mutate(_valid_lines()) or [""])
+    _write_lines(path, mutate(_valid_lines()))
     with pytest.raises(ProfileParseError) as err:
         sc.load_profile(path)
     assert err.value.line == expect_line

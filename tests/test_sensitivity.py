@@ -121,7 +121,7 @@ def test_kkt_map_near_zero_at_anchor(moderate_hour, solve_cached):
     kkt = solve_cached(moderate_hour)
     par = moderate_hour.params
     H = sn.kkt_map(kkt.x0.to_vector(), moderate_hour.to_vector(),
-                   kkt.lam, 5, par.c_p, par.flow_floor)
+                   kkt.lam, par.c_p, par.flow_floor)
     # complementarity rows vanish relative to the baseline cost
     assert np.abs(H[9:]).max() <= 1e-6 * abs(kkt.j0)
 
@@ -146,12 +146,12 @@ def test_rows_have_the_bits_of_points(n):
     X[:, lay.q_h:] = rng.uniform(0.0, 5e4, (S, 2))
     X[::3, lay.q_c] = 0.0          # chiller off on some rows
     lam = np.abs(rng.standard_normal(lay.h_dim))
-    args = (n, par.c_p, par.flow_floor)
+    args = (par.c_p, par.flow_floor)
 
     def first_order(x, v):
-        val = hm.value_flat(x, v, *args[:2],
-                            *hm.simple_bounds(v, n, par.flow_floor))
-        return hm.first_order_flat(val, x, v, *args[:2])
+        val = hm.value_flat(x, v, par.c_p,
+                            *hm.simple_bounds(v, par.flow_floor))
+        return hm.first_order_flat(val, x, v, par.c_p)
 
     rows = first_order(X, W)
     H = sn.kkt_map(X, W, lam, *args)
@@ -204,15 +204,15 @@ def _fd_check_by_point(anchor, w, spec, n_probes, seed):
     lam, par = anchor.lam, w.params
     sx = baseline_opt.Scaling.of(w).x
     first = hm.first_order_flat(
-        hm.value_flat(xv, wv, 5, par.c_p,
-                      *hm.simple_bounds(wv, 5, par.flow_floor)),
-        xv, wv, 5, par.c_p)
+        hm.value_flat(xv, wv, par.c_p,
+                      *hm.simple_bounds(wv, par.flow_floor)),
+        xv, wv, par.c_p)
     G, W_jac = sn._assemble_jacobians(
-        hm.derivatives_flat(first, xv, wv, 5, par.c_p), lam, spec.indices)
+        hm.derivatives_flat(first, xv, wv, par.c_p), lam, spec.indices)
     idx = list(spec.indices)
 
     def H(x, v):
-        return sn.kkt_map(x, v, lam, 5, par.c_p, par.flow_floor)
+        return sn.kkt_map(x, v, lam, par.c_p, par.flow_floor)
 
     def err(fd, ana):
         return np.abs(fd - ana).max() / max(1.0, np.abs(ana).max())

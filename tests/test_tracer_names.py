@@ -42,3 +42,10 @@ def test_sample_bound_takes_n_samples_fourth():
     args[3]."""
     params = list(inspect.signature(sn.sample_bound).parameters)
     assert params[3] == "n_samples"
+
+
+def test_objective_batch_takes_the_rows_of_x_and_w_first():
+    """The tracer's objective_batch hook reads the rows of x and w as
+    args[0] and args[1]."""
+    params = list(inspect.signature(kernels.objective_batch).parameters)
+    assert params[:2] == ["xv", "wv"]
