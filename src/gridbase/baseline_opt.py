@@ -2,14 +2,15 @@
 
 The globalization phase uses scipy's SLSQP on a diagonally scaled copy of
 the problem (temperatures, flows and coil duties live on very different
-scales). The returned point is then refined in-repo: the cost-flat
-direction shared by (T_sa, q_h) is canonicalized to the minimum-q_h
-endpoint, and an active-set Newton polish drives the KKT residuals to
-machine precision while recovering multipliers for every constraint row.
-The polish keeps the rows it starts from: it never drops or adds one.
-What it leaves, also when Newton fails, ends in a residual report, and
-the certificate alone judges it: on an uncertified report the solve
-tries the next start.
+scales). The returned point is then refined in-repo, in at most two
+rounds: the cost-flat direction shared by (T_sa, q_h) is canonicalized to
+the minimum-q_h endpoint, and the rows active there are fixed. A point
+that already sits on them is priced by NNLS (nonnegative multipliers);
+any other is moved by one active-set Newton pass, and the next round
+starts at its canonical form. The polish never drops or adds a row. What
+it leaves, also when Newton fails, ends in a residual report, and the
+certificate alone judges it: on an uncertified report the solve tries
+the next start.
 
 The AHU energy balance appears in the constraint vector as two opposite
 inequality rows; internally it is one equality with a free multiplier mu,
@@ -233,41 +234,6 @@ def _canonicalize(xv: np.ndarray, s: Scaling) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # active-set Newton polish
 # ---------------------------------------------------------------------------
-
-def _polish(xv, s: Scaling, act):
-    """Refine (x, lambda) on the KKT system of the active rows `act`.
-
-    Newton runs at most once on those rows; NNLS on the same rows
-    recovers a negative multiplier it leaves, or else it is clipped. No
-    row is added or removed: `_residuals`, not the polish, judges the
-    result. Returns (xv, lam_full, ok), ok False when Newton fails, with
-    its last iterate; lam_full is over all rows in original units."""
-    lay = s.layout
-    # _canonicalize leaves T_sa_min or q_h_nonneg active, so rows holds at
-    # least one row besides the balance equality, whose mu comes last
-    rows = sorted(set(map(int, act)) - {lay.balance, lay.balance_neg}) \
-        + [lay.balance]
-
-    # a point that is already feasible, sits exactly on its active rows,
-    # and admits nonnegative stationarity multipliers needs no Newton
-    # refinement — restarting Newton there can diverge when the active
-    # rows are linearly dependent (degenerate corners)
-    h0 = s.values(xv)[1].h
-    if h0.max() <= _FEAS_KEEP and np.abs(h0[rows[:-1]]).max() <= 1e-12:
-        lam = _nnls_multipliers(xv, s, rows)
-        if lam is not None:
-            return xv, s.multipliers(rows, lam), True
-
-    xv, lam, ok = _newton_on_active(xv, s, rows, np.zeros(len(rows)))
-    if ok and lam[:-1].min() < -1e-9:
-        # at degenerate corners the active rows are dependent and the
-        # Newton multipliers are sign-indefinite; try a nonnegative
-        # recovery on the same rows
-        lam_nn = _nnls_multipliers(xv, s, rows)
-        if lam_nn is not None:
-            lam = lam_nn
-    return xv, s.multipliers(rows, lam), ok
-
 
 @np.errstate(over="ignore", invalid="ignore")
 def _newton_on_active(xv, s: Scaling, rows, lam):
@@ -532,24 +498,42 @@ def solve_baseline(w: hm.ExogenousVector, cfg: SolverConfig | None = None,
                                     r.stationarity_residual)))
 
 
-# a failed polish's multipliers may overflow; its report then reads inf or
-# nan, which never certifies and ranks last among the start reports
+# a failed Newton pass's multipliers may overflow; its report then reads
+# inf or nan, which never certifies and ranks last among the start reports
 @np.errstate(over="ignore", invalid="ignore")
 def _finalize(xv, s: Scaling, seed):
+    """A start's endgame from SLSQP's point xv: polish rounds on fixed
+    rows (NNLS prices a point on them, else one Newton pass moves it),
+    then the snap and the `_residuals` report that judges the result."""
+    lay = s.layout
     start = _canonicalize(xv, s)
     # canonicalization can change the active set, so a second round
     # polishes at the canonical form of the first round's result; it is
     # skipped when that form is the point the first round started from,
     # where the round would repeat the first bit for bit
     for second_round in (False, True):
-        act = np.where(s.values(start)[1].h >= -SolverConfig.act_tol)[0]
-        xv, lam, ok = _polish(start, s, act)
+        h = s.values(start)[1].h
+        # active rows before the balance pair (canonicalization leaves one,
+        # T_sa_min or q_h_nonneg), then the balance equality: mu comes last
+        act = np.flatnonzero(h[:lay.balance] >= -SolverConfig.act_tol)
+        rows = act.tolist() + [lay.balance]
+        # restarting Newton at a point that needs no refinement can diverge
+        # when the active rows are linearly dependent (degenerate corners)
+        lam = None
+        if h.max() <= _FEAS_KEEP and np.abs(h[act]).max() <= 1e-12:
+            lam = _nnls_multipliers(start, s, rows)
+        if lam is None:
+            xv, lam, ok = _newton_on_active(start, s, rows,
+                                            np.zeros(len(rows)))
+        else:
+            xv, ok = start, True
         if second_round or not ok:
             break
         nxt = _canonicalize(xv, s)
         if nxt.tobytes() == start.tobytes():
             break
         start = nxt
+    lam = s.multipliers(rows, lam)
     # verify_kkt's active set at xv, without its residuals
     active = np.where(np.abs(s.values(xv)[1].h)
                       <= SolverConfig.act_tol)[0]

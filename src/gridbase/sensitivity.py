@@ -45,7 +45,10 @@ _FD_SCALE = 1e-4
 
 # most rows per shift product and kernel call in sample_bound: a block's
 # X, W (590 kB at 5 zones) and kernel temporaries fit in a 2 MB L2 cache,
-# where the W of 10000 rows alone is 2.9 MB
+# where the W of 10000 rows alone is 2.9 MB. Under multithreaded OpenBLAS
+# (2 cores), one 10000x12 by 12x9 day-wide shift product took 8.0 ms in 2
+# of 6 fresh processes and 0.05-0.08 ms in 4; five 2000-row blocks took
+# 0.09-0.17 ms in all 6
 _BLOCK_ROWS = 2048
 
 _BELOW_FLOOR = "shifted zone flow fell below the flow floor; reduce alpha"

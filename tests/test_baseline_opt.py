@@ -157,16 +157,32 @@ def test_nominal_hour_needs_one_start(hot_hour, solve_cached, monkeypatch):
     assert kkt.j0 == solve_cached(hot_hour).j0
 
 
-def _count_polish(monkeypatch):
-    calls = []
-    real = baseline_opt._polish
+def _polish_steps(monkeypatch):
+    """Wrap the two steps a polish round can take at its start point, NNLS
+    pricing and a Newton pass; each call appends (name, point, rows,
+    result) to the returned list."""
+    steps = []
+    for name in ("_nnls_multipliers", "_newton_on_active"):
+        def step(xv, s, rows, *args, _name=name,
+                 _real=getattr(baseline_opt, name)):
+            out = _real(xv, s, rows, *args)
+            steps.append((_name, xv, list(rows), out))
+            return out
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+        monkeypatch.setattr(baseline_opt, name, step)
+    return steps
 
-    monkeypatch.setattr(baseline_opt, "_polish", counted)
-    return calls
+
+def _rounds(steps):
+    """The steps' names grouped by polish round, as (start point, names):
+    both steps receive the round's start, and a second round runs only
+    from another point."""
+    rounds = []
+    for name, xv, *_ in steps:
+        if not rounds or rounds[-1][0].tobytes() != xv.tobytes():
+            rounds.append((xv, []))
+        rounds[-1][1].append(name)
+    return rounds
 
 
 @pytest.mark.parametrize("hour_fixture",
@@ -174,11 +190,11 @@ def _count_polish(monkeypatch):
 def test_one_polish_round_when_canonical_form_is_unchanged(
         hour_fixture, request, monkeypatch):
     """On these hours the first polish keeps the canonicalized SLSQP point
-    (it only recovers multipliers), so a second round would repeat it bit
-    for bit and does not run. Each hour takes one start."""
-    calls = _count_polish(monkeypatch)
+    (NNLS only prices it), so a second round would repeat it bit for bit
+    and does not run. Each hour takes one start."""
+    steps = _polish_steps(monkeypatch)
     _assert_certified(solve_baseline(request.getfixturevalue(hour_fixture)))
-    assert len(calls) == 1
+    assert len(_rounds(steps)) == 1
 
 
 def test_second_polish_round_after_the_point_moves(zero_load_hour,
@@ -189,8 +205,9 @@ def test_second_polish_round_after_the_point_moves(zero_load_hour,
     kkt = solve_cached(zero_load_hour)
     xv = kkt.x0.to_vector()
     xv[0] += 0.5
-    calls = _count_polish(monkeypatch)
+    steps = _polish_steps(monkeypatch)
     out = baseline_opt._finalize(xv, kkt.scaling, 0)
+    calls = _rounds(steps)
     assert len(calls) == 2
     assert not np.array_equal(calls[1][0], calls[0][0])
     _assert_certified(out)
@@ -359,32 +376,58 @@ def test_nominal_cold_hour_reports_its_failure():
 
 def test_polish_runs_newton_at_most_once(monkeypatch):
     """From the first start's stored end point of hour 12 of this nominal
-    5-zone hot day, Newton converges with a negative multiplier that NNLS
-    on the same rows cannot recover. The polish keeps its rows, so each
-    polish runs Newton once, and the certificate refuses the start."""
+    5-zone hot day, Newton converges with a negative multiplier, which is
+    clipped. The polish keeps its rows, so each round runs Newton at most
+    once, and the certificate refuses the start."""
     hour = sc.synth_profile("hot", 3800156).hours[3]
     assert hour.hour_index == 12
     w = hm.ExogenousVector(t_oa=hour.t_oa, zones=hour.zones,
                            params=hm.HvacParameters())
-    newtons = []
-    real_polish, real_newton = (baseline_opt._polish,
-                                baseline_opt._newton_on_active)
-
-    def polish(*args):
-        newtons.append(0)
-        return real_polish(*args)
-
-    def newton(*args):
-        newtons[-1] += 1
-        return real_newton(*args)
-
-    monkeypatch.setattr(baseline_opt, "_polish", polish)
-    monkeypatch.setattr(baseline_opt, "_newton_on_active", newton)
+    steps = _polish_steps(monkeypatch)
     s = baseline_opt.Scaling.of(w)
     report = baseline_opt._finalize(
         _end_point(_HOT_S3800156_H12_END) * s.x, s, 0)
+    newtons = [names.count("_newton_on_active")
+               for _, names in _rounds(steps)]
     assert newtons and max(newtons) <= 1
     assert not report.certified
+
+
+def _assert_priced_by_nnls(kkt, steps):
+    assert kkt.certified
+    *_, rows, z = [step for step in steps
+                   if step[0] == "_nnls_multipliers"][-1]
+    assert z is not None
+    assert kkt.lam.tobytes() == kkt.scaling.multipliers(rows, z).tobytes()
+    assert [step[0] for step in steps].count("_newton_on_active") <= 1
+
+
+def test_nnls_prices_every_certified_anchor(day_profiles, monkeypatch):
+    """The pricing rule: a certified start's multipliers are, bit for bit,
+    `Scaling.multipliers` of the last NNLS result of its polish, and
+    Newton only moves the point, at most once in that start. Checked on
+    the 21 seed-42 fixture hours, where NNLS prices the canonical SLSQP
+    point, and from the stored end point of hour 15 of this hot day,
+    where one Newton pass moves the point and NNLS prices its canonical
+    form."""
+    steps = _polish_steps(monkeypatch)
+    real_finalize = baseline_opt._finalize
+
+    def finalize(*args):
+        steps.clear()  # one call per start: keep the last start's steps
+        return real_finalize(*args)
+
+    monkeypatch.setattr(baseline_opt, "_finalize", finalize)
+    for prof in day_profiles.values():
+        for hour in prof.hours:
+            w = hm.ExogenousVector(t_oa=hour.t_oa, zones=hour.zones,
+                                   params=hm.HvacParameters())
+            _assert_priced_by_nnls(solve_baseline(w), steps)
+    s = baseline_opt.Scaling.of(_hour_15("hot", 100045))
+    kkt = baseline_opt._finalize(_end_point(_HOT_S100045_H15_END) * s.x, s, 0)
+    _assert_priced_by_nnls(kkt, steps)
+    assert [step[0] for step in steps] == ["_newton_on_active",
+                                           "_nnls_multipliers"]
 
 
 @pytest.mark.parametrize("stationarity", [
@@ -663,8 +706,8 @@ def test_simple_bounds_once_per_scaling(hot_hour, monkeypatch):
 
 def test_derivatives_build_on_the_kept_record(monkeypatch):
     """From the first start's stored end point of hour 15 of this hot day,
-    the polish runs Newton: 3 passes, then NNLS recovers a negative
-    multiplier. Each `derivatives_flat` call gets the very record
+    the polish runs Newton (3 passes), then NNLS prices the canonical form
+    of Newton's point. Each `derivatives_flat` call gets the very record
     `Scaling.evaluate` kept for its point, no point reaches
     `first_order_flat` twice, and the Hessian is built once per Newton
     step and once for the operator, never on the pass that converges."""

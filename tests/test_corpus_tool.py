@@ -66,7 +66,16 @@ def test_compare_passes_a_moved_j0(corpus, tmp_path, capsys):
                          [("certified", "1.5"), ("certified", "2.5")],
                          [("certified", "1.5"), ("certified", "2.6")])
     assert code == 0
-    assert out.splitlines() == ["0 certified hours lost; 1 other lines differ"]
+    assert out.splitlines() == [
+        f"moved: {KEY} h10", "0 certified hours lost; 1 other lines differ"]
+    # hours 9 to 33 all move: the first 20 keys in sorted order are named
+    code, out = _compare(corpus, tmp_path, capsys,
+                         [("certified", "1.5")] * 25,
+                         [("certified", "2.5")] * 25)
+    assert code == 0
+    assert out.splitlines() == [
+        *(f"moved: {KEY} h{hour}" for hour in range(10, 30)),
+        "0 certified hours lost; 25 other lines differ"]
 
 
 def test_compare_takes_two_listings(corpus, tmp_path):

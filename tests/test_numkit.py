@@ -43,6 +43,10 @@ def test_spectral_norm_diagonal():
     assert numkit.spectral_norm(np.diag([3.0, -7.0, 2.0])) == 7.0
 
 
+def test_spectral_norm_of_an_empty_matrix_is_zero():
+    assert numkit.spectral_norm(np.zeros((0, 0))) == 0.0
+
+
 def test_spectral_norm_rejects_asymmetric():
     with pytest.raises(ValueError):
         numkit.spectral_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))

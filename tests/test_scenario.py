@@ -88,6 +88,8 @@ def test_load_profile_parses_minimal_file(tmp_path):
                  id="<lambda>-1_1"),                             # bad units
     pytest.param(lambda ls: ["#labeldemo"] + ls[1:], 1,
                  id="<lambda>-1_2"),                          # bad metadata
+    pytest.param(lambda ls: ["#label=demo,colour=red"] + ls[1:], 1,
+                 id="unknown-metadata-key"),
     pytest.param(lambda ls: [ls[0], "a,b,c"] + ls[2:], 2,
                  id="<lambda>-2"),                              # bad header
     pytest.param(lambda ls: ls[:2] + ["9,20.0,22.0"], 3,

@@ -5,13 +5,17 @@ or deleted function would surface only when the benchmark runs. These
 tests import the tracer as it is and check every name it reads.
 """
 
+import dataclasses
 import importlib.util
 import inspect
 from pathlib import Path
 
 import pytest
 
+from gridbase import baseline_opt
+from gridbase import hvac_model as hm
 from gridbase import kernels
+from gridbase import scenario as sc
 from gridbase import sensitivity as sn
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -49,3 +53,18 @@ def test_objective_batch_takes_the_rows_of_x_and_w_first():
     args[0] and args[1]."""
     params = list(inspect.signature(kernels.objective_batch).parameters)
     assert params[:2] == ["xv", "wv"]
+
+
+@pytest.mark.parametrize("fn, first, cls, attr", [
+    (sc.run_day, "profile", sc.DayProfile, "hours"),
+    (baseline_opt.solve_baseline, "w", hm.ExogenousVector, "zones")],
+    ids=["run_day", "solve_baseline"])
+def test_hour_keys_are_read_from_the_first_argument(fn, first, cls, attr):
+    """The tracer keys spans by hour: it reads `args[0].hours` of each
+    `run_day` call and `args[0].zones` of each `solve_baseline` call, so
+    both first parameters stay first and positional, and their types keep
+    the field it reads."""
+    param = next(iter(inspect.signature(fn).parameters.values()))
+    assert param.name == first
+    assert param.kind in (param.POSITIONAL_ONLY, param.POSITIONAL_OR_KEYWORD)
+    assert attr in {f.name for f in dataclasses.fields(cls)}

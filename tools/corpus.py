@@ -42,7 +42,8 @@ and `perfbench` are imported, so two checkouts compare:
     python3 tools/corpus.py compare base.txt head.txt
 
 `compare` prints each hour certified in BASE but not in HEAD (`missing`
-if HEAD lacks it) and the count of other differing lines, and exits 1 if
+if HEAD lacks it), `moved: <key> h<hour>` for the first 20 other
+differing lines in sorted order, and the count of those, and exits 1 if
 an hour was lost. Bytes are identical only under the same BLAS thread
 configuration (see README), so run both sides in the same environment.
 """
@@ -73,6 +74,7 @@ MASK = ("T_oa",)
 ALPHA = 0.05
 CLI_MASK = "T_oa,c_f_2,Q_zone_1"
 CLI_PARAMS = {"alpha_ng": 1.3}
+MOVED_SHOWN = 20
 
 
 def plant_days(seed):
@@ -218,8 +220,9 @@ def cli_lines(rows):
 
 
 def compare(base_path, head_path):
-    """Print the hours certified in BASE and lost in HEAD and the count of
-    other differing lines; 1 if any hour was lost, else 0."""
+    """Print the hours certified in BASE and lost in HEAD, the first
+    `MOVED_SHOWN` other differing lines in sorted order, and the count of
+    those; 1 if any hour was lost, else 0."""
     def outcomes(path):
         with open(path, encoding="utf-8") as fh:
             return {" ".join(f[:2]): f for f in map(str.split, fh)}
@@ -230,10 +233,13 @@ def compare(base_path, head_path):
             if f[2] == "certified" != now[k]}
     changed = {k for k in base.keys() | head.keys()
                if base.get(k) != head.get(k)}
+    moved = sorted(changed - lost.keys())
     for k, outcome in lost.items():
         print(f"lost: {k}  {outcome}")
+    for k in moved[:MOVED_SHOWN]:
+        print(f"moved: {k}")
     print(f"{len(lost)} certified hours lost; "
-          f"{len(changed - lost.keys())} other lines differ")
+          f"{len(moved)} other lines differ")
     return 1 if lost else 0
 
 
